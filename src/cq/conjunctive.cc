@@ -206,11 +206,16 @@ ExprPtr BuildFoldedQualifier(
 
 }  // namespace
 
-ConjunctiveEngine::ConjunctiveEngine(const ConjunctiveQuery& raw_query,
+ConjunctiveEngine::ConjunctiveEngine(const ConjunctiveQuery& query,
                                      const std::vector<ResultSink*>& sinks,
                                      EngineOptions options)
-    : context_(std::make_unique<RunContext>()) {
-  context_->options = options;
+    : RunCore(std::move(options)) {
+  Compile(query, sinks);
+  if (!ok()) Reject(Status::MalformedInput(error_));
+}
+
+void ConjunctiveEngine::Compile(const ConjunctiveQuery& raw_query,
+                                const std::vector<ResultSink*>& sinks) {
   if (sinks.size() != raw_query.head.size()) {
     error_ = "one result sink per head variable required";
     return;
@@ -308,17 +313,12 @@ ConjunctiveEngine::ConjunctiveEngine(const ConjunctiveQuery& raw_query,
   }
 
   // Translation T (Fig. 16).
-  NetworkBuilder builder(&network_, context_.get());
+  Network network;
+  NetworkBuilder builder(&network, &context());
   int root_tape = builder.AddInput();
-  input_node_ = builder.input_node();
-  outputs_.resize(query.head.size(), nullptr);
+  std::vector<OutputTransducer*> outputs(query.head.size(), nullptr);
 
   // Recursive descent over the variable tree.
-  struct Frame {
-    std::string var;
-    int tape;
-  };
-  // Process with explicit recursion via lambda.
   std::function<void(const std::string&, int)> compile_var =
       [&](const std::string& var, int tape) {
         auto it = children.find(var);
@@ -369,7 +369,7 @@ ConjunctiveEngine::ConjunctiveEngine(const ConjunctiveQuery& raw_query,
           int t = qualify_with_siblings(tapes[next_tape++], /*skip_atom=*/-1);
           for (size_t h = 0; h < query.head.size(); ++h) {
             if (query.head[h] == var) {
-              outputs_[h] = builder.AddOutput(t, sinks[h]);
+              outputs[h] = builder.AddOutput(t, sinks[h]);
             }
           }
         }
@@ -385,34 +385,14 @@ ConjunctiveEngine::ConjunctiveEngine(const ConjunctiveQuery& raw_query,
   compile_var("Root", root_tape);
 
   for (size_t h = 0; h < query.head.size(); ++h) {
-    if (outputs_[h] == nullptr) {
+    if (outputs[h] == nullptr) {
       error_ = "internal error: head variable " + query.head[h] +
                " received no output transducer";
       return;
     }
   }
-}
-
-ConjunctiveEngine::~ConjunctiveEngine() = default;
-
-void ConjunctiveEngine::OnEvent(const StreamEvent& event) {
-  if (!ok()) return;
-  // Zero-copy delivery, exactly as SpexEngine::OnEvent.
-  Message m = Message::DocumentRef(event);
-  if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
-    m.symbol = context_->symbol_table()->Intern(event.name);
-  }
-  network_.Deliver(input_node_, 0, std::move(m));
-  if (event.kind == EventKind::kEndDocument) {
-    for (OutputTransducer* ou : outputs_) ou->Flush();
-  }
-  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
-      !context_->retired_variables.empty()) {
-    for (VarId v : context_->retired_variables) {
-      context_->assignment.Erase(v);
-    }
-    context_->retired_variables.clear();
-  }
+  Start(std::move(network), builder.input_node(), std::move(outputs),
+        builder.batchable(), raw_query.ToString());
 }
 
 std::vector<std::vector<std::string>> EvaluateConjunctive(

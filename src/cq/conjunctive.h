@@ -63,30 +63,28 @@ CqParseResult ParseConjunctiveQuery(std::string_view input);
 std::unique_ptr<ConjunctiveQuery> MustParseConjunctiveQuery(
     std::string_view input);
 
-// A compiled conjunctive query: one network, one sink per head variable.
-class ConjunctiveEngine : public EventSink {
+// A compiled conjunctive query: the Fig. 16 translation handed to the run
+// core (spex/run_core.h) with one result slot per head variable, so it is
+// fed, governed, sealed and observed exactly like a SpexEngine.
+class ConjunctiveEngine : public RunCore {
  public:
-  // `sinks[i]` receives the results bound to query.head[i].  Both the query
-  // and the sinks must outlive the engine.  On failure (join / unknown
-  // variable / cyclic graph) ok() is false and error() says why.
+  // `sinks[i]` receives the results bound to query.head[i].  The sinks must
+  // outlive the engine.  On failure (join / unknown variable / cyclic graph)
+  // ok() is false, error() says why, and status() is kMalformedInput: every
+  // event is dropped.
   ConjunctiveEngine(const ConjunctiveQuery& query,
                     const std::vector<ResultSink*>& sinks,
                     EngineOptions options = {});
-  ~ConjunctiveEngine() override;
 
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
-  void OnEvent(const StreamEvent& event) override;
-
-  Network& network() { return network_; }
-
  private:
+  // Translation T; sets error_ or starts the run.
+  void Compile(const ConjunctiveQuery& raw_query,
+               const std::vector<ResultSink*>& sinks);
+
   std::string error_;
-  std::unique_ptr<RunContext> context_;
-  Network network_;
-  int input_node_ = -1;
-  std::vector<OutputTransducer*> outputs_;
 };
 
 // One-shot convenience: evaluates a conjunctive query over an event stream;

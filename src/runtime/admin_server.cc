@@ -205,7 +205,7 @@ bool CaptureHub::OnSessionStart(int worker, EngineOptions* options) {
 }
 
 void CaptureHub::OnSessionEnd(int worker, const std::string& query,
-                              SpexEngine* engine) {
+                              RunCore* engine) {
   (void)worker;
   std::lock_guard<std::mutex> lock(mu_);
   if (const obs::TraceRecorder* recorder = engine->trace_recorder()) {

@@ -109,7 +109,7 @@ class CaptureHub : public SessionCaptureSink {
   // SessionCaptureSink (worker threads):
   bool OnSessionStart(int worker, EngineOptions* options) override;
   void OnSessionEnd(int worker, const std::string& query,
-                    SpexEngine* engine) override;
+                    RunCore* engine) override;
 
  private:
   const std::chrono::steady_clock::time_point epoch_;

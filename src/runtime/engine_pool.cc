@@ -26,32 +26,20 @@ int64_t SteadyNowNs() {
 // StreamSession
 
 StreamSession::StreamSession(EnginePool* pool, int worker,
-                             std::shared_ptr<const QueryTemplate> query_template)
+                             std::shared_ptr<const SlotTemplate> slot_template)
     : pool_(pool),
       worker_(worker),
-      query_template_(std::move(query_template)),
-      flight_(pool->options_.flight_frames) {}
+      slot_template_(std::move(slot_template)),
+      flight_(pool->options_.flight_frames),
+      slot_results_(static_cast<size_t>(slot_template_->slot_count())),
+      slot_certain_(static_cast<size_t>(slot_template_->slot_count()), 0) {}
 
-StreamSession::StreamSession(
-    EnginePool* pool, int worker,
-    std::shared_ptr<const MultiQueryTemplate> mq_template)
-    : pool_(pool),
-      worker_(worker),
-      multi_template_(std::move(mq_template)),
-      flight_(pool->options_.flight_frames) {
-  multi_label_ = "multi:" + multi_template_->digest() + "[" +
-                 std::to_string(multi_template_->slot_count()) + "]";
-  slot_results_.resize(static_cast<size_t>(multi_template_->slot_count()));
-  slot_certain_.resize(static_cast<size_t>(multi_template_->slot_count()), 0);
-}
-
-const std::vector<std::string>& StreamSession::subscription_results(
-    int slot) const {
+const std::vector<std::string>& StreamSession::slot_results(int slot) const {
   assert(slot >= 0 && slot < static_cast<int>(slot_results_.size()));
   return slot_results_[static_cast<size_t>(slot)];
 }
 
-int64_t StreamSession::subscription_certain_count(int slot) const {
+int64_t StreamSession::slot_certain_count(int slot) const {
   assert(slot >= 0 && slot < static_cast<int>(slot_certain_.size()));
   return slot_certain_[static_cast<size_t>(slot)];
 }
@@ -94,9 +82,10 @@ void StreamSession::Cancel() {
 }
 
 const std::vector<std::string>& StreamSession::Wait() {
+  static const std::vector<std::string> kNoSlots;
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] { return done_; });
-  return results_;
+  return slot_results_.empty() ? kNoSlots : slot_results_[0];
 }
 
 LiveSessionInfo StreamSession::Live() const {
@@ -116,7 +105,7 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
                                  const EngineOptions& base) {
   if (finished_) return;  // quarantined: the stream's remainder is dropped
   try {
-    if (engine_ == nullptr && mq_engine_ == nullptr) {
+    if (engine_ == nullptr) {
       EngineOptions options = base;
       // Per-session private symbol table: labels are interned on the worker
       // as events enter the engine.  A caller-supplied shared table would be
@@ -126,35 +115,24 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
       // Every pool session is sealable: failure/cancellation must be able
       // to close the stream virtually whether or not limits are set.
       options.track_open_elements = true;
-      if (multi_template_ != nullptr) {
-        // Subscription mode: instantiate the shared population template —
-        // the template itself is immutable, so a later quarantine tears
-        // down only this instance — with one collector per slot.  Capture
-        // windows and batch sampling are single-engine shaped and skip
-        // subscription sessions.
-        std::vector<ResultSink*> sinks;
-        sinks.reserve(static_cast<size_t>(multi_template_->slot_count()));
-        for (int slot = 0; slot < multi_template_->slot_count(); ++slot) {
-          slot_sinks_.push_back(std::make_unique<SerializingResultSink>());
-          sinks.push_back(slot_sinks_.back().get());
-        }
-        mq_engine_ = std::make_unique<MultiQueryEngine>(multi_template_, sinks,
-                                                        std::move(options));
-      } else {
-        sink_ = std::make_unique<SerializingResultSink>();
-        // Admin-plane capture window: the sink may upgrade this session to
-        // observe=full / profile and will be offered the engine at teardown.
-        if (SessionCaptureSink* sink =
-                pool_->capture_sink_.load(std::memory_order_acquire)) {
-          captured_ = sink->OnSessionStart(worker_, &options);
-        }
-        engine_ = std::make_unique<SpexEngine>(query_template_, sink_.get(),
-                                               std::move(options));
-        // Always-on sampling: the engine draws once per delivered batch from
-        // the pool-wide controller (disabled controller = one null-ish
-        // check).
-        engine_->SetBatchSampler(&pool_->sampler_);
+      // Admin-plane capture window: the sink may upgrade this session to
+      // observe=full / profile and will be offered the engine at teardown.
+      if (SessionCaptureSink* sink =
+              pool_->capture_sink_.load(std::memory_order_acquire)) {
+        captured_ = sink->OnSessionStart(worker_, &options);
       }
+      // Instantiate the shared template — immutable, so a later quarantine
+      // tears down only this instance — with one collector per slot.
+      std::vector<ResultSink*> sinks;
+      for (int slot = 0; slot < slot_template_->slot_count(); ++slot) {
+        sinks_.push_back(std::make_unique<SerializingResultSink>());
+        sinks.push_back(sinks_.back().get());
+      }
+      engine_ = slot_template_->Instantiate(sinks, std::move(options));
+      // Always-on sampling: the engine draws once per delivered batch from
+      // the pool-wide controller (disabled controller = one null-ish
+      // check).
+      engine_->SetBatchSampler(&pool_->sampler_);
     }
 #ifndef NDEBUG
     // Batches are shared across sessions whose engines each own a private
@@ -172,20 +150,16 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
 #endif
     // Batch-native delivery: hand the pool batch to the engine in
     // EngineOptions::batch_size chunks (the engine falls back to per-event
-    // internally when the query or observe level requires it).  Both engine
-    // kinds are EventSinks with the identical batched contract.
-    EventSink* target = engine_ != nullptr
-                            ? static_cast<EventSink*>(engine_.get())
-                            : static_cast<EventSink*>(mq_engine_.get());
+    // internally when the query or observe level requires it).
     const size_t step =
         base.batch_size > 1 ? static_cast<size_t>(base.batch_size) : 1;
     const StreamEvent* events = batch->data();
     const size_t total = batch->size();
     if (step <= 1) {
-      for (size_t i = 0; i < total; ++i) target->OnEvent(events[i]);
+      for (size_t i = 0; i < total; ++i) engine_->OnEvent(events[i]);
     } else {
       for (size_t i = 0; i < total; i += step) {
-        target->OnEventBatch(events + i, std::min(step, total - i));
+        engine_->OnEventBatch(events + i, std::min(step, total - i));
       }
     }
   } catch (const std::exception& e) {
@@ -201,21 +175,12 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
   if (run_status_.ok() && engine_ != nullptr && !engine_->status().ok()) {
     run_status_ = engine_->status();
   }
-  if (run_status_.ok() && mq_engine_ != nullptr && !mq_engine_->status().ok()) {
-    run_status_ = mq_engine_->status();
-  }
   // Publish live telemetry at the batch boundary (the engine is between
   // messages here, so the buffered-occupancy reads are consistent).
-  if (engine_ != nullptr || mq_engine_ != nullptr) {
-    const int64_t results = engine_ != nullptr
-                                ? engine_->result_count()
-                                : mq_engine_->total_result_count();
-    const int64_t buffered_events = engine_ != nullptr
-                                        ? engine_->buffered_events()
-                                        : mq_engine_->buffered_events();
-    const int64_t buffered_bytes = engine_ != nullptr
-                                       ? engine_->buffered_bytes()
-                                       : mq_engine_->buffered_bytes();
+  if (engine_ != nullptr) {
+    const int64_t results = engine_->result_count();
+    const int64_t buffered_events = engine_->buffered_events();
+    const int64_t buffered_bytes = engine_->buffered_bytes();
     live_events_.fetch_add(static_cast<int64_t>(batch->size()),
                            std::memory_order_relaxed);
     live_results_.store(results, std::memory_order_relaxed);
@@ -249,79 +214,71 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
     std::lock_guard<std::mutex> lock(mu_);
     if (status.ok()) status = abort_status_;
   }
+  const int slots = slot_template_->slot_count();
+  std::vector<std::vector<std::string>> results(static_cast<size_t>(slots));
+  std::vector<int64_t> certain(static_cast<size_t>(slots), 0);
   int64_t count = 0;
-  int64_t certain = 0;
+  int64_t certain_total = 0;
   bool truncated = false;
   RunStats stats;
-  std::vector<std::string> results;
   QueryRegistry* registry =
       pool_->query_registry_.load(std::memory_order_acquire);
-  QueryRunRecord record;  // filled only when a registry is installed
-  if (mq_engine_ != nullptr) {
-    // Subscription mode: seal + harvest per slot.  Attribution extras
-    // (decision-delay digest, sampled hot nodes) are single-engine shaped
-    // and stay empty; the per-slot RED fields flow into the registry below.
-    if (seal_allowed_) {
-      if (!mq_engine_->stream_complete()) {
-        status.Update(shutdown_fallback);
-        mq_engine_->FinalizeTruncated();
-      }
-      truncated = mq_engine_->truncated();
-      count = mq_engine_->total_result_count();
-      stats.network_degree = mq_engine_->shared_degree();
-      stats.events_processed = mq_engine_->events_processed();
-      for (int slot = 0; slot < multi_template_->slot_count(); ++slot) {
-        slot_results_[static_cast<size_t>(slot)] =
-            slot_sinks_[static_cast<size_t>(slot)]->results();
-        slot_certain_[static_cast<size_t>(slot)] =
-            mq_engine_->certain_result_count(slot);
-        certain += slot_certain_[static_cast<size_t>(slot)];
-      }
-    }
-    // else: the exception barrier fired — the shared *template* is
-    // untouched (immutable), but this instance's network state is suspect,
-    // so no sealing events are pushed and the partials are discarded.
-
-    // The engine was built on this worker thread; destroy it here too.
-    mq_engine_.reset();
-    slot_sinks_.clear();
-  } else if (engine_ != nullptr) {
+  // One QueryRunRecord per slot, keyed on the slot's canonical text; the
+  // session-wide fields (decision-delay digest, sampled hot nodes, flight
+  // dump) ride on slot 0's record.  Filled only with a registry installed.
+  std::vector<QueryRunRecord> records(
+      registry != nullptr ? static_cast<size_t>(slots) : 0);
+  if (engine_ != nullptr) {
     if (seal_allowed_) {
       if (!engine_->stream_complete()) {
         status.Update(shutdown_fallback);
         engine_->FinalizeTruncated();
       }
       truncated = engine_->truncated();
-      count = engine_->result_count();
-      certain = engine_->certain_result_count();
       stats = engine_->ComputeStats();
-      results = sink_->results();
+      for (int slot = 0; slot < slots; ++slot) {
+        const size_t i = static_cast<size_t>(slot);
+        results[i] = sinks_[i]->results();
+        certain[i] = engine_->certain_result_count(slot);
+        count += static_cast<int64_t>(results[i].size());
+        certain_total += certain[i];
+        if (registry != nullptr) {
+          records[i].buffered_events_peak =
+              engine_->output_stats(slot).buffered_events_peak;
+        }
+      }
     }
     // else: the exception barrier fired — the network's state is suspect,
     // so no sealing events are pushed and the partials are discarded.
 
-    if (registry != nullptr) {
+    if (registry != nullptr && slots > 0) {
       // Harvest attribution while the engine is still alive.  Counter and
       // profiler reads are side-table-safe even after the exception barrier
       // (the same argument as the capture offer below).
-      record.buffered_events_peak = stats.output.buffered_events_peak;
-      const obs::MetricsSnapshot snap = engine_->metrics().Collect();
-      if (const obs::MetricSample* delay =
-              snap.Find("spex_output_decision_delay_events")) {
-        record.delay_buckets = delay->buckets;
-        record.delay_count = delay->count;
-        record.delay_sum = delay->sum;
-        record.delay_max = delay->max;
+      QueryRunRecord& record = records[0];
+      if (const obs::Histogram* delay = engine_->decision_delay()) {
+        int last = -1;
+        for (int b = 0; b < obs::Histogram::kBuckets; ++b) {
+          if (delay->bucket(b) != 0) last = b;
+        }
+        for (int b = 0; b <= last; ++b) {
+          record.delay_buckets.push_back(delay->bucket(b));
+        }
+        record.delay_count = delay->count();
+        record.delay_sum = delay->sum();
+        record.delay_max = delay->max();
       }
       record.sampled_batches = engine_->sampled_batches();
       if (record.sampled_batches > 0) {
-        const obs::ProfileReport report = engine_->SampledProfile();
-        for (const obs::ProfileNode& node : report.nodes) {
+        // A population's report covers the whole shared DAG (thousands of
+        // nodes): move its strings instead of holding two copies.
+        obs::ProfileReport report = engine_->SampledProfile();
+        for (obs::ProfileNode& node : report.nodes) {
           if (node.deliveries == 0 && node.self_ns == 0) continue;
           QueryHotNode hot;
-          hot.name = node.name;
-          hot.fragment = node.fragment;
-          hot.cost_class = node.cost_class;
+          hot.name = std::move(node.name);
+          hot.fragment = std::move(node.fragment);
+          hot.cost_class = std::move(node.cost_class);
           hot.deliveries = node.deliveries;
           hot.self_ns = node.self_ns;
           record.sampled_nodes.push_back(std::move(hot));
@@ -342,7 +299,7 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
     // The engine (its network, formula nodes, symbol table) was built on
     // this worker thread; destroy it here too, before handing results back.
     engine_.reset();
-    sink_.reset();
+    sinks_.clear();
   }
   // End-to-end latency: first Feed to sealed result, on the worker that
   // owned the run.  Sessions that were never fed observe nothing.
@@ -352,53 +309,30 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
     pool_->workers_[static_cast<size_t>(worker_)]->feed_to_result_us->Observe(
         feed_us);
   }
-  if (registry != nullptr && multi_template_ != nullptr) {
-    // Per-query RED metrics, unchanged from single-query sessions: one
-    // QueryRunRecord per slot keyed on the slot's canonical text.  The
-    // flight dump rides on the first record only — one post-mortem
-    // timeline exists per session, not per standing query.
+  if (registry != nullptr) {
+    // Freeze the post-mortem timeline with the root cause (first freeze
+    // wins); a session that failed before its engine was built dumps an
+    // empty ring — the record still marks the failure.
     if (!status.ok()) flight_.Freeze(StatusCodeName(status.code()));
-    for (int slot = 0; slot < multi_template_->slot_count(); ++slot) {
-      QueryRunRecord slot_record;
-      slot_record.canonical_text = multi_template_->slot_text(slot);
-      slot_record.session_id = session_id_;
-      slot_record.worker = worker_;
-      slot_record.code = status.code();
-      slot_record.truncated = truncated;
-      slot_record.events = live_events_.load(std::memory_order_relaxed);
-      slot_record.results = static_cast<int64_t>(
-          slot_results_[static_cast<size_t>(slot)].size());
-      slot_record.feed_to_result_us = feed_us;
-      slot_record.limits = has_limits_override_
-                               ? limits_override_
-                               : pool_->options_.engine.limits;
-      if (!status.ok() && slot == 0) {
-        slot_record.flight_json = flight_.ToJson();
-      }
-      registry->RecordRun(slot_record);
+    for (int slot = 0; slot < slots; ++slot) {
+      QueryRunRecord& record = records[static_cast<size_t>(slot)];
+      record.canonical_text = slot_template_->slot_text(slot);
+      record.session_id = session_id_;
+      record.worker = worker_;
+      record.code = status.code();
+      record.truncated = truncated;
+      record.events = live_events_.load(std::memory_order_relaxed);
+      record.results =
+          static_cast<int64_t>(results[static_cast<size_t>(slot)].size());
+      record.feed_to_result_us = feed_us;
+      record.limits = has_limits_override_ ? limits_override_
+                                           : pool_->options_.engine.limits;
+      if (!status.ok() && slot == 0) record.flight_json = flight_.ToJson();
+      // Emits the slow-query / flight-dump log records (outside the
+      // registry's lock) before Wait()ers are released below, so a thread
+      // returning from Wait() can rely on the trail being written.
+      registry->RecordRun(record);
     }
-  } else if (registry != nullptr) {
-    record.canonical_text = query();
-    record.session_id = session_id_;
-    record.worker = worker_;
-    record.code = status.code();
-    record.truncated = truncated;
-    record.events = live_events_.load(std::memory_order_relaxed);
-    record.results = count;
-    record.feed_to_result_us = feed_us;
-    record.limits =
-        has_limits_override_ ? limits_override_ : pool_->options_.engine.limits;
-    if (!status.ok()) {
-      // Freeze the post-mortem timeline with the root cause (first freeze
-      // wins) and dump it; a session that failed before its engine was
-      // built dumps an empty ring — the record still marks the failure.
-      flight_.Freeze(StatusCodeName(status.code()));
-      record.flight_json = flight_.ToJson();
-    }
-    // Emits the slow-query / flight-dump log records (outside the
-    // registry's lock) before Wait()ers are released below, so a thread
-    // returning from Wait() can rely on the trail being written.
-    registry->RecordRun(record);
   }
   live_results_.store(count, std::memory_order_relaxed);
   live_buffered_events_.store(0, std::memory_order_relaxed);
@@ -419,9 +353,10 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    results_ = std::move(results);
+    slot_results_ = std::move(results);
+    slot_certain_ = std::move(certain);
     result_count_ = count;
-    certain_results_ = certain;
+    certain_results_ = certain_total;
     truncated_ = truncated;
     status_ = std::move(status);
     stats_ = stats;
@@ -532,20 +467,22 @@ EnginePool::~EnginePool() {
 }
 
 std::shared_ptr<StreamSession> EnginePool::OpenSession(
-    std::shared_ptr<const QueryTemplate> query_template) {
-  if (query_template == nullptr) return nullptr;
+    std::shared_ptr<const SlotTemplate> slot_template) {
+  if (slot_template == nullptr) return nullptr;
   const int worker = static_cast<int>(
       next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size());
   sessions_opened_->Increment();
   auto session = std::shared_ptr<StreamSession>(
-      new StreamSession(this, worker, std::move(query_template)));
+      new StreamSession(this, worker, std::move(slot_template)));
   session->session_id_ =
       next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  // Register the query with the observability registry at open, so
-  // /queries lists it from the first run — not only after one finishes.
+  // Register every slot's query with the observability registry at open,
+  // so /queries lists it from the first run — not only after one finishes.
   if (QueryRegistry* registry =
           query_registry_.load(std::memory_order_acquire)) {
-    registry->Intern(session->query());
+    for (int slot = 0; slot < session->slot_count(); ++slot) {
+      registry->Intern(session->slot_template_->slot_text(slot));
+    }
   }
   return session;
 }
@@ -563,28 +500,6 @@ StatusOr<std::shared_ptr<StreamSession>> EnginePool::OpenSession(
   StatusOr<std::shared_ptr<const QueryTemplate>> t = cache->Get(query_text);
   if (!t.ok()) return t.status();
   return OpenSession(std::move(t).value());
-}
-
-std::shared_ptr<StreamSession> EnginePool::OpenSubscriptions(
-    std::shared_ptr<const MultiQueryTemplate> mq_template) {
-  if (mq_template == nullptr) return nullptr;
-  const int worker = static_cast<int>(
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size());
-  sessions_opened_->Increment();
-  auto session = std::shared_ptr<StreamSession>(
-      new StreamSession(this, worker, std::move(mq_template)));
-  session->session_id_ =
-      next_session_id_.fetch_add(1, std::memory_order_relaxed);
-  // Every standing query gets its registry identity at open, exactly as a
-  // single-query session would — /queries lists the population up front.
-  if (QueryRegistry* registry =
-          query_registry_.load(std::memory_order_acquire)) {
-    const MultiQueryTemplate* tpl = session->multi_template_.get();
-    for (int slot = 0; slot < tpl->slot_count(); ++slot) {
-      registry->Intern(tpl->slot_text(slot));
-    }
-  }
-  return session;
 }
 
 void EnginePool::Submit(int worker_index, Task task) {
@@ -638,9 +553,8 @@ void EnginePool::WorkerLoop(int index) {
       }
     } else {
       if (options_.before_batch) options_.before_batch(index);
-      const bool first = task.session->engine_ == nullptr &&
-                         task.session->mq_engine_ == nullptr &&
-                         !task.session->finished_;
+      const bool first =
+          task.session->engine_ == nullptr && !task.session->finished_;
       task.session->ProcessBatch(task.batch, options_.engine);
       // A quarantined session needs no teardown at shutdown (ProcessBatch
       // already finalized it); keep `active` to sessions with live engines.

@@ -30,16 +30,9 @@ StatusOr<std::shared_ptr<const QueryTemplate>> CompiledQueryCache::Get(
 
 std::shared_ptr<const QueryTemplate> CompiledQueryCache::GetFor(
     const Expr& query, std::string* error) {
-  const std::string key = query.ToString();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      // Refresh recency: move the entry to the front of the LRU list.
-      lru_.splice(lru_.begin(), lru_, it->second);
-      hits_.Increment();
-      return it->second->query_template;
-    }
+  std::string key = "q" + query.ToString();
+  if (std::shared_ptr<const SlotTemplate> hit = Lookup(key)) {
+    return std::static_pointer_cast<const QueryTemplate>(hit);
   }
   // Build outside the lock: validation + trial compile are the expensive
   // part, and concurrent misses on the same key are harmless (both build,
@@ -48,26 +41,8 @@ std::shared_ptr<const QueryTemplate> CompiledQueryCache::GetFor(
                                                                     error);
   if (built == nullptr) return nullptr;
   misses_.Increment();
-  return Insert(std::move(built));
-}
-
-std::shared_ptr<const QueryTemplate> CompiledQueryCache::Insert(
-    std::shared_ptr<const QueryTemplate> t) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(t->canonical_text());
-  if (it != index_.end()) {
-    // Lost a build race: keep the resident entry, drop ours.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->query_template;
-  }
-  lru_.push_front(Entry{t->canonical_text(), t});
-  index_.emplace(t->canonical_text(), lru_.begin());
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    evictions_.Increment();
-  }
-  return t;
+  return std::static_pointer_cast<const QueryTemplate>(
+      Insert(std::move(key), std::move(built)));
 }
 
 StatusOr<std::shared_ptr<const MultiQueryTemplate>>
@@ -77,40 +52,51 @@ CompiledQueryCache::GetMulti(const std::vector<std::string>& query_texts) {
   StatusOr<std::string> digest = MultiQueryTemplate::CanonicalDigest(
       query_texts);
   if (!digest.ok()) return digest.status();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = multi_index_.find(*digest);
-    if (it != multi_index_.end()) {
-      multi_lru_.splice(multi_lru_.begin(), multi_lru_, it->second);
-      hits_.Increment();
-      return it->second->mq_template;
-    }
+  std::string key = "p" + *digest;
+  if (std::shared_ptr<const SlotTemplate> hit = Lookup(key)) {
+    return std::static_pointer_cast<const MultiQueryTemplate>(hit);
   }
-  // Build outside the lock, race-tolerant insert — same discipline as the
-  // single-query side.
   StatusOr<std::shared_ptr<const MultiQueryTemplate>> built =
       MultiQueryTemplate::Build(query_texts);
   if (!built.ok()) return built.status();
   misses_.Increment();
+  return std::static_pointer_cast<const MultiQueryTemplate>(
+      Insert(std::move(key), *built));
+}
+
+std::shared_ptr<const SlotTemplate> CompiledQueryCache::Lookup(
+    const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = multi_index_.find(*digest);
-  if (it != multi_index_.end()) {
-    multi_lru_.splice(multi_lru_.begin(), multi_lru_, it->second);
-    return it->second->mq_template;
+  auto it = index_.find(key);
+  if (it == index_.end()) return nullptr;
+  // Refresh recency: move the entry to the front of the LRU list.
+  lru_.splice(lru_.begin(), lru_, it->second);
+  hits_.Increment();
+  return it->second->slot_template;
+}
+
+std::shared_ptr<const SlotTemplate> CompiledQueryCache::Insert(
+    std::string key, std::shared_ptr<const SlotTemplate> t) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    // Lost a build race: keep the resident entry, drop ours.
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->slot_template;
   }
-  multi_lru_.push_front(MultiEntry{*digest, *built});
-  multi_index_.emplace(*digest, multi_lru_.begin());
-  while (multi_lru_.size() > capacity_) {
-    multi_index_.erase(multi_lru_.back().key);
-    multi_lru_.pop_back();
+  lru_.push_front(Entry{key, t});
+  index_.emplace(std::move(key), lru_.begin());
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
     evictions_.Increment();
   }
-  return *built;
+  return t;
 }
 
 size_t CompiledQueryCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return lru_.size() + multi_lru_.size();
+  return lru_.size();
 }
 
 void CompiledQueryCache::RegisterCollectors(

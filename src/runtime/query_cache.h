@@ -64,9 +64,9 @@ class CompiledQueryCache {
   // DESIGN.md §14), keyed on the sorted canonical-set digest — so the same
   // population in any registration order and any spelling is one entry,
   // built (validated, CSE-merged, trial-compiled) once.  Failures
-  // (kMalformedInput naming the offending query) are not cached.  The
-  // population LRU shares this cache's capacity bound and hit/miss/eviction
-  // meters with the single-query side.
+  // (kMalformedInput naming the offending query) are not cached.  Single
+  // queries and populations share one LRU: a 10k-query population and a
+  // single query are one resident artifact each.
   StatusOr<std::shared_ptr<const MultiQueryTemplate>> GetMulti(
       const std::vector<std::string>& query_texts);
 
@@ -82,30 +82,26 @@ class CompiledQueryCache {
   void RegisterCollectors(obs::MetricRegistry* registry) const;
 
  private:
-  // LRU list, most recently used first; the map points into it.
+  // LRU list, most recently used first; the map points into it.  Keys are
+  // namespaced by kind — 'q' + canonical text for a single query, 'p' +
+  // canonical-set digest for a population — because a digest is also a
+  // valid rpeq label and must never resolve to the other kind.
   struct Entry {
-    std::string key;  // canonical text
-    std::shared_ptr<const QueryTemplate> query_template;
+    std::string key;
+    std::shared_ptr<const SlotTemplate> slot_template;
   };
 
-  // Population entries live in their own LRU (same capacity bound): a
-  // 10k-query template and a single-query template are one slot each — the
-  // bound is on resident *artifacts*, not queries.
-  struct MultiEntry {
-    std::string key;  // sorted canonical-set digest
-    std::shared_ptr<const MultiQueryTemplate> mq_template;
-  };
-
-  std::shared_ptr<const QueryTemplate> Insert(
-      std::shared_ptr<const QueryTemplate> t);
+  // Resident template under `key` (refreshing its recency), or null.
+  std::shared_ptr<const SlotTemplate> Lookup(const std::string& key);
+  // Inserts a freshly built template; a concurrent builder that won the
+  // race keeps its resident entry, which is returned instead.
+  std::shared_ptr<const SlotTemplate> Insert(
+      std::string key, std::shared_ptr<const SlotTemplate> t);
 
   const size_t capacity_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  std::list<MultiEntry> multi_lru_;
-  std::unordered_map<std::string, std::list<MultiEntry>::iterator>
-      multi_index_;
   obs::AtomicCounter hits_;
   obs::AtomicCounter misses_;
   obs::AtomicCounter evictions_;

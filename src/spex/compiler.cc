@@ -255,11 +255,7 @@ CompiledNetwork CompileToNetwork(const Expr& expr, ResultSink* sink,
   out.input_node = builder.input_node();
   int body_out = builder.CompileExpr(expr, t0);
   out.output = builder.AddOutput(body_out, sink, &expr);
-  // Condition variables are created only by qualifier sandwiches (VC/VD)
-  // and preceding-axis transducers (PR); everything else moves constant
-  // formulas, which is what makes batched delivery order-safe.
-  out.batchable = !expr.ContainsKind(ExprKind::kQualified) &&
-                  !expr.ContainsKind(ExprKind::kPreceding);
+  out.batchable = builder.batchable();
   return out;
 }
 
@@ -280,11 +276,6 @@ std::shared_ptr<const QueryTemplate> QueryTemplate::Build(const Expr& query,
   CompiledNetwork net = CompileToNetwork(*t->expr_, &sink, &context);
   t->network_degree_ = net.network.node_count();
   return t;
-}
-
-CompiledNetwork QueryTemplate::Instantiate(ResultSink* sink,
-                                           RunContext* context) const {
-  return CompileToNetwork(*expr_, sink, context);
 }
 
 }  // namespace spex

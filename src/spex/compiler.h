@@ -7,7 +7,9 @@
 #define SPEX_SPEX_COMPILER_H_
 
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "rpeq/ast.h"
 #include "spex/network.h"
@@ -43,6 +45,13 @@ class NetworkBuilder {
   OutputTransducer* AddOutput(int in_tape, ResultSink* sink,
                               const Expr* prov = nullptr);
 
+  // True while everything built so far is safe for Network::DeliverBatch:
+  // no qualifier sandwich (VC/VD) or preceding-axis transducer (PR) — the
+  // only creators of condition variables, and exactly the nodes that draw a
+  // qualifier id — was added, so no transducer reads or writes the global
+  // assignment mid-round (see CompiledNetwork::batchable).
+  bool batchable() const { return next_qualifier_id_ == 0; }
+
  private:
   int AddUnary(std::unique_ptr<Transducer> t, int in_tape, const Expr* prov);
   int AddJoin(int left, int right, const Expr* prov);
@@ -72,18 +81,43 @@ struct CompiledNetwork {
 
 // ---------------------------------------------------------------------------
 // Template / instance split (concurrent runtime, DESIGN.md §9).
-//
-// A QueryTemplate is the immutable, shareable artifact of query admission:
-// the snapshotted expression, its canonical text, validation already done,
-// and the degree of the network it instantiates.  Build() performs all the
-// per-query work once; Instantiate() then only re-runs the linear-time
-// translation of Lemma V.1 against a fresh per-run context — cheap enough
-// to do per session, which is what keeps every run's transducer state,
-// symbol table and formula arena private to the worker thread that owns the
-// session (see base/thread_check.h).  A template holds no run state, so one
-// instance may be shared, via shared_ptr, across any number of threads;
-// runtime/query_cache.h is the canonical owner.
-class QueryTemplate {
+
+class RunCore;
+
+// The slot view of an immutable, shareable compiled-query artifact: all the
+// engine pool, the query cache and the wire server need of one.  A single
+// query (QueryTemplate) is one slot; a population (MultiQueryTemplate,
+// spex/multi_query.h) has one slot per distinct canonical query.  Templates
+// hold no run state, so one instance may be shared, via shared_ptr, across
+// any number of threads; runtime/query_cache.h is the canonical owner.
+class SlotTemplate {
+ public:
+  SlotTemplate() = default;
+  SlotTemplate(const SlotTemplate&) = delete;
+  SlotTemplate& operator=(const SlotTemplate&) = delete;
+  virtual ~SlotTemplate() = default;
+
+  virtual int slot_count() const = 0;
+  // Canonical text of slot `slot` — the query registry's key.
+  virtual const std::string& slot_text(int slot) const = 0;
+  // Session label: the canonical text of a single query,
+  // "multi:<digest>[<slots>]" for a population.
+  virtual const std::string& label() const = 0;
+  // A fresh run delivering slot s's results to slot_sinks[s] (one sink per
+  // slot; the sinks must outlive the run).  Only re-runs the linear-time
+  // translation of Lemma V.1 against a fresh per-run context — cheap enough
+  // to do per session, which keeps every run's transducer state, symbol
+  // table and formula arena private to the worker thread that owns the
+  // session (see base/thread_check.h).  Safe to call concurrently.
+  virtual std::unique_ptr<RunCore> Instantiate(
+      const std::vector<ResultSink*>& slot_sinks,
+      EngineOptions options) const = 0;
+};
+
+// The admission artifact of one query: the snapshotted expression, its
+// canonical text, validation already done, and the degree of the network it
+// instantiates (a SpexEngine; defined in engine.cc).
+class QueryTemplate : public SlotTemplate {
  public:
   // Validates and snapshots `query` (deep copy).  Returns null and fills
   // *error when the query violates the compile-time restrictions of the
@@ -100,12 +134,12 @@ class QueryTemplate {
   // introspection and admission control before any run exists.
   int network_degree() const { return network_degree_; }
 
-  // Instantiates the template into `context`, delivering results to `sink`
-  // — exactly CompileToNetwork(expr(), sink, context).  Safe to call
-  // concurrently from many threads on one shared template: the compiler
-  // only reads the expression, and everything mutable lives in the caller's
-  // context and the returned network.
-  CompiledNetwork Instantiate(ResultSink* sink, RunContext* context) const;
+  int slot_count() const override { return 1; }
+  const std::string& slot_text(int) const override { return canonical_text_; }
+  const std::string& label() const override { return canonical_text_; }
+  std::unique_ptr<RunCore> Instantiate(
+      const std::vector<ResultSink*>& slot_sinks,
+      EngineOptions options) const override;
 
  private:
   QueryTemplate() = default;

@@ -4,494 +4,48 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/sampling_profiler.h"
 #include "rpeq/parser.h"
 #include "xml/xml_parser.h"
 
 namespace spex {
 
-std::string RunStats::ToString() const {
-  std::string out;
-  out += "network_degree=" + std::to_string(network_degree);
-  out += " events=" + std::to_string(events_processed);
-  out += " max_depth_stack=" + std::to_string(max_depth_stack);
-  out += " max_cond_stack=" + std::to_string(max_condition_stack);
-  out += " max_formula_nodes=" + std::to_string(max_formula_nodes);
-  out += " messages=" + std::to_string(total_messages);
-  out += " candidates=" + std::to_string(output.candidates_created);
-  out += " emitted=" + std::to_string(output.candidates_emitted);
-  out += " dropped=" + std::to_string(output.candidates_dropped);
-  out += " buffered_peak=" + std::to_string(output.buffered_events_peak);
-  return out;
-}
-
 SpexEngine::SpexEngine(const Expr& query, ResultSink* sink,
                        EngineOptions options)
-    : context_(std::make_unique<RunContext>()) {
-  context_->options = std::move(options);
-  compiled_ = CompileToNetwork(query, sink, context_.get());
-  query_text_ = query.ToString();
-  FinishInit();
+    : RunCore(std::move(options)) {
+  CompiledNetwork compiled = CompileToNetwork(query, sink, &context());
+  Start(std::move(compiled.network), compiled.input_node, {compiled.output},
+        compiled.batchable, query.ToString());
 }
 
 SpexEngine::SpexEngine(std::shared_ptr<const QueryTemplate> query_template,
                        ResultSink* sink, EngineOptions options)
-    : context_(std::make_unique<RunContext>()),
-      template_(std::move(query_template)) {
-  context_->options = std::move(options);
-  compiled_ = template_->Instantiate(sink, context_.get());
-  query_text_ = template_->canonical_text();
-  FinishInit();
-}
+    : SpexEngine(query_template->expr(), sink, std::move(options)) {}
 
-void SpexEngine::FinishInit() {
-  const EngineOptions& options = context_->options;
-  if (options.profile) {
-    profiler_ = std::make_unique<obs::ProfileAccumulator>(
-        compiled_.network.node_count());
-    compiled_.network.SetProfiler(profiler_.get());
-  }
-  if (options.record_traces) {
-    traces_.reserve(compiled_.network.node_count());
-    for (int i = 0; i < compiled_.network.node_count(); ++i) {
-      traces_.push_back(std::make_unique<TransducerTrace>());
-      compiled_.network.node(i)->set_trace(traces_.back().get());
-    }
-  }
-  if (options.observe != ObserveLevel::kOff) {
-    obs_ = std::make_unique<EngineObservability>(
-        context_.get(), &compiled_.network, options.trace_capacity);
-  }
-  // Pull collectors over state the components maintain unconditionally —
-  // registered at every observe level so the registry (and ComputeStats,
-  // which reads it) always reflects the §V bounds.
-  RegisterNetworkCollectors(&context_->metrics, &compiled_.network);
-  RegisterOutputCollectors(&context_->metrics, compiled_.output, {});
-  RegisterContextCollectors(&context_->metrics, context_.get());
-  context_->metrics.AddCallbackGauge(
-      "spex_engine_events", {},
-      [counter = &events_processed_] { return *counter; });
-  progress_enabled_ = context_->options.progress.enabled();
-  if (progress_enabled_) {
-    next_progress_events_ = options.progress.every_events;
-    next_progress_bytes_ = options.progress.every_bytes;
-  }
-  observed_path_ = obs_ != nullptr || progress_enabled_;
-  guarded_ = options.limits.enabled() || options.track_open_elements;
-  // observe=full records a span per event delivery; batching would collapse
-  // those into one span per batch, so full observation keeps per-event
-  // feeding (the profiler needs no such carve-out: Network::DeliverBatch
-  // itself falls back to per-message delivery when instrumented).
-  batch_path_ =
-      compiled_.batchable && (obs_ == nullptr || trace_recorder() == nullptr);
-  if (guarded_) open_path_.reserve(64);
-  run_start_ = std::chrono::steady_clock::now();
-  if (options.limits.deadline_ms > 0) {
-    deadline_ =
-        run_start_ + std::chrono::milliseconds(options.limits.deadline_ms);
-  }
-  last_watermark_time_ = run_start_;
-}
-
-SpexEngine::~SpexEngine() = default;
-
-void SpexEngine::OnEvent(const StreamEvent& event) {
-  // The resource governor costs this one branch when disabled (DESIGN.md
-  // §10), mirroring the observability contract below.
-  if (!guarded_) [[likely]] {
-    ProcessEvent(event);
-    return;
-  }
-  GuardedOnEvent(event);
-}
-
-void SpexEngine::OnEventBatch(const StreamEvent* events, size_t count) {
-  if (count == 0) return;
-  // One null-check per *batch* when no controller is attached; with one, a
-  // thread-local increment and a relaxed load (see obs/sampling_profiler.h).
-  // Never on the per-event OnEvent path.
-  if (sampler_ctl_ != nullptr && sampler_ctl_->ShouldSample()) [[unlikely]] {
-    SampleBatch(events, count);
-    return;
-  }
-  OnEventBatchUnsampled(events, count);
-}
-
-void SpexEngine::SampleBatch(const StreamEvent* events, size_t count) {
-  if (profiler_ != nullptr) {
-    // options.profile already instruments every delivery; sampling on top
-    // would only steal its attributions.
-    OnEventBatchUnsampled(events, count);
-    return;
-  }
-  if (sample_profiler_ == nullptr) {
-    sample_profiler_ = std::make_unique<obs::ProfileAccumulator>(
-        compiled_.network.node_count());
-  }
-  // With a profiler attached the network flags itself instrumented and
-  // DeliverBatch falls back to per-message delivery — exactly the
-  // instrumented path a full profile takes, for this one batch.
-  compiled_.network.SetProfiler(sample_profiler_.get());
-  OnEventBatchUnsampled(events, count);
-  compiled_.network.SetProfiler(nullptr);
-  ++sampled_batches_;
-}
-
-void SpexEngine::OnEventBatchUnsampled(const StreamEvent* events,
-                                       size_t count) {
-  if (!batch_path_) {
-    // Non-batchable network (condition variables) or observe=full: the
-    // per-event path is the semantics, batching is only a feeding shape.
-    for (size_t i = 0; i < count; ++i) OnEvent(events[i]);
-    return;
-  }
-  if (!guarded_) [[likely]] {
-    DeliverEventBatch(events, count);
-    return;
-  }
-  GuardedBatch(events, count);
-}
-
-void SpexEngine::DeliverEventBatch(const StreamEvent* events, size_t count) {
-  message_batch_.clear();
-  message_batch_.reserve(count);
-  SymbolTable* symbols = context_->symbol_table();
-  bool saw_end = false;
-  for (size_t i = 0; i < count; ++i) {
-    const StreamEvent& e = events[i];
-    Message m = Message::DocumentRef(e);
-    if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
-      m.symbol = symbols->Intern(e.name);
-    }
-    saw_end |= (e.kind == EventKind::kEndDocument);
-    message_batch_.push_back(std::move(m));
-  }
-  if (saw_end && events[count - 1].kind != EventKind::kEndDocument) {
-    // </$> mid-batch: the per-event path flushes the output transducer at
-    // the end-document message, before anything that (bogusly) follows it.
-    // Keep that exact on this cold path.
-    message_batch_.clear();
-    for (size_t i = 0; i < count; ++i) ProcessEvent(events[i]);
-    return;
-  }
-  events_processed_ += static_cast<int64_t>(count);
-  if (!observed_path_) [[likely]] {
-    compiled_.network.DeliverBatch(compiled_.input_node, 0, &message_batch_);
-  } else {
-    if (obs_ != nullptr) {
-      obs_->ObserveDeliveryBatch(events_processed_,
-                                 static_cast<int64_t>(count), [&] {
-                                   compiled_.network.DeliverBatch(
-                                       compiled_.input_node, 0,
-                                       &message_batch_);
-                                 });
-    } else {
-      compiled_.network.DeliverBatch(compiled_.input_node, 0, &message_batch_);
-    }
-    if (progress_enabled_) MaybeEmitProgress();
-  }
-  if (saw_end) {
-    document_ended_ = true;
-    compiled_.output->Flush();
-  }
-  // No end-of-round variable GC here: a batchable network creates no
-  // condition variables, so retired_variables stays empty by construction.
-}
-
-void SpexEngine::GuardedBatch(const StreamEvent* events, size_t count) {
-  if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
-  const EngineLimits& limits = context_->options.limits;
-  // The byte post-limits sample occupancy after every event; batching would
-  // coarsen the breach point, so those runs keep exact per-event checks.
-  if (limits.max_buffered_bytes > 0 || limits.max_formula_bytes > 0) {
-    for (size_t i = 0; i < count; ++i) GuardedOnEvent(events[i]);
-    return;
-  }
-  if (limits.deadline_ms > 0 && std::chrono::steady_clock::now() > deadline_) {
-    FailRun(Status::DeadlineExceeded(
-        "deadline_ms exceeded (" + std::to_string(limits.deadline_ms) + ")"));
-    return;
-  }
-  // Per-event pre-checks build the admissible prefix, exactly the events a
-  // per-event run would have delivered before the breach.
-  Status breach;
-  size_t admitted = 0;
-  for (; admitted < count; ++admitted) {
-    const StreamEvent& e = events[admitted];
-    if (limits.max_events > 0 &&
-        events_processed_ + static_cast<int64_t>(admitted) >=
-            limits.max_events) {
-      breach = Status::ResourceExhausted(
-          "max_events exceeded (" + std::to_string(limits.max_events) + ")");
-      break;
-    }
-    if (e.kind == EventKind::kStartElement) {
-      if (limits.max_depth > 0 &&
-          static_cast<int>(open_path_.size()) >= limits.max_depth) {
-        breach = Status::ResourceExhausted(
-            "max_depth exceeded (" + std::to_string(limits.max_depth) + ")");
-        break;
-      }
-      open_path_.push_back(e.label != kNoSymbol
-                               ? e.label
-                               : context_->symbol_table()->Intern(e.name));
-    } else if (e.kind == EventKind::kEndElement && !open_path_.empty()) {
-      open_path_.pop_back();
-    }
-  }
-  if (admitted > 0) DeliverEventBatch(events, admitted);
-  if (admitted < count) FailRun(std::move(breach));
-}
-
-void SpexEngine::ProcessEvent(const StreamEvent& event) {
-  ++events_processed_;
-  // Zero-copy delivery: the message borrows `event`, which outlives the
-  // synchronous delivery round (no transducer keeps a document message
-  // queued across rounds — see DESIGN.md "Hot path & memory discipline").
-  // Events not stamped by a parser are interned here so the label
-  // transducers always take the integer fast path.
-  Message m = Message::DocumentRef(event);
-  if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
-    m.symbol = context_->symbol_table()->Intern(event.name);
-  }
-  // Observability costs this one branch when disabled (DESIGN.md §7).
-  if (!observed_path_) [[likely]] {
-    compiled_.network.Deliver(compiled_.input_node, 0, std::move(m));
-  } else {
-    OnEventObserved(event, std::move(m));
-  }
-  if (event.kind == EventKind::kEndDocument) {
-    document_ended_ = true;
-    compiled_.output->Flush();
-  }
-  // End-of-round garbage collection: with eager updates, formulas referring
-  // to a retired variable were rewritten while its determination propagated
-  // this round, so the binding can go.  (Lazy mode keeps every binding.)
-  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
-      !context_->retired_variables.empty()) {
-    for (VarId v : context_->retired_variables) {
-      context_->assignment.Erase(v);
-    }
-    context_->retired_variables.clear();
-  }
-}
-
-void SpexEngine::GuardedOnEvent(const StreamEvent& event) {
-  if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
-  const EngineLimits& limits = context_->options.limits;
-  // Pre-checks reject the event *before* tracking it, so open_path_ always
-  // matches what the network actually saw.
-  if (limits.max_events > 0 && events_processed_ >= limits.max_events) {
-    FailRun(Status::ResourceExhausted(
-        "max_events exceeded (" + std::to_string(limits.max_events) + ")"));
-    return;
-  }
-  if (limits.deadline_ms > 0 && (events_processed_ & 255) == 0 &&
-      std::chrono::steady_clock::now() > deadline_) {
-    FailRun(Status::DeadlineExceeded(
-        "deadline_ms exceeded (" + std::to_string(limits.deadline_ms) + ")"));
-    return;
-  }
-  if (event.kind == EventKind::kStartElement) {
-    if (limits.max_depth > 0 &&
-        static_cast<int>(open_path_.size()) >= limits.max_depth) {
-      FailRun(Status::ResourceExhausted(
-          "max_depth exceeded (" + std::to_string(limits.max_depth) + ")"));
-      return;
-    }
-    open_path_.push_back(event.label != kNoSymbol
-                             ? event.label
-                             : context_->symbol_table()->Intern(event.name));
-  } else if (event.kind == EventKind::kEndElement && !open_path_.empty()) {
-    open_path_.pop_back();
-  }
-  ProcessEvent(event);
-  // Post-checks: memory the event's delivery actually pinned.  Skipped once
-  // the stream completed — after end-document the run already flushed and
-  // decided everything, and the thread-shared formula arena may still hold
-  // *other* sessions' live nodes, which must not fail a finished run.
-  if (document_ended_) return;
-  if (limits.max_buffered_bytes > 0 &&
-      compiled_.output->buffered_bytes() > limits.max_buffered_bytes) {
-    FailRun(Status::ResourceExhausted(
-        "max_buffered_bytes exceeded (" +
-        std::to_string(limits.max_buffered_bytes) + ")"));
-    return;
-  }
-  if (limits.max_formula_bytes > 0 &&
-      Formula::GetPoolStats().live *
-              static_cast<int64_t>(sizeof(internal::FormulaNode)) >
-          limits.max_formula_bytes) {
-    FailRun(Status::ResourceExhausted(
-        "max_formula_bytes exceeded (" +
-        std::to_string(limits.max_formula_bytes) + ")"));
-  }
-}
-
-void SpexEngine::FailRun(Status status) {
-  status_ = std::move(status);
-  // Everything fully emitted up to the breach is certain; fragments emitted
-  // later (by FinalizeTruncated's virtual closes) are speculative.
-  certain_results_ = result_count();
-}
-
-Status SpexEngine::FinalizeTruncated() {
-  if (document_ended_) return status_;  // complete (or already sealed): no-op
-  if (certain_results_ < 0) certain_results_ = result_count();
-  truncated_ = true;
-  if (events_processed_ == 0) {
-    // Nothing was ever delivered; there is no open round to close.
-    document_ended_ = true;
-    return status_;
-  }
-  // Seal below the governor: the virtual closes must reach the network even
-  // on a poisoned run, and must not re-trip the limit being breached.
-  const bool was_guarded = guarded_;
-  guarded_ = false;
-  SymbolTable* symbols = context_->symbol_table();
-  while (!open_path_.empty()) {
-    const Symbol label = open_path_.back();
-    open_path_.pop_back();
-    StreamEvent close = StreamEvent::EndElement(symbols->Name(label));
-    close.label = label;
-    ProcessEvent(close);
-  }
-  ProcessEvent(StreamEvent::EndDocument());  // flushes OU, decides candidates
-  guarded_ = was_guarded;
-  return status_;
-}
-
-void SpexEngine::OnEventObserved(const StreamEvent& event, Message message) {
-  if (obs_ != nullptr) {
-    obs_->ObserveDelivery(event.kind, events_processed_, [&] {
-      compiled_.network.Deliver(compiled_.input_node, 0, std::move(message));
-    });
-  } else {
-    compiled_.network.Deliver(compiled_.input_node, 0, std::move(message));
-  }
-  if (progress_enabled_) MaybeEmitProgress();
-}
-
-void SpexEngine::MaybeEmitProgress() {
-  const ProgressOptions& progress = context_->options.progress;
-  bool due = false;
-  if (progress.every_events > 0 && events_processed_ >= next_progress_events_) {
-    due = true;
-    // A batch can jump several thresholds at once; one callback fires and
-    // the trigger re-arms past the current count (batch granularity).
-    do {
-      next_progress_events_ += progress.every_events;
-    } while (events_processed_ >= next_progress_events_);
-  }
-  if (!due && progress.every_bytes > 0 && progress_bytes_source_) {
-    const int64_t bytes = progress_bytes_source_();
-    if (bytes >= next_progress_bytes_) {
-      due = true;
-      next_progress_bytes_ = bytes + progress.every_bytes;
-    }
-  }
-  if (due && progress.callback) progress.callback(CurrentWatermark());
-}
-
-Watermark SpexEngine::CurrentWatermark() const {
-  Watermark w;
-  w.events = events_processed_;
-  w.bytes = progress_bytes_source_ ? progress_bytes_source_() : 0;
-  const auto now = std::chrono::steady_clock::now();
-  w.elapsed_sec = std::chrono::duration<double>(now - run_start_).count();
-  const double window =
-      std::chrono::duration<double>(now - last_watermark_time_).count();
-  // A zero/near-zero window (first tick polled immediately, back-to-back
-  // polls, coarse clocks) would divide into inf or garbage rates.  Report 0
-  // and leave the baseline in place so the next poll sees the full window.
-  constexpr double kMinRateWindowSec = 1e-6;
-  if (window >= kMinRateWindowSec) {
-    w.events_per_sec =
-        static_cast<double>(events_processed_ - last_watermark_events_) /
-        window;
-    last_watermark_time_ = now;
-    last_watermark_events_ = events_processed_;
-  }
-  w.results = result_count();
-  w.pending_fragments = compiled_.output->pending_candidates();
-  w.buffered_events = compiled_.output->buffered_events();
-  w.buffered_events_peak = compiled_.output->output_stats().buffered_events_peak;
-  w.live_formula_nodes = Formula::GetPoolStats().live;
-  w.live_condition_vars = static_cast<int64_t>(context_->assignment.size());
-  return w;
-}
-
-RunStats SpexEngine::ComputeStats() const {
-  // Folded from the registry's pull collectors (registered at every observe
-  // level), so the §V aggregate view and any metrics export agree by
-  // construction: total_messages == sum(spex_transducer_messages_in) etc.
-  const obs::MetricsSnapshot snap = context_->metrics.Collect();
-  RunStats stats;
-  stats.network_degree =
-      static_cast<int>(snap.Value("spex_network_transducers"));
-  stats.events_processed = snap.Value("spex_engine_events");
-  stats.max_depth_stack = snap.MaxAll("spex_transducer_depth_stack_peak");
-  stats.max_condition_stack =
-      snap.MaxAll("spex_transducer_condition_stack_peak");
-  stats.max_formula_nodes = snap.MaxAll("spex_transducer_formula_nodes_peak");
-  stats.total_messages = snap.SumAll("spex_transducer_messages_in");
-  stats.output.candidates_created = snap.Value("spex_output_candidates_created");
-  stats.output.candidates_dropped = snap.Value("spex_output_candidates_dropped");
-  stats.output.candidates_emitted = snap.Value("spex_output_candidates_emitted");
-  stats.output.streamed_events = snap.Value("spex_output_streamed_events");
-  stats.output.buffered_events_peak =
-      snap.Value("spex_output_buffered_events_peak");
-  stats.output.open_candidates_peak =
-      snap.Value("spex_output_open_candidates_peak");
-  return stats;
-}
-
-obs::ProfileReport SpexEngine::Profile() const {
-  const obs::MetricsSnapshot snap = context_->metrics.Collect();
-  return BuildProfileReport(compiled_.network, query_text_, events_processed_,
-                            profiler_.get(),
-                            snap.Value("spex_formula_pool_high_water"),
-                            snap.Value("spex_formula_pool_allocs"));
-}
-
-obs::ProfileReport SpexEngine::SampledProfile() const {
-  const obs::MetricsSnapshot snap = context_->metrics.Collect();
-  return BuildProfileReport(compiled_.network, query_text_, events_processed_,
-                            sample_profiler_.get(),
-                            snap.Value("spex_formula_pool_high_water"),
-                            snap.Value("spex_formula_pool_allocs"));
-}
-
-const TransducerTrace* SpexEngine::trace(int node_id) const {
-  if (node_id < 0 || node_id >= static_cast<int>(traces_.size())) {
-    return nullptr;
-  }
-  return traces_[node_id].get();
-}
-
-const TransducerTrace* SpexEngine::trace(const std::string& name) const {
-  for (int i = 0; i < compiled_.network.node_count(); ++i) {
-    if (compiled_.network.node(i)->name() == name) return trace(i);
-  }
-  return nullptr;
+std::unique_ptr<RunCore> QueryTemplate::Instantiate(
+    const std::vector<ResultSink*>& slot_sinks, EngineOptions options) const {
+  return std::make_unique<SpexEngine>(*expr_, slot_sinks[0],
+                                      std::move(options));
 }
 
 namespace {
 
-// Shared feeding loop of the one-shot helpers: batched at the configured
-// granularity (1 = per event), which also routes every helper-driven test
-// through the batch path on batchable queries.
-void FeedAll(SpexEngine* engine, const std::vector<StreamEvent>& events,
-             int batch_size) {
-  if (batch_size <= 1) {
-    for (const StreamEvent& e : events) engine->OnEvent(e);
-    return;
-  }
-  const size_t step = static_cast<size_t>(batch_size);
+// Shared body of the one-shot helpers: evaluates into a `Sink`, feeding at
+// the configured granularity (1 = per event), which also routes every
+// helper-driven test through the batch path on batchable queries.
+template <typename Sink>
+auto Evaluate(const Expr& query, const std::vector<StreamEvent>& events,
+              EngineOptions options) {
+  Sink sink;
+  SpexEngine engine(query, &sink, options);
+  const size_t step = static_cast<size_t>(std::max(1, options.batch_size));
   for (size_t i = 0; i < events.size(); i += step) {
-    engine->OnEventBatch(events.data() + i,
-                         std::min(step, events.size() - i));
+    if (step == 1) {
+      engine.OnEvent(events[i]);
+    } else {
+      engine.OnEventBatch(events.data() + i, std::min(step, events.size() - i));
+    }
   }
+  return sink.results();
 }
 
 }  // namespace
@@ -499,27 +53,18 @@ void FeedAll(SpexEngine* engine, const std::vector<StreamEvent>& events,
 std::vector<std::string> EvaluateToStrings(
     const Expr& query, const std::vector<StreamEvent>& events,
     EngineOptions options) {
-  SerializingResultSink sink;
-  SpexEngine engine(query, &sink, options);
-  FeedAll(&engine, events, options.batch_size);
-  return sink.results();
+  return Evaluate<SerializingResultSink>(query, events, std::move(options));
 }
 
 std::vector<std::vector<StreamEvent>> EvaluateToFragments(
     const Expr& query, const std::vector<StreamEvent>& events,
     EngineOptions options) {
-  CollectingResultSink sink;
-  SpexEngine engine(query, &sink, options);
-  FeedAll(&engine, events, options.batch_size);
-  return sink.results();
+  return Evaluate<CollectingResultSink>(query, events, std::move(options));
 }
 
 int64_t CountMatches(const Expr& query, const std::vector<StreamEvent>& events,
                      EngineOptions options) {
-  CountingResultSink sink;
-  SpexEngine engine(query, &sink, options);
-  FeedAll(&engine, events, options.batch_size);
-  return sink.results();
+  return Evaluate<CountingResultSink>(query, events, std::move(options));
 }
 
 std::vector<std::string> EvaluateXml(const std::string& query_text,

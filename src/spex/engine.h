@@ -14,278 +14,32 @@
 #ifndef SPEX_SPEX_ENGINE_H_
 #define SPEX_SPEX_ENGINE_H_
 
-#include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "base/status.h"
 #include "rpeq/ast.h"
 #include "spex/compiler.h"
-#include "spex/network.h"
-#include "spex/observe.h"
-#include "spex/output_transducer.h"
+#include "spex/run_core.h"
 #include "xml/stream_event.h"
 
 namespace spex {
 
-namespace obs {
-class SamplingProfiler;
-}  // namespace obs
-
-// Aggregate resource accounting over a run (validates the §V bounds).
-struct RunStats {
-  // Number of transducers in the compiled network (Def. 3 degree + IN + OU).
-  int network_degree = 0;
-  // Document messages fed through OnEvent so far.
-  int64_t events_processed = 0;
-  // Peak depth-stack entries over all transducers; bounded by the document
-  // depth d (§V: space O(d) per transducer).
-  int64_t max_depth_stack = 0;
-  // Peak condition-stack entries over all transducers; also O(d).
-  int64_t max_condition_stack = 0;
-  // Largest formula (distinct DAG nodes, the factored size of Remark V.1)
-  // handled by any transducer.  Because formula nodes come from a pooled
-  // arena bounded by the count of live nodes (see formula.h), this is also
-  // the engine's formula-memory high-water mark per message; on streams
-  // with bounded depth and qualifier nesting it stays bounded no matter how
-  // long the stream runs (the end-of-round variable GC retires bindings, and
-  // eager PruneFalse keeps the stacks' formulas trimmed).
-  int64_t max_formula_nodes = 0;
-  // Sum of per-transducer messages_in: total message deliveries, the
-  // paper's O(degree * stream) message bound.
-  int64_t total_messages = 0;
-  OutputStats output;
-
-  std::string ToString() const;
-};
-
-class SpexEngine : public EventSink {
+// The single-query front-end: compiles one query (IN -> C[query] -> OU) and
+// hands the network to the run core (spex/run_core.h), which owns feeding,
+// governance, sealing, observability and stats.  One result slot.
+class SpexEngine : public RunCore {
  public:
-  // Compiles `query` into a network delivering results to `sink`.  Both the
-  // query and the sink must outlive the engine.
+  // Compiles `query` into a network delivering results to `sink`.  The sink
+  // must outlive the engine; the compiled network keeps no reference to
+  // `query`.
   SpexEngine(const Expr& query, ResultSink* sink, EngineOptions options = {});
-  // As above, but instantiates a pre-built immutable QueryTemplate (shared
-  // with other sessions through runtime/query_cache.h); the engine keeps
-  // the template alive, so only the sink's lifetime is the caller's
-  // problem.  The network itself is instantiated fresh for this run —
-  // templates carry no run state and may be shared across threads.
+  // As above from a pre-built immutable QueryTemplate (shared with other
+  // sessions through runtime/query_cache.h).  The network is instantiated
+  // fresh for this run — templates carry no run state and may be shared
+  // across threads.
   SpexEngine(std::shared_ptr<const QueryTemplate> query_template,
              ResultSink* sink, EngineOptions options = {});
-  ~SpexEngine() override;
-
-  SpexEngine(const SpexEngine&) = delete;
-  SpexEngine& operator=(const SpexEngine&) = delete;
-
-  // Feeds one document message through the network.  On kEndDocument the
-  // output transducer is flushed and all remaining candidates decided.
-  //
-  // Resource governance (DESIGN.md §10): when EngineOptions::limits is set,
-  // every event passes the governor first; a breached limit poisons the run
-  // (status() becomes kResourceExhausted / kDeadlineExceeded) and every
-  // further event is dropped.  Call FinalizeTruncated() to seal the stream
-  // and harvest the partial result.  With limits unset and
-  // track_open_elements off this costs exactly one predictable branch.
-  void OnEvent(const StreamEvent& event) override;
-
-  // Batched feeding (DESIGN.md §11): processes `count` consecutive document
-  // messages.  Results, statuses and counters are identical to `count`
-  // OnEvent calls at any batch size; the difference is cost.  For networks
-  // without condition variables (CompiledNetwork::batchable) the whole
-  // batch sweeps the network with one virtual dispatch and one stats flush
-  // per transducer (Network::DeliverBatch); everything else — qualifier /
-  // preceding-axis queries, observe=full runs, per-event byte limits — falls
-  // back to the exact per-event path internally.  The events must outlive
-  // the call (zero-copy borrowing at batch scope).
-  void OnEventBatch(const StreamEvent* events, size_t count) override;
-
-  // kOk while the run is healthy; the breach status once the governor
-  // tripped.  A poisoned engine ignores further OnEvent calls.
-  const Status& status() const { return status_; }
-
-  // Seals an incomplete stream: virtually closes every open element (end
-  // tags synthesized from the tracked open path) and delivers a virtual
-  // end-document so the output transducer decides every remaining candidate
-  // under closed-world semantics.  Fragments fully emitted before the
-  // truncation point are *certain* — byte-for-byte what any run over the
-  // full stream would have emitted first (monotone formulas, document-order
-  // emission); fragments emitted by this call are *speculative* (their
-  // content or membership could have changed had the stream continued).
-  // Requires limits or EngineOptions::track_open_elements; idempotent, and a
-  // no-op after a complete stream.  Returns status() (unchanged: sealing
-  // does not clear a breach).
-  Status FinalizeTruncated();
-
-  // True once the stream delivered (or FinalizeTruncated synthesized) its
-  // end-document message.
-  bool stream_complete() const { return document_ended_; }
-  // True iff FinalizeTruncated sealed this run.
-  bool truncated() const { return truncated_; }
-
-  // Number of results emitted so far.
-  int64_t result_count() const { return compiled_.output->result_count(); }
-
-  // Results known to be exact: on a healthy run, all of them; after a
-  // governor breach or FinalizeTruncated, the fragments fully emitted
-  // before the truncation point.  The first certain_result_count() results
-  // of a collecting/serializing sink are the certain ones (document-order
-  // emission).
-  int64_t certain_result_count() const {
-    return certain_results_ >= 0 ? certain_results_ : result_count();
-  }
-
-  // Output-buffer occupancy right now: events held for undecided candidate
-  // fragments and their byte cost (the quantities the §V memory bounds and
-  // the governor's max_buffered_bytes limit speak about).
-  int64_t buffered_events() const { return compiled_.output->buffered_events(); }
-  int64_t buffered_bytes() const { return compiled_.output->buffered_bytes(); }
-
-  // Resource accounting.  Reads the observability registry (which exposes
-  // the per-transducer stats at every observe level) and folds it into the
-  // aggregate §V view; callable at any point of the stream.
-  RunStats ComputeStats() const;
-
-  // EXPLAIN/PROFILE: per-node cost attribution with query provenance (see
-  // obs/profile.h).  Timed (self-time shares, deliveries) when
-  // options.profile was set; otherwise a static plan — provenance, predicted
-  // cost classes, and whatever message counts have accrued.  Callable at any
-  // point of the stream.  report.query defaults to the compiled expression's
-  // round-trip syntax; callers holding the original query text (whose byte
-  // offsets the spans index) may overwrite it.
-  obs::ProfileReport Profile() const;
-
-  // Always-on statistical sampling (DESIGN.md §13): with a controller
-  // attached, each OnEventBatch call draws once and the ~1/period batches
-  // that win are delivered through the instrumented per-message path into a
-  // private ProfileAccumulator — continuous attribution at a fraction of
-  // options.profile's cost.  The controller is shared (typically pool-wide)
-  // and must outlive the engine; a full profiler (options.profile) takes
-  // precedence, since every batch is already instrumented then.  The
-  // per-event OnEvent path never samples: sampling is batch-granular by
-  // design (the draw must stay off the per-event hot path).
-  void SetBatchSampler(obs::SamplingProfiler* sampler) {
-    sampler_ctl_ = sampler;
-  }
-  // Batches this engine actually sampled.
-  int64_t sampled_batches() const { return sampled_batches_; }
-  // Attribution report over the sampled batches (timed iff any batch was
-  // sampled); same shape as Profile().
-  obs::ProfileReport SampledProfile() const;
-
-  // The run's live metrics registry (see obs/metrics.h).  Pull collectors
-  // over the network/output/formula-pool state are registered at every
-  // observe level; push instruments (spex_events_total, histograms) exist
-  // only when options.observe != kOff.
-  obs::MetricRegistry& metrics() { return context_->metrics; }
-  const obs::MetricRegistry& metrics() const { return context_->metrics; }
-
-  // Span recorder of an observe=full run; null otherwise.  Export with
-  // trace_recorder()->ToChromeJson() (chrome://tracing / Perfetto).
-  const obs::TraceRecorder* trace_recorder() const {
-    return obs_ != nullptr ? obs_->trace_recorder() : nullptr;
-  }
-
-  // Progress watermarks.  Configured callbacks (EngineOptions::progress)
-  // fire from OnEvent every N events / M bytes; CurrentWatermark() computes
-  // the same report on demand (examples/stream_monitor polls it).  The
-  // reported rate is measured since the previous watermark (from either
-  // path).  `bytes` is 0 unless a byte source was attached.
-  Watermark CurrentWatermark() const;
-  // Attaches the stream-byte source used by Watermark::bytes and the
-  // every_bytes trigger — typically [&parser] { return parser.bytes_consumed(); }.
-  // The callable must outlive the engine's last OnEvent/CurrentWatermark.
-  void set_progress_bytes_source(std::function<int64_t()> source) {
-    progress_bytes_source_ = std::move(source);
-  }
-
-  Network& network() { return compiled_.network; }
-  RunContext& context() { return *context_; }
-  // The run's label symbols.  A parser configured with this table stamps
-  // events so OnEvent skips interning entirely (see EvaluateXml); events
-  // arriving unstamped are interned on entry.
-  SymbolTable* symbol_table() { return context_->symbol_table(); }
-
-  // Test hook: the rule trace of node `node_id` (only populated when
-  // options.record_traces was set).
-  const TransducerTrace* trace(int node_id) const;
-  // Trace of the first transducer named `name` (e.g. "CH(a)"), or nullptr.
-  const TransducerTrace* trace(const std::string& name) const;
-
- private:
-  // OnEventBatch after the sampling draw (the whole pre-PR8 batch body).
-  void OnEventBatchUnsampled(const StreamEvent* events, size_t count);
-  // Sampled batch: instrumented delivery into sample_profiler_.
-  void SampleBatch(const StreamEvent* events, size_t count);
-  // The ungoverned per-event path (the pre-governor OnEvent body).
-  void ProcessEvent(const StreamEvent& event);
-  // Governed per-event path: limit checks + open-path tracking around
-  // ProcessEvent.  Entered only when guarded_ (limits or tracking on).
-  void GuardedOnEvent(const StreamEvent& event);
-  // Batch-sweep delivery of a batchable network (no condition variables).
-  void DeliverEventBatch(const StreamEvent* events, size_t count);
-  // Governed batch path: per-event pre-checks (max_events / max_depth /
-  // open-path tracking) build an admissible prefix, which is delivered as
-  // one batch before any breach poisons the run — so exactly the events a
-  // per-event run would have processed are processed.
-  void GuardedBatch(const StreamEvent* events, size_t count);
-  // Poisons the run and freezes the certain-result boundary.
-  void FailRun(Status status);
-  // Cold path of OnEvent: delivery wrapped in metric/trace publication plus
-  // watermark triggering.  Entered only when observation or progress is on.
-  void OnEventObserved(const StreamEvent& event, Message message);
-  void MaybeEmitProgress();
-  // Shared tail of both constructors, run after compiled_/query_text_ are
-  // set: traces, observability, collectors, progress plumbing.
-  void FinishInit();
-
-  std::unique_ptr<RunContext> context_;
-  // Non-null only for template-instantiated engines: keeps the shared
-  // template (and the Expr the network's provenance points into) alive.
-  std::shared_ptr<const QueryTemplate> template_;
-  CompiledNetwork compiled_;
-  std::vector<std::unique_ptr<TransducerTrace>> traces_;
-  std::unique_ptr<EngineObservability> obs_;  // non-null iff observe != kOff
-  std::unique_ptr<obs::ProfileAccumulator> profiler_;  // iff options.profile
-  // Batch sampling (SetBatchSampler): shared controller, lazily-built
-  // private accumulator for the sampled batches.
-  obs::SamplingProfiler* sampler_ctl_ = nullptr;
-  std::unique_ptr<obs::ProfileAccumulator> sample_profiler_;
-  int64_t sampled_batches_ = 0;
-  std::string query_text_;  // round-trip syntax, for ProfileReport::query
-  int64_t events_processed_ = 0;
-  // True when OnEvent must take the governed path (limits configured or
-  // track_open_elements): the unguarded hot path tests exactly this flag.
-  bool guarded_ = false;
-  // True when OnEventBatch may use Network::DeliverBatch: batchable network
-  // and no per-delivery event spans (observe != kFull).  Computed once in
-  // FinishInit; false sends batches through the per-event loop.
-  bool batch_path_ = false;
-  // Reusable message buffer of the batch path; capacity circulates with the
-  // network's pending buffers, so steady state allocates nothing.
-  std::vector<Message> message_batch_;
-  bool document_ended_ = false;
-  bool truncated_ = false;
-  Status status_;
-  // Interned labels of the currently open elements (governed runs only);
-  // FinalizeTruncated synthesizes the virtual close tags from it.
-  std::vector<Symbol> open_path_;
-  // Certain-result boundary; -1 = not truncated (everything certain).
-  int64_t certain_results_ = -1;
-  // Wall-clock breach point when limits.deadline_ms is set.
-  std::chrono::steady_clock::time_point deadline_{};
-  // True when OnEvent must take the observed path (observe != kOff or
-  // progress enabled): the disabled hot path tests exactly this one flag.
-  bool observed_path_ = false;
-  bool progress_enabled_ = false;
-  std::function<int64_t()> progress_bytes_source_;
-  int64_t next_progress_events_ = 0;
-  int64_t next_progress_bytes_ = 0;
-  std::chrono::steady_clock::time_point run_start_{};
-  // Rate baseline of the previous watermark (mutable: CurrentWatermark is
-  // logically const but advances the rate window).
-  mutable std::chrono::steady_clock::time_point last_watermark_time_{};
-  mutable int64_t last_watermark_events_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -33,31 +33,26 @@ std::string DigestOfSorted(const std::vector<std::string>& sorted_texts) {
 }  // namespace
 
 MultiQueryEngine::MultiQueryEngine(EngineOptions options)
-    : context_(std::make_unique<RunContext>()) {
-  context_->options = std::move(options);
+    : RunCore(std::move(options)) {
   streams_.emplace_back();  // root stream: the IN tape
 }
 
-MultiQueryEngine::MultiQueryEngine(
-    std::shared_ptr<const MultiQueryTemplate> mq_template,
-    const std::vector<ResultSink*>& slot_sinks, EngineOptions options)
+MultiQueryEngine::MultiQueryEngine(const MultiQueryTemplate& mq_template,
+                                   const std::vector<ResultSink*>& slot_sinks,
+                                   EngineOptions options)
     : MultiQueryEngine(std::move(options)) {
-  template_ = std::move(mq_template);
-  assert(slot_sinks.size() ==
-         static_cast<size_t>(template_->slot_count()) &&
+  assert(slot_sinks.size() == static_cast<size_t>(mq_template.slot_count()) &&
          "one sink per template slot");
-  for (int slot = 0; slot < template_->slot_count(); ++slot) {
-    StatusOr<int> id = AddQuery(template_->slot_expr(slot), slot_sinks[slot]);
+  for (int slot = 0; slot < mq_template.slot_count(); ++slot) {
+    StatusOr<int> id = AddQuery(mq_template.slot_expr(slot), slot_sinks[slot]);
     assert(id.ok() && id.value() == slot);
     (void)id;
   }
   // The template trial-compiled the population once; inherit the degrees so
   // per-session instantiation never re-runs N scratch compiles.
-  naive_degree_ = template_->naive_degree();
+  naive_degree_ = mq_template.naive_degree();
   Finalize();
 }
-
-MultiQueryEngine::~MultiQueryEngine() = default;
 
 void MultiQueryEngine::FlattenSteps(const Expr& e, std::vector<Step>* out) {
   switch (e.kind) {
@@ -116,10 +111,6 @@ StatusOr<int> MultiQueryEngine::AddQuery(const Expr& query, ResultSink* sink) {
     current = it->second;
   }
   streams_[current].query_ends.push_back(id);
-
-  batchable_ = batchable_ &&
-               !queries_.back().query->ContainsKind(ExprKind::kQualified) &&
-               !queries_.back().query->ContainsKind(ExprKind::kPreceding);
   naive_degree_ = -1;  // population changed; recompute on demand
   return id;
 }
@@ -152,14 +143,15 @@ int MultiQueryEngine::naive_degree() const {
 void MultiQueryEngine::Finalize() {
   assert(!finalized_);
   finalized_ = true;
-  NetworkBuilder builder(&network_, context_.get());
+  Network network;
+  NetworkBuilder builder(&network, &context());
+  std::vector<OutputTransducer*> outputs(queries_.size(), nullptr);
   // tape[s]: the output tape of stream s.  Ascending stream-id order is a
   // valid insertion order for Network::AddNode (a child stream's id is
   // always greater than its parent's, and the child's step nodes are added
   // while visiting the parent — reading tapes that already exist).
   std::vector<int> tape(streams_.size(), -1);
   tape[0] = builder.AddInput();
-  input_node_ = builder.input_node();
   for (size_t s = 0; s < streams_.size(); ++s) {
     StreamNode& node = streams_[s];
     // Consumers of this stream's tape: one OU per ending query plus one per
@@ -176,7 +168,7 @@ void MultiQueryEngine::Finalize() {
     if (consumers > 0) tapes.push_back(current);
     size_t next = 0;
     for (int query_id : node.query_ends) {
-      queries_[query_id].output =
+      outputs[query_id] =
           builder.AddOutput(tapes[next++], queries_[query_id].sink,
                             queries_[query_id].query.get());
     }
@@ -188,249 +180,8 @@ void MultiQueryEngine::Finalize() {
               : builder.CompileExpr(*child.step, tapes[next++]);
     }
   }
-  if (context_->options.observe != ObserveLevel::kOff) {
-    obs_ = std::make_unique<EngineObservability>(
-        context_.get(), &network_, context_->options.trace_capacity);
-  }
-  RegisterNetworkCollectors(&context_->metrics, &network_);
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    if (queries_[i].output == nullptr) continue;
-    RegisterOutputCollectors(&context_->metrics, queries_[i].output,
-                             {{"query", std::to_string(i)}});
-  }
-  RegisterContextCollectors(&context_->metrics, context_.get());
-  context_->metrics.AddCallbackGauge(
-      "spex_engine_events", {},
-      [counter = &events_processed_] { return *counter; });
-  const EngineOptions& options = context_->options;
-  guarded_ = options.limits.enabled() || options.track_open_elements;
-  if (guarded_) open_path_.reserve(64);
-  // Same carve-outs as SpexEngine (DESIGN.md §11): condition-variable
-  // populations and observe=full runs keep exact per-event delivery.
-  batch_path_ = batchable_ && (obs_ == nullptr || trace_recorder() == nullptr);
-  if (options.limits.deadline_ms > 0) {
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(options.limits.deadline_ms);
-  }
-}
-
-void MultiQueryEngine::FlushOutputs() {
-  for (RegisteredQuery& q : queries_) {
-    if (q.output != nullptr) q.output->Flush();
-  }
-}
-
-void MultiQueryEngine::OnEvent(const StreamEvent& event) {
-  assert(finalized_ && "Finalize() before feeding events");
-  if (!guarded_) [[likely]] {
-    ProcessEvent(event);
-    return;
-  }
-  GuardedOnEvent(event);
-}
-
-void MultiQueryEngine::OnEventBatch(const StreamEvent* events, size_t count) {
-  assert(finalized_ && "Finalize() before feeding events");
-  if (count == 0) return;
-  if (!batch_path_ || guarded_) {
-    // Non-batchable population (condition variables), observe=full, or a
-    // governed run: the per-event path is the semantics.
-    for (size_t i = 0; i < count; ++i) OnEvent(events[i]);
-    return;
-  }
-  DeliverEventBatch(events, count);
-}
-
-void MultiQueryEngine::DeliverEventBatch(const StreamEvent* events,
-                                         size_t count) {
-  message_batch_.clear();
-  message_batch_.reserve(count);
-  SymbolTable* symbols = context_->symbol_table();
-  bool saw_end = false;
-  for (size_t i = 0; i < count; ++i) {
-    const StreamEvent& e = events[i];
-    Message m = Message::DocumentRef(e);
-    if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
-      m.symbol = symbols->Intern(e.name);
-    }
-    saw_end |= (e.kind == EventKind::kEndDocument);
-    message_batch_.push_back(std::move(m));
-  }
-  if (saw_end && events[count - 1].kind != EventKind::kEndDocument) {
-    // </$> mid-batch: the per-event path flushes the collectors at the
-    // end-document message, before anything that (bogusly) follows it.
-    message_batch_.clear();
-    for (size_t i = 0; i < count; ++i) ProcessEvent(events[i]);
-    return;
-  }
-  events_processed_ += static_cast<int64_t>(count);
-  if (obs_ == nullptr) [[likely]] {
-    network_.DeliverBatch(input_node_, 0, &message_batch_);
-  } else {
-    obs_->ObserveDeliveryBatch(events_processed_, static_cast<int64_t>(count),
-                               [&] {
-                                 network_.DeliverBatch(input_node_, 0,
-                                                       &message_batch_);
-                               });
-  }
-  if (saw_end) {
-    document_ended_ = true;
-    FlushOutputs();
-  }
-  // No end-of-round variable GC here: a batchable population creates no
-  // condition variables, so retired_variables stays empty by construction.
-}
-
-void MultiQueryEngine::ProcessEvent(const StreamEvent& event) {
-  ++events_processed_;
-  // Zero-copy delivery, exactly as SpexEngine::ProcessEvent: the merged DAG
-  // fans one borrowed document message out to every query.
-  Message m = Message::DocumentRef(event);
-  if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
-    m.symbol = context_->symbol_table()->Intern(event.name);
-  }
-  if (obs_ == nullptr) [[likely]] {
-    network_.Deliver(input_node_, 0, std::move(m));
-  } else {
-    obs_->ObserveDelivery(event.kind, events_processed_, [&] {
-      network_.Deliver(input_node_, 0, std::move(m));
-    });
-  }
-  if (event.kind == EventKind::kEndDocument) {
-    document_ended_ = true;
-    FlushOutputs();
-  }
-  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
-      !context_->retired_variables.empty()) {
-    for (VarId v : context_->retired_variables) {
-      context_->assignment.Erase(v);
-    }
-    context_->retired_variables.clear();
-  }
-}
-
-void MultiQueryEngine::GuardedOnEvent(const StreamEvent& event) {
-  if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
-  const EngineLimits& limits = context_->options.limits;
-  if (limits.max_events > 0 && events_processed_ >= limits.max_events) {
-    FailRun(Status::ResourceExhausted(
-        "max_events exceeded (" + std::to_string(limits.max_events) + ")"));
-    return;
-  }
-  if (limits.deadline_ms > 0 && (events_processed_ & 255) == 0 &&
-      std::chrono::steady_clock::now() > deadline_) {
-    FailRun(Status::DeadlineExceeded(
-        "deadline_ms exceeded (" + std::to_string(limits.deadline_ms) + ")"));
-    return;
-  }
-  if (event.kind == EventKind::kStartElement) {
-    if (limits.max_depth > 0 &&
-        static_cast<int>(open_path_.size()) >= limits.max_depth) {
-      FailRun(Status::ResourceExhausted(
-          "max_depth exceeded (" + std::to_string(limits.max_depth) + ")"));
-      return;
-    }
-    open_path_.push_back(event.label != kNoSymbol
-                             ? event.label
-                             : context_->symbol_table()->Intern(event.name));
-  } else if (event.kind == EventKind::kEndElement && !open_path_.empty()) {
-    open_path_.pop_back();
-  }
-  ProcessEvent(event);
-  // Post-checks: memory the event's delivery actually pinned (summed over
-  // every query's collector).  Skipped once the stream completed, exactly
-  // as SpexEngine::GuardedOnEvent.
-  if (document_ended_) return;
-  if (limits.max_buffered_bytes > 0 &&
-      buffered_bytes() > limits.max_buffered_bytes) {
-    FailRun(Status::ResourceExhausted(
-        "max_buffered_bytes exceeded (" +
-        std::to_string(limits.max_buffered_bytes) + ")"));
-    return;
-  }
-  if (limits.max_formula_bytes > 0 &&
-      Formula::GetPoolStats().live *
-              static_cast<int64_t>(sizeof(internal::FormulaNode)) >
-          limits.max_formula_bytes) {
-    FailRun(Status::ResourceExhausted(
-        "max_formula_bytes exceeded (" +
-        std::to_string(limits.max_formula_bytes) + ")"));
-  }
-}
-
-void MultiQueryEngine::FailRun(Status status) {
-  status_ = std::move(status);
-  // Everything fully emitted up to the breach is certain, per query.
-  certain_results_.resize(queries_.size());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    certain_results_[i] = result_count(static_cast<int>(i));
-  }
-}
-
-Status MultiQueryEngine::FinalizeTruncated() {
-  if (document_ended_) return status_;  // complete (or sealed): no-op
-  if (certain_results_.empty()) {
-    certain_results_.resize(queries_.size());
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      certain_results_[i] = result_count(static_cast<int>(i));
-    }
-  }
-  truncated_ = true;
-  if (events_processed_ == 0) {
-    document_ended_ = true;
-    return status_;
-  }
-  // Seal below the governor: virtual closes must reach the network even on
-  // a poisoned run, and must not re-trip the limit being breached.
-  const bool was_guarded = guarded_;
-  guarded_ = false;
-  SymbolTable* symbols = context_->symbol_table();
-  while (!open_path_.empty()) {
-    const Symbol label = open_path_.back();
-    open_path_.pop_back();
-    StreamEvent close = StreamEvent::EndElement(symbols->Name(label));
-    close.label = label;
-    ProcessEvent(close);
-  }
-  ProcessEvent(StreamEvent::EndDocument());  // flushes OUs, decides candidates
-  guarded_ = was_guarded;
-  return status_;
-}
-
-int64_t MultiQueryEngine::result_count(int query_id) const {
-  assert(query_id >= 0 && query_id < query_count());
-  const RegisteredQuery& q = queries_[query_id];
-  return q.output == nullptr ? 0 : q.output->result_count();
-}
-
-int64_t MultiQueryEngine::certain_result_count(int query_id) const {
-  assert(query_id >= 0 && query_id < query_count());
-  if (certain_results_.empty()) return result_count(query_id);
-  return certain_results_[query_id];
-}
-
-int64_t MultiQueryEngine::total_result_count() const {
-  int64_t total = 0;
-  for (const RegisteredQuery& q : queries_) {
-    if (q.output != nullptr) total += q.output->result_count();
-  }
-  return total;
-}
-
-int64_t MultiQueryEngine::buffered_bytes() const {
-  int64_t total = 0;
-  for (const RegisteredQuery& q : queries_) {
-    if (q.output != nullptr) total += q.output->buffered_bytes();
-  }
-  return total;
-}
-
-int64_t MultiQueryEngine::buffered_events() const {
-  int64_t total = 0;
-  for (const RegisteredQuery& q : queries_) {
-    if (q.output != nullptr) total += q.output->buffered_events();
-  }
-  return total;
+  Start(std::move(network), builder.input_node(), std::move(outputs),
+        builder.batchable(), "multi[" + std::to_string(queries_.size()) + "]");
 }
 
 // ---------------------------------------------------------------------------
@@ -493,6 +244,8 @@ StatusOr<std::shared_ptr<const MultiQueryTemplate>> MultiQueryTemplate::Build(
       std::unique(tpl->slot_texts_.begin(), tpl->slot_texts_.end()),
       tpl->slot_texts_.end());
   tpl->digest_ = DigestOfSorted(tpl->slot_texts_);
+  tpl->label_ = "multi:" + tpl->digest_ + "[" +
+                std::to_string(tpl->slot_texts_.size()) + "]";
   tpl->slot_exprs_.resize(tpl->slot_texts_.size());
   tpl->input_to_slot_.resize(query_texts.size());
   for (size_t i = 0; i < exprs.size(); ++i) {
@@ -522,6 +275,12 @@ StatusOr<std::shared_ptr<const MultiQueryTemplate>> MultiQueryTemplate::Build(
     tpl->shared_degree_ = scratch.shared_degree();
   }
   return std::shared_ptr<const MultiQueryTemplate>(std::move(tpl));
+}
+
+std::unique_ptr<RunCore> MultiQueryTemplate::Instantiate(
+    const std::vector<ResultSink*>& slot_sinks, EngineOptions options) const {
+  return std::make_unique<MultiQueryEngine>(*this, slot_sinks,
+                                            std::move(options));
 }
 
 }  // namespace spex

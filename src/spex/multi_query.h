@@ -45,20 +45,25 @@ namespace spex {
 
 class MultiQueryTemplate;
 
-class MultiQueryEngine : public EventSink {
+// The population front-end: hash-conses the registered queries into one
+// shared network and hands it to the run core (spex/run_core.h) with one
+// output collector per query — slot i is query id i.  Feeding, governance,
+// sealing, observability and stats are the core's, exactly as for
+// SpexEngine.
+class MultiQueryEngine : public RunCore {
  public:
   explicit MultiQueryEngine(EngineOptions options = {});
   // Instantiates a pre-built population template (shared across sessions
   // through runtime/query_cache.h).  `slot_sinks` must have one sink per
   // template slot (sorted-canonical order; query id i == slot i).  The
   // engine arrives finalized: feed events immediately.
-  MultiQueryEngine(std::shared_ptr<const MultiQueryTemplate> mq_template,
+  MultiQueryEngine(const MultiQueryTemplate& mq_template,
                    const std::vector<ResultSink*>& slot_sinks,
                    EngineOptions options = {});
-  ~MultiQueryEngine() override;
-
-  MultiQueryEngine(const MultiQueryEngine&) = delete;
-  MultiQueryEngine& operator=(const MultiQueryEngine&) = delete;
+  MultiQueryEngine(std::shared_ptr<const MultiQueryTemplate> mq_template,
+                   const std::vector<ResultSink*>& slot_sinks,
+                   EngineOptions options = {})
+      : MultiQueryEngine(*mq_template, slot_sinks, std::move(options)) {}
 
   // Registers a query (cloned); returns its id.  kMalformedInput when the
   // query fails ValidateQuery; kFailedPrecondition after Finalize().
@@ -66,64 +71,19 @@ class MultiQueryEngine : public EventSink {
   // As above from rpeq text; parse errors are kMalformedInput, never abort.
   StatusOr<int> AddQuery(const std::string& query_text, ResultSink* sink);
 
-  // Compiles the shared network.  No more queries can be added afterwards.
+  // Compiles the shared network and starts the run.  No more queries can be
+  // added afterwards; feed events only after this.
   void Finalize();
   bool finalized() const { return finalized_; }
 
-  // Feeds one document message to all queries at once.  With
-  // EngineOptions::limits set the same governor as SpexEngine applies: a
-  // breach poisons the run (status()), further events are dropped, and
-  // FinalizeTruncated() seals the partial.
-  void OnEvent(const StreamEvent& event) override;
-
-  // Batched feeding (DESIGN.md §11): for populations without qualifiers or
-  // preceding axes the whole batch sweeps the merged DAG once per node via
-  // Network::DeliverBatch; everything else falls back to the exact
-  // per-event path.  Results and counters are identical at any batch size.
-  void OnEventBatch(const StreamEvent* events, size_t count) override;
-
-  // kOk while the run is healthy; the breach status once the governor
-  // tripped (see SpexEngine::status).
-  const Status& status() const { return status_; }
-  // Seals an incomplete stream exactly like SpexEngine::FinalizeTruncated:
-  // virtually closes the tracked open path and delivers a virtual
-  // end-document.  Requires limits or EngineOptions::track_open_elements.
-  Status FinalizeTruncated();
-  bool stream_complete() const { return document_ended_; }
-  bool truncated() const { return truncated_; }
-
   int query_count() const { return static_cast<int>(queries_.size()); }
-  int64_t result_count(int query_id) const;
-  // Results of `query_id` known to be exact (all of them on a healthy run;
-  // the pre-breach prefix after a governor breach or truncation).
-  int64_t certain_result_count(int query_id) const;
-  // Results emitted across the whole population.
-  int64_t total_result_count() const;
-  // Output-buffer occupancy summed over every query's collector (what the
-  // governor's max_buffered_bytes limit meters).
-  int64_t buffered_bytes() const;
-  int64_t buffered_events() const;
 
   // Degree of the shared network vs. the sum of the degrees the queries
   // would have as separate networks — the §IX sharing win.  naive_degree()
   // trial-compiles each query on first call (cached; engines built from a
   // MultiQueryTemplate inherit the template's precomputed value).
-  int shared_degree() const { return network_.node_count(); }
+  int shared_degree() const { return network().node_count(); }
   int naive_degree() const;
-
-  Network& network() { return network_; }
-  RunContext& context() { return *context_; }
-
-  // Shared-run metrics registry; populated at Finalize() with pull
-  // collectors over the merged DAG plus per-query output collectors
-  // (labelled query=<id>).  See obs/metrics.h.
-  obs::MetricRegistry& metrics() { return context_->metrics; }
-  const obs::MetricRegistry& metrics() const { return context_->metrics; }
-  // Span recorder of an observe=full run; null otherwise.
-  const obs::TraceRecorder* trace_recorder() const {
-    return obs_ != nullptr ? obs_->trace_recorder() : nullptr;
-  }
-  int64_t events_processed() const { return events_processed_; }
 
  private:
   // One decomposition step of a query chain: a plain sub-expression, or a
@@ -147,48 +107,19 @@ class MultiQueryEngine : public EventSink {
   struct RegisteredQuery {
     ExprPtr query;
     ResultSink* sink = nullptr;
-    OutputTransducer* output = nullptr;  // owned by network_
   };
 
   // Flattens a query into its step chain: concat steps left-to-right, a
   // qualified base into base-steps followed by a `[body]` qualifier step.
   static void FlattenSteps(const Expr& e, std::vector<Step>* out);
-  // The ungoverned per-event path (mirrors SpexEngine::ProcessEvent).
-  void ProcessEvent(const StreamEvent& event);
-  // Governed per-event path: limit checks + open-path tracking.
-  void GuardedOnEvent(const StreamEvent& event);
-  // Batch-sweep delivery over the merged DAG (batchable populations only).
-  void DeliverEventBatch(const StreamEvent* events, size_t count);
-  void FailRun(Status status);
-  void FlushOutputs();
 
-  std::unique_ptr<RunContext> context_;
-  // Non-null only for template-instantiated engines: keeps the shared
-  // population template (and the slot Exprs provenance points into) alive.
-  std::shared_ptr<const MultiQueryTemplate> template_;
-  Network network_;
   // streams_[0] is the root (the IN tape); memo_ hash-conses children by
   // (parent stream id, canonical step text).
   std::vector<StreamNode> streams_;
   std::map<std::pair<int, std::string>, int> memo_;
   std::vector<RegisteredQuery> queries_;
-  std::unique_ptr<EngineObservability> obs_;  // non-null iff observe != kOff
-  std::vector<Message> message_batch_;  // reusable batch-path buffer
-  int64_t events_processed_ = 0;
-  int input_node_ = -1;
   mutable int naive_degree_ = -1;  // lazily computed (see naive_degree())
   bool finalized_ = false;
-  // Governor state, mirroring SpexEngine (DESIGN.md §10).
-  bool guarded_ = false;
-  bool batch_path_ = false;
-  bool batchable_ = true;
-  bool document_ended_ = false;
-  bool truncated_ = false;
-  Status status_;
-  std::vector<Symbol> open_path_;
-  // Per-query certain-result boundary; empty = not truncated.
-  std::vector<int64_t> certain_results_;
-  std::chrono::steady_clock::time_point deadline_{};
 };
 
 // ---------------------------------------------------------------------------
@@ -200,7 +131,7 @@ class MultiQueryEngine : public EventSink {
 // template holds no run state, so one instance may be shared, via
 // shared_ptr, across any number of threads; runtime/query_cache.h caches it
 // under digest() so equal populations (any order, any spelling) build once.
-class MultiQueryTemplate {
+class MultiQueryTemplate : public SlotTemplate {
  public:
   // Parses, validates and canonicalizes every query.  kMalformedInput names
   // the first offending query.  Duplicate canonical texts collapse into one
@@ -217,11 +148,21 @@ class MultiQueryTemplate {
   // Number of queries handed to Build (before dedup).
   int input_count() const { return static_cast<int>(input_to_slot_.size()); }
   // Distinct canonical queries, in sorted canonical order.
-  int slot_count() const { return static_cast<int>(slot_texts_.size()); }
+  int slot_count() const override {
+    return static_cast<int>(slot_texts_.size());
+  }
   // Which slot Build's i-th input query landed in.
   int slot_of(int input_index) const { return input_to_slot_[input_index]; }
   const Expr& slot_expr(int slot) const { return *slot_exprs_[slot]; }
-  const std::string& slot_text(int slot) const { return slot_texts_[slot]; }
+  const std::string& slot_text(int slot) const override {
+    return slot_texts_[slot];
+  }
+  // "multi:<digest>[<slots>]".
+  const std::string& label() const override { return label_; }
+  // A MultiQueryEngine over the slots (one sink per slot).
+  std::unique_ptr<RunCore> Instantiate(
+      const std::vector<ResultSink*>& slot_sinks,
+      EngineOptions options) const override;
 
   // FNV-1a 64-bit hex digest over the sorted canonical texts.
   const std::string& digest() const { return digest_; }
@@ -232,13 +173,13 @@ class MultiQueryTemplate {
   int naive_degree() const { return naive_degree_; }
 
  private:
-  friend class MultiQueryEngine;
   MultiQueryTemplate() = default;
 
   std::vector<ExprPtr> slot_exprs_;       // sorted canonical order
   std::vector<std::string> slot_texts_;   // sorted canonical texts
   std::vector<int> input_to_slot_;
   std::string digest_;
+  std::string label_;
   int shared_degree_ = 0;
   int naive_degree_ = 0;
 };

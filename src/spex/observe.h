@@ -13,8 +13,7 @@
 // The pull collectors (Register*Collectors) expose state the components
 // maintain unconditionally anyway (TransducerStats, OutputStats, the formula
 // pool); they are evaluated only when the registry is scraped and are
-// registered at every level, which is what lets SpexEngine::ComputeStats()
-// be a registry read.
+// registered at every level.
 
 #ifndef SPEX_SPEX_OBSERVE_H_
 #define SPEX_SPEX_OBSERVE_H_
@@ -44,7 +43,7 @@ enum class ObserveLevel : uint8_t { kOff, kCounters, kFull };
 bool ParseObserveLevel(std::string_view text, ObserveLevel* out);
 
 // A progress report, published through ProgressOptions::callback every N
-// events / M bytes and available on demand via SpexEngine::CurrentWatermark.
+// events / M bytes and available on demand via RunCore::CurrentWatermark.
 // This is the live view of the §V resource bounds: everything here is O(1)
 // to read and stays flat on streams of bounded depth.
 struct Watermark {

@@ -1,0 +1,531 @@
+#include "spex/run_core.h"
+
+#include <algorithm>
+#include <cassert>
+
+#include "obs/sampling_profiler.h"
+
+namespace spex {
+
+std::string RunStats::ToString() const {
+  std::string out;
+  out += "network_degree=" + std::to_string(network_degree);
+  out += " events=" + std::to_string(events_processed);
+  out += " max_depth_stack=" + std::to_string(max_depth_stack);
+  out += " max_cond_stack=" + std::to_string(max_condition_stack);
+  out += " max_formula_nodes=" + std::to_string(max_formula_nodes);
+  out += " messages=" + std::to_string(total_messages);
+  out += " candidates=" + std::to_string(output.candidates_created);
+  out += " emitted=" + std::to_string(output.candidates_emitted);
+  out += " dropped=" + std::to_string(output.candidates_dropped);
+  out += " buffered_peak=" + std::to_string(output.buffered_events_peak);
+  return out;
+}
+
+RunCore::RunCore(EngineOptions options)
+    : context_(std::make_unique<RunContext>()) {
+  context_->options = std::move(options);
+}
+
+RunCore::~RunCore() = default;
+
+void RunCore::Start(Network network, int input_node,
+                    std::vector<OutputTransducer*> outputs, bool batchable,
+                    std::string query_text) {
+  network_ = std::move(network);
+  input_node_ = input_node;
+  outputs_ = std::move(outputs);
+  query_text_ = std::move(query_text);
+  const EngineOptions& options = context_->options;
+  if (options.profile) {
+    profiler_ =
+        std::make_unique<obs::ProfileAccumulator>(network_.node_count());
+    network_.SetProfiler(profiler_.get());
+  }
+  if (options.record_traces) {
+    traces_.reserve(network_.node_count());
+    for (int i = 0; i < network_.node_count(); ++i) {
+      traces_.push_back(std::make_unique<TransducerTrace>());
+      network_.node(i)->set_trace(traces_.back().get());
+    }
+  }
+  if (options.observe != ObserveLevel::kOff) {
+    obs_ = std::make_unique<EngineObservability>(context_.get(), &network_,
+                                                 options.trace_capacity);
+  }
+  // Pull collectors over state the components maintain unconditionally —
+  // registered at every observe level so the registry always reflects the
+  // §V bounds.
+  RegisterNetworkCollectors(&context_->metrics, &network_);
+  for (size_t slot = 0; slot < outputs_.size(); ++slot) {
+    obs::Labels labels;
+    if (outputs_.size() > 1) labels = {{"query", std::to_string(slot)}};
+    RegisterOutputCollectors(&context_->metrics, outputs_[slot],
+                             std::move(labels));
+  }
+  formula_allocs_baseline_ = Formula::GetPoolStats().allocated_total;
+  RegisterContextCollectors(&context_->metrics, context_.get());
+  context_->metrics.AddCallbackGauge(
+      "spex_engine_events", {},
+      [counter = &events_processed_] { return *counter; });
+  progress_enabled_ = options.progress.enabled();
+  if (progress_enabled_) {
+    next_progress_events_ = options.progress.every_events;
+    next_progress_bytes_ = options.progress.every_bytes;
+  }
+  observed_path_ = obs_ != nullptr || progress_enabled_;
+  guarded_ = options.limits.enabled() || options.track_open_elements;
+  // observe=full records a span per event delivery; batching would collapse
+  // those into one span per batch, so full observation keeps per-event
+  // feeding (the profiler needs no such carve-out: Network::DeliverBatch
+  // itself falls back to per-message delivery when instrumented).
+  batch_path_ = batchable && trace_recorder() == nullptr;
+  if (guarded_) open_path_.reserve(64);
+  run_start_ = std::chrono::steady_clock::now();
+  if (options.limits.deadline_ms > 0) {
+    deadline_ =
+        run_start_ + std::chrono::milliseconds(options.limits.deadline_ms);
+  }
+  last_watermark_time_ = run_start_;
+}
+
+void RunCore::Reject(Status status) {
+  status_ = std::move(status);
+  guarded_ = true;  // the governed path drops every event of a failed run
+}
+
+void RunCore::OnEvent(const StreamEvent& event) {
+  // The resource governor costs this one branch when disabled (DESIGN.md
+  // §10), mirroring the observability contract below.
+  if (!guarded_) [[likely]] {
+    ProcessEvent(event);
+    return;
+  }
+  GuardedOnEvent(event);
+}
+
+void RunCore::OnEventBatch(const StreamEvent* events, size_t count) {
+  if (count == 0) return;
+  // One null-check per *batch* when no controller is attached; with one, a
+  // thread-local increment and a relaxed load (see obs/sampling_profiler.h).
+  // Never on the per-event OnEvent path.
+  if (sampler_ctl_ != nullptr && sampler_ctl_->ShouldSample()) [[unlikely]] {
+    SampleBatch(events, count);
+    return;
+  }
+  OnEventBatchUnsampled(events, count);
+}
+
+void RunCore::SampleBatch(const StreamEvent* events, size_t count) {
+  if (profiler_ != nullptr) {
+    // options.profile already instruments every delivery; sampling on top
+    // would only steal its attributions.
+    OnEventBatchUnsampled(events, count);
+    return;
+  }
+  if (sample_profiler_ == nullptr) {
+    sample_profiler_ =
+        std::make_unique<obs::ProfileAccumulator>(network_.node_count());
+  }
+  // With a profiler attached the network flags itself instrumented and
+  // DeliverBatch falls back to per-message delivery — exactly the
+  // instrumented path a full profile takes, for this one batch.
+  network_.SetProfiler(sample_profiler_.get());
+  OnEventBatchUnsampled(events, count);
+  network_.SetProfiler(nullptr);
+  ++sampled_batches_;
+}
+
+void RunCore::OnEventBatchUnsampled(const StreamEvent* events, size_t count) {
+  if (!batch_path_) {
+    // Non-batchable network (condition variables) or observe=full: the
+    // per-event path is the semantics, batching is only a feeding shape.
+    for (size_t i = 0; i < count; ++i) OnEvent(events[i]);
+    return;
+  }
+  if (!guarded_) [[likely]] {
+    DeliverEventBatch(events, count);
+    return;
+  }
+  GuardedBatch(events, count);
+}
+
+void RunCore::DeliverEventBatch(const StreamEvent* events, size_t count) {
+  message_batch_.clear();
+  message_batch_.reserve(count);
+  SymbolTable* symbols = context_->symbol_table();
+  bool saw_end = false;
+  for (size_t i = 0; i < count; ++i) {
+    const StreamEvent& e = events[i];
+    Message m = Message::DocumentRef(e);
+    if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
+      m.symbol = symbols->Intern(e.name);
+    }
+    saw_end |= (e.kind == EventKind::kEndDocument);
+    message_batch_.push_back(std::move(m));
+  }
+  if (saw_end && events[count - 1].kind != EventKind::kEndDocument) {
+    // </$> mid-batch: the per-event path flushes the output collectors at
+    // the end-document message, before anything that (bogusly) follows it.
+    // Keep that exact on this cold path.
+    message_batch_.clear();
+    for (size_t i = 0; i < count; ++i) ProcessEvent(events[i]);
+    return;
+  }
+  events_processed_ += static_cast<int64_t>(count);
+  if (!observed_path_) [[likely]] {
+    network_.DeliverBatch(input_node_, 0, &message_batch_);
+  } else {
+    if (obs_ != nullptr) {
+      obs_->ObserveDeliveryBatch(
+          events_processed_, static_cast<int64_t>(count),
+          [&] { network_.DeliverBatch(input_node_, 0, &message_batch_); });
+    } else {
+      network_.DeliverBatch(input_node_, 0, &message_batch_);
+    }
+    if (progress_enabled_) MaybeEmitProgress();
+  }
+  if (saw_end) EndDocument();
+  // No end-of-round variable GC here: a batchable network creates no
+  // condition variables, so retired_variables stays empty by construction.
+}
+
+void RunCore::GuardedBatch(const StreamEvent* events, size_t count) {
+  if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
+  const EngineLimits& limits = context_->options.limits;
+  // The byte post-limits sample occupancy after every event; batching would
+  // coarsen the breach point, so those runs keep exact per-event checks.
+  if (limits.max_buffered_bytes > 0 || limits.max_formula_bytes > 0) {
+    for (size_t i = 0; i < count; ++i) GuardedOnEvent(events[i]);
+    return;
+  }
+  // Per-event pre-checks build the admissible prefix, exactly the events a
+  // per-event run would have delivered before the breach; the clock is read
+  // once per batch.
+  Status breach;
+  size_t admitted = 0;
+  while (admitted < count &&
+         Admit(events[admitted],
+               events_processed_ + static_cast<int64_t>(admitted),
+               /*check_deadline=*/admitted == 0, &breach)) {
+    ++admitted;
+  }
+  if (admitted > 0) DeliverEventBatch(events, admitted);
+  if (admitted < count) FailRun(std::move(breach));
+}
+
+bool RunCore::Admit(const StreamEvent& event, int64_t index,
+                    bool check_deadline, Status* breach) {
+  const EngineLimits& limits = context_->options.limits;
+  if (limits.max_events > 0 && index >= limits.max_events) {
+    *breach = Status::ResourceExhausted(
+        "max_events exceeded (" + std::to_string(limits.max_events) + ")");
+    return false;
+  }
+  if (check_deadline && limits.deadline_ms > 0 &&
+      std::chrono::steady_clock::now() > deadline_) {
+    *breach = Status::DeadlineExceeded(
+        "deadline_ms exceeded (" + std::to_string(limits.deadline_ms) + ")");
+    return false;
+  }
+  if (event.kind == EventKind::kStartElement) {
+    if (limits.max_depth > 0 &&
+        static_cast<int>(open_path_.size()) >= limits.max_depth) {
+      *breach = Status::ResourceExhausted(
+          "max_depth exceeded (" + std::to_string(limits.max_depth) + ")");
+      return false;
+    }
+    open_path_.push_back(event.label != kNoSymbol
+                             ? event.label
+                             : context_->symbol_table()->Intern(event.name));
+  } else if (event.kind == EventKind::kEndElement && !open_path_.empty()) {
+    open_path_.pop_back();
+  }
+  return true;
+}
+
+void RunCore::ProcessEvent(const StreamEvent& event) {
+  assert(input_node_ >= 0 &&
+         "feed events only after the network is compiled "
+         "(MultiQueryEngine::Finalize)");
+  ++events_processed_;
+  // Zero-copy delivery: the message borrows `event`, which outlives the
+  // synchronous delivery round (no transducer keeps a document message
+  // queued across rounds — see DESIGN.md "Hot path & memory discipline").
+  // Events not stamped by a parser are interned here so the label
+  // transducers always take the integer fast path.
+  Message m = Message::DocumentRef(event);
+  if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
+    m.symbol = context_->symbol_table()->Intern(event.name);
+  }
+  // Observability costs this one branch when disabled (DESIGN.md §7).
+  if (!observed_path_) [[likely]] {
+    network_.Deliver(input_node_, 0, std::move(m));
+  } else {
+    OnEventObserved(event, std::move(m));
+  }
+  if (event.kind == EventKind::kEndDocument) EndDocument();
+  // End-of-round garbage collection: with eager updates, formulas referring
+  // to a retired variable were rewritten while its determination propagated
+  // this round, so the binding can go.  (Lazy mode keeps every binding.)
+  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
+      !context_->retired_variables.empty()) {
+    for (VarId v : context_->retired_variables) {
+      context_->assignment.Erase(v);
+    }
+    context_->retired_variables.clear();
+  }
+}
+
+void RunCore::EndDocument() {
+  document_ended_ = true;
+  for (OutputTransducer* output : outputs_) output->Flush();
+}
+
+void RunCore::GuardedOnEvent(const StreamEvent& event) {
+  if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
+  // The clock is read every 256 events.
+  Status breach;
+  if (!Admit(event, events_processed_,
+             /*check_deadline=*/(events_processed_ & 255) == 0, &breach)) {
+    FailRun(std::move(breach));
+    return;
+  }
+  ProcessEvent(event);
+  // Post-checks: memory the event's delivery actually pinned.  Skipped once
+  // the stream completed — after end-document the run already flushed and
+  // decided everything, and the thread-shared formula arena may still hold
+  // *other* sessions' live nodes, which must not fail a finished run.
+  if (document_ended_) return;
+  const EngineLimits& limits = context_->options.limits;
+  if (limits.max_buffered_bytes > 0 &&
+      buffered_bytes() > limits.max_buffered_bytes) {
+    FailRun(Status::ResourceExhausted(
+        "max_buffered_bytes exceeded (" +
+        std::to_string(limits.max_buffered_bytes) + ")"));
+    return;
+  }
+  if (limits.max_formula_bytes > 0 &&
+      Formula::GetPoolStats().live *
+              static_cast<int64_t>(sizeof(internal::FormulaNode)) >
+          limits.max_formula_bytes) {
+    FailRun(Status::ResourceExhausted(
+        "max_formula_bytes exceeded (" +
+        std::to_string(limits.max_formula_bytes) + ")"));
+  }
+}
+
+void RunCore::FailRun(Status status) {
+  status_ = std::move(status);
+  // Everything fully emitted up to the breach is certain; fragments emitted
+  // later (by FinalizeTruncated's virtual closes) are speculative.
+  FreezeCertain();
+}
+
+void RunCore::FreezeCertain() {
+  if (certain_frozen_) return;
+  certain_frozen_ = true;
+  certain_results_.clear();
+  for (const OutputTransducer* output : outputs_) {
+    certain_results_.push_back(output->result_count());
+  }
+}
+
+Status RunCore::FinalizeTruncated() {
+  if (document_ended_) return status_;  // complete (or already sealed): no-op
+  FreezeCertain();
+  truncated_ = true;
+  if (events_processed_ == 0) {
+    // Nothing was ever delivered; there is no open round to close.
+    document_ended_ = true;
+    return status_;
+  }
+  // Seal below the governor: the virtual closes must reach the network even
+  // on a poisoned run, and must not re-trip the limit being breached.
+  const bool was_guarded = guarded_;
+  guarded_ = false;
+  SymbolTable* symbols = context_->symbol_table();
+  while (!open_path_.empty()) {
+    const Symbol label = open_path_.back();
+    open_path_.pop_back();
+    StreamEvent close = StreamEvent::EndElement(symbols->Name(label));
+    close.label = label;
+    ProcessEvent(close);
+  }
+  ProcessEvent(StreamEvent::EndDocument());  // flushes OUs, decides candidates
+  guarded_ = was_guarded;
+  return status_;
+}
+
+int64_t RunCore::result_count(int slot) const {
+  return outputs_[static_cast<size_t>(slot)]->result_count();
+}
+
+int64_t RunCore::result_count() const {
+  int64_t total = 0;
+  for (const OutputTransducer* output : outputs_) {
+    total += output->result_count();
+  }
+  return total;
+}
+
+int64_t RunCore::certain_result_count(int slot) const {
+  return certain_frozen_ ? certain_results_[static_cast<size_t>(slot)]
+                         : result_count(slot);
+}
+
+int64_t RunCore::certain_result_count() const {
+  int64_t total = 0;
+  for (int slot = 0; slot < slot_count(); ++slot) {
+    total += certain_result_count(slot);
+  }
+  return total;
+}
+
+const OutputStats& RunCore::output_stats(int slot) const {
+  return outputs_[static_cast<size_t>(slot)]->output_stats();
+}
+
+int64_t RunCore::buffered_events() const {
+  int64_t total = 0;
+  for (const OutputTransducer* output : outputs_) {
+    total += output->buffered_events();
+  }
+  return total;
+}
+
+int64_t RunCore::buffered_bytes() const {
+  int64_t total = 0;
+  for (const OutputTransducer* output : outputs_) {
+    total += output->buffered_bytes();
+  }
+  return total;
+}
+
+void RunCore::OnEventObserved(const StreamEvent& event, Message message) {
+  if (obs_ != nullptr) {
+    obs_->ObserveDelivery(event.kind, events_processed_, [&] {
+      network_.Deliver(input_node_, 0, std::move(message));
+    });
+  } else {
+    network_.Deliver(input_node_, 0, std::move(message));
+  }
+  if (progress_enabled_) MaybeEmitProgress();
+}
+
+void RunCore::MaybeEmitProgress() {
+  const ProgressOptions& progress = context_->options.progress;
+  bool due = false;
+  if (progress.every_events > 0 && events_processed_ >= next_progress_events_) {
+    due = true;
+    // A batch can jump several thresholds at once; one callback fires and
+    // the trigger re-arms past the current count (batch granularity).
+    do {
+      next_progress_events_ += progress.every_events;
+    } while (events_processed_ >= next_progress_events_);
+  }
+  if (!due && progress.every_bytes > 0 && progress_bytes_source_) {
+    const int64_t bytes = progress_bytes_source_();
+    if (bytes >= next_progress_bytes_) {
+      due = true;
+      next_progress_bytes_ = bytes + progress.every_bytes;
+    }
+  }
+  if (due && progress.callback) progress.callback(CurrentWatermark());
+}
+
+Watermark RunCore::CurrentWatermark() const {
+  Watermark w;
+  w.events = events_processed_;
+  w.bytes = progress_bytes_source_ ? progress_bytes_source_() : 0;
+  const auto now = std::chrono::steady_clock::now();
+  w.elapsed_sec = std::chrono::duration<double>(now - run_start_).count();
+  const double window =
+      std::chrono::duration<double>(now - last_watermark_time_).count();
+  // A zero/near-zero window (first tick polled immediately, back-to-back
+  // polls, coarse clocks) would divide into inf or garbage rates.  Report 0
+  // and leave the baseline in place so the next poll sees the full window.
+  constexpr double kMinRateWindowSec = 1e-6;
+  if (window >= kMinRateWindowSec) {
+    w.events_per_sec =
+        static_cast<double>(events_processed_ - last_watermark_events_) /
+        window;
+    last_watermark_time_ = now;
+    last_watermark_events_ = events_processed_;
+  }
+  for (const OutputTransducer* output : outputs_) {
+    w.results += output->result_count();
+    w.pending_fragments += output->pending_candidates();
+    w.buffered_events += output->buffered_events();
+    w.buffered_events_peak += output->output_stats().buffered_events_peak;
+  }
+  w.live_formula_nodes = Formula::GetPoolStats().live;
+  w.live_condition_vars = static_cast<int64_t>(context_->assignment.size());
+  return w;
+}
+
+RunStats RunCore::ComputeStats() const {
+  // The same per-transducer and per-collector state the registry's pull
+  // collectors expose, read directly: a registry snapshot of a large shared
+  // network costs tens of thousands of samples.
+  RunStats stats;
+  stats.network_degree = network_.node_count();
+  stats.events_processed = events_processed_;
+  for (int i = 0; i < network_.node_count(); ++i) {
+    const TransducerStats& t = network_.node(i)->stats();
+    stats.max_depth_stack = std::max(stats.max_depth_stack, t.depth_stack_peak);
+    stats.max_condition_stack =
+        std::max(stats.max_condition_stack, t.condition_stack_peak);
+    stats.max_formula_nodes =
+        std::max(stats.max_formula_nodes, t.formula_nodes_peak);
+    stats.total_messages += t.messages_in;
+  }
+  for (const OutputTransducer* output : outputs_) {
+    const OutputStats& o = output->output_stats();
+    stats.output.candidates_created += o.candidates_created;
+    stats.output.candidates_dropped += o.candidates_dropped;
+    stats.output.candidates_emitted += o.candidates_emitted;
+    stats.output.streamed_events += o.streamed_events;
+    stats.output.buffered_events_peak += o.buffered_events_peak;
+    stats.output.open_candidates_peak += o.open_candidates_peak;
+  }
+  return stats;
+}
+
+obs::ProfileReport RunCore::BuildReport(
+    const obs::ProfileAccumulator* profiler) const {
+  const Formula::PoolStats pool = Formula::GetPoolStats();
+  return BuildProfileReport(network_, query_text_, events_processed_, profiler,
+                            pool.live_high_water,
+                            pool.allocated_total - formula_allocs_baseline_);
+}
+
+obs::ProfileReport RunCore::Profile() const {
+  return BuildReport(profiler_.get());
+}
+
+obs::ProfileReport RunCore::SampledProfile() const {
+  return BuildReport(sample_profiler_.get());
+}
+
+const obs::Histogram* RunCore::decision_delay() const {
+  return context_->observer != nullptr
+             ? context_->observer->output_decision_delay
+             : nullptr;
+}
+
+const TransducerTrace* RunCore::trace(int node_id) const {
+  if (node_id < 0 || node_id >= static_cast<int>(traces_.size())) {
+    return nullptr;
+  }
+  return traces_[node_id].get();
+}
+
+const TransducerTrace* RunCore::trace(const std::string& name) const {
+  for (int i = 0; i < network_.node_count(); ++i) {
+    if (network_.node(i)->name() == name) return trace(i);
+  }
+  return nullptr;
+}
+
+}  // namespace spex

@@ -25,6 +25,7 @@
 #include "spex/multi_query.h"
 #include "spex/network.h"
 #include "spex/output_transducer.h"
+#include "spex/run_core.h"
 #include "spex/version.h"
 #include "xml/dom.h"
 #include "xml/generators.h"

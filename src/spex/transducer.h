@@ -329,7 +329,7 @@ struct EngineOptions {
   bool profile = false;
   // Ring-buffer capacity (in trace events) of the observe=full recorder.
   size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
-  // Progress watermark publication (engine only; see observe.h).
+  // Progress watermark publication (every front-end; see observe.h).
   ProgressOptions progress;
   // Resource limits (see EngineLimits).  Unset costs one branch per event.
   EngineLimits limits;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rpeq/parser.h"
 #include "spex/engine.h"
 #include "test_util.h"
@@ -156,6 +158,51 @@ TEST(CqEngineTest, ClosurePathsInAtoms) {
   auto r = RunCq("q(X2) :- Root(_*) X1, X1(c+) X2", kPaperDoc);
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(r[0].size(), 2u);  // both c's
+}
+
+TEST(CqEngineTest, GovernorSealsCertainPrefixPerHead) {
+  // A conjunctive query runs on the same core as SpexEngine, so its
+  // EngineOptions apply: a max_events breach poisons the run, and sealing
+  // leaves each head's certain results a prefix of the unlimited run's.
+  std::string xml = "<r>";
+  for (int i = 0; i < 40; ++i) {
+    xml += i % 3 == 0 ? "<x><y/><z/></x>" : "<x><z/><y/></x>";
+  }
+  xml += "</r>";
+  const std::vector<StreamEvent> events = MustParseEvents(xml);
+  auto q = MustParseConjunctiveQuery(
+      "q(X1,X2) :- Root(r.x) X1, X1(y) X2, X1(z) X3");
+  const std::vector<std::vector<std::string>> unlimited =
+      RunCq("q(X1,X2) :- Root(r.x) X1, X1(y) X2, X1(z) X3", xml);
+  ASSERT_EQ(unlimited.size(), 2u);
+
+  for (int batch : {1, 7, 64}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    SerializingResultSink heads[2];
+    EngineOptions options;
+    options.limits.max_events = static_cast<int64_t>(events.size() / 2);
+    ConjunctiveEngine engine(*q, {&heads[0], &heads[1]}, options);
+    ASSERT_TRUE(engine.ok()) << engine.error();
+    for (size_t i = 0; i < events.size(); i += static_cast<size_t>(batch)) {
+      engine.OnEventBatch(events.data() + i,
+                          std::min(static_cast<size_t>(batch),
+                                   events.size() - i));
+    }
+    EXPECT_EQ(engine.status().code(), StatusCode::kResourceExhausted);
+    engine.FinalizeTruncated();
+    EXPECT_TRUE(engine.truncated());
+    for (int h = 0; h < 2; ++h) {
+      SCOPED_TRACE("head=" + std::to_string(h));
+      const int64_t certain = engine.certain_result_count(h);
+      EXPECT_GT(certain, 0);
+      ASSERT_LE(certain, static_cast<int64_t>(unlimited[h].size()));
+      ASSERT_GE(static_cast<int64_t>(heads[h].results().size()), certain);
+      for (int64_t i = 0; i < certain; ++i) {
+        EXPECT_EQ(heads[h].results()[static_cast<size_t>(i)],
+                  unlimited[h][static_cast<size_t>(i)]);
+      }
+    }
+  }
 }
 
 }  // namespace

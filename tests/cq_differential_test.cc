@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "cq/conjunctive.h"
@@ -66,6 +67,20 @@ GeneratedCq MakeRandomChainCq(std::mt19937_64& rng) {
   return out;
 }
 
+// Single-head CQ results fed through ConjunctiveEngine in `batch`-sized
+// slices (1 = per event); results are identical at every batch size.
+std::vector<std::string> EvaluateCqBatched(
+    const ConjunctiveQuery& query, const std::vector<StreamEvent>& events,
+    size_t batch) {
+  SerializingResultSink sink;
+  ConjunctiveEngine engine(query, {&sink});
+  EXPECT_TRUE(engine.ok()) << engine.error();
+  for (size_t i = 0; i < events.size(); i += batch) {
+    engine.OnEventBatch(events.data() + i, std::min(batch, events.size() - i));
+  }
+  return sink.results();
+}
+
 class CqDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CqDifferentialTest, ChainCqEqualsFoldedRpeq) {
@@ -90,6 +105,10 @@ TEST_P(CqDifferentialTest, ChainCqEqualsFoldedRpeq) {
     ASSERT_EQ(cq_results.size(), 1u);
     EXPECT_EQ(cq_results[0],
               EvaluateToStrings(*gen.equivalent_rpeq, events));
+    for (size_t batch : {size_t{7}, size_t{64}}) {
+      EXPECT_EQ(EvaluateCqBatched(*cq, events, batch), cq_results[0])
+          << "batch=" << batch;
+    }
   }
 }
 
@@ -117,6 +136,10 @@ TEST(CqDifferentialTest, RootIdentityJoinEqualsIntersection) {
           MustParseRpeq(std::string(p1) + " & " + std::string(p2));
       SCOPED_TRACE(cq_text);
       EXPECT_EQ(cq_results[0], EvaluateToStrings(*join, events));
+      for (size_t batch : {size_t{7}, size_t{64}}) {
+        EXPECT_EQ(EvaluateCqBatched(*cq, events, batch), cq_results[0])
+            << "batch=" << batch;
+      }
     }
   }
 }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <map>
 #include <memory>
 #include <set>
@@ -126,7 +127,7 @@ void RunSharingCell(int population, uint64_t seed, const DocCase& doc) {
               static_cast<int64_t>(shared.size()));
     total += static_cast<int64_t>(shared.size());
   }
-  EXPECT_EQ(mq.total_result_count(), total);
+  EXPECT_EQ(mq.result_count(), total);
   // The §IX sharing win: any overlapping pair makes the merged DAG
   // strictly smaller than N separate networks.
   if (overlap) {
@@ -311,6 +312,36 @@ TEST(MultiQuerySharedTemplate, CacheKeysPopulationsByDigest) {
   EXPECT_FALSE(bad.ok());
 }
 
+TEST(MultiQuerySharedTemplate, CacheNeverResolvesADigestToAQuery) {
+  // Populations and single queries share one LRU.  A digest is hex, so one
+  // starting with a letter is also a valid rpeq label whose canonical text
+  // is the digest itself: each kind must still resolve only to its own.
+  CompiledQueryCache cache(64);
+  std::vector<std::string> population = {"_*.a.c", "_*.a.b"};
+  StatusOr<std::shared_ptr<const MultiQueryTemplate>> multi =
+      cache.GetMulti(population);
+  auto digit_first = [](const std::string& digest) {
+    return std::isdigit(static_cast<unsigned char>(digest[0])) != 0;
+  };
+  for (int i = 0; i < 32 && multi.ok() && digit_first((*multi)->digest());
+       ++i) {
+    population.push_back("_*.d" + std::to_string(i));
+    multi = cache.GetMulti(population);
+  }
+  ASSERT_TRUE(multi.ok());
+  const std::string digest = (*multi)->digest();
+  ASSERT_TRUE(std::isalpha(static_cast<unsigned char>(digest[0]))) << digest;
+
+  const int64_t misses = cache.misses();
+  StatusOr<std::shared_ptr<const QueryTemplate>> single = cache.Get(digest);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(cache.misses(), misses + 1);
+  EXPECT_EQ((*single)->canonical_text(), digest);
+  EXPECT_EQ((*single)->slot_count(), 1);
+  EXPECT_EQ(cache.GetMulti(population)->get(), multi->get());
+  EXPECT_EQ(cache.Get(digest)->get(), single->get());
+}
+
 TEST(MultiQuerySharedPool, SubscriptionSessionRoutesPerSlot) {
   const std::vector<std::string> population = {
       "_*.country.name", "_*.country[province].name", "_*.country.religions",
@@ -328,7 +359,7 @@ TEST(MultiQuerySharedPool, SubscriptionSessionRoutesPerSlot) {
   EnginePool pool(options);
   std::shared_ptr<StreamSession> session =
       pool.OpenSubscriptions(*mq_template);
-  ASSERT_TRUE(session->subscription());
+  ASSERT_EQ(session->slot_count(), (*mq_template)->slot_count());
   EXPECT_EQ(session->query().rfind("multi:", 0), 0u);
   session->Feed(std::vector<StreamEvent>(events));
   session->Close();
@@ -341,8 +372,8 @@ TEST(MultiQuerySharedPool, SubscriptionSessionRoutesPerSlot) {
                  " query=" + (*mq_template)->slot_text(s));
     const std::vector<std::string> expected =
         EvaluateToStrings((*mq_template)->slot_expr(s), events);
-    EXPECT_EQ(session->subscription_results(s), expected);
-    EXPECT_EQ(session->subscription_certain_count(s),
+    EXPECT_EQ(session->slot_results(s), expected);
+    EXPECT_EQ(session->slot_certain_count(s),
               static_cast<int64_t>(expected.size()));
     total += static_cast<int64_t>(expected.size());
   }
@@ -378,7 +409,7 @@ TEST(MultiQuerySharedPool, ManyDocumentsShareOneTemplate) {
     ASSERT_TRUE(sessions[d]->status().ok());
     for (int s = 0; s < (*mq_template)->slot_count(); ++s) {
       SCOPED_TRACE("doc=" + std::to_string(d) + " slot=" + std::to_string(s));
-      EXPECT_EQ(sessions[d]->subscription_results(s),
+      EXPECT_EQ(sessions[d]->slot_results(s),
                 EvaluateToStrings((*mq_template)->slot_expr(s), docs[d]));
     }
   }

@@ -204,6 +204,65 @@ TEST(NetServer, PopulationPrepareStreamsEverySlot) {
   EXPECT_EQ(outcome.certain, expected_total);
 }
 
+TEST(NetServer, PopulationDocumentFailingMidStreamSealsEverySlot) {
+  // A population document whose XML breaks after some results were decided:
+  // one terminal ERROR whose counts match the RESULT frames, every slot's
+  // certain fragments first and all of them in the slot's DOM oracle over
+  // what the parser accepted.
+  Stack stack;
+  SpexClient client;
+  { Status c = client.Connect("127.0.0.1", stack.server->port()); ASSERT_TRUE(c.ok()) << c.ToString(); }
+  const std::vector<std::string> population = {"doc.a.b", "doc.a.c", "_*.b",
+                                               "_*.a[c].b"};
+  std::string text;
+  for (const std::string& q : population) text += q + "\n";
+  uint32_t handle = 0;
+  ASSERT_TRUE(
+      client.Prepare(text, PrepareFrame::kPopulation, &handle, nullptr).ok());
+  const std::string bad_doc =
+      "<doc><a><b>one</b></a><a><b>two</b><c>x</c></a><a><b>three</wrong>";
+  DocOutcome outcome = client.StreamDocument(handle, 1, bad_doc);
+  ASSERT_TRUE(outcome.terminal_frame);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kMalformedInput)
+      << outcome.status.ToString();
+
+  uint64_t certain_flags = 0;
+  for (const ClientResult& r : outcome.results) certain_flags += r.certain;
+  EXPECT_EQ(outcome.total, outcome.results.size());
+  EXPECT_EQ(outcome.certain, certain_flags);
+  EXPECT_GT(outcome.certain, 0u);
+
+  auto multi = stack.cache->GetMulti(population);
+  ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+  const std::vector<StreamEvent> fed = EventsForPrefix(bad_doc);
+  int slots_with_certain = 0;
+  for (int slot = 0; slot < (*multi)->slot_count(); ++slot) {
+    SCOPED_TRACE((*multi)->slot_text(slot));
+    const std::vector<std::string> oracle =
+        OracleFor((*multi)->slot_expr(slot), fed);
+    bool speculative_seen = false;
+    uint64_t certain = 0;
+    for (const ClientResult& r : outcome.results) {
+      if (r.slot != static_cast<uint32_t>(slot)) continue;
+      if (!r.certain) {
+        speculative_seen = true;
+        continue;
+      }
+      EXPECT_FALSE(speculative_seen) << "certain results form a prefix";
+      EXPECT_NE(std::find(oracle.begin(), oracle.end(), r.fragment),
+                oracle.end())
+          << r.fragment;
+      ++certain;
+    }
+    if (certain > 0) ++slots_with_certain;
+  }
+  EXPECT_GE(slots_with_certain, 2);
+
+  // The connection keeps serving the same population.
+  DocOutcome good = client.StreamDocument(handle, 2, kDoc);
+  EXPECT_TRUE(good.status.ok()) << good.status.ToString();
+}
+
 TEST(NetServer, ManyDocumentsInterleavedOnOneConnection) {
   NetServerOptions options;
   options.max_docs_per_connection = 8;

@@ -504,6 +504,45 @@ TEST(SamplingProfilerTest, SampledAttributionReachesRegistry) {
   EXPECT_NE(prom.find("spex_query_sampled_batches_total"), std::string::npos);
 }
 
+TEST(SamplingProfilerTest, PopulationSessionSamplesIntoSlotZero) {
+  // A population session takes the pool's batch sampler too; its
+  // session-wide attribution rides on slot 0's record.
+  PoolOptions pool_options;
+  pool_options.threads = 1;
+  pool_options.sampling_period = 1;  // sample every batch
+  pool_options.engine.batch_size = 4;
+  EnginePool pool(pool_options);
+  QueryRegistry registry;
+  pool.SetQueryRegistry(&registry);
+
+  CompiledQueryCache cache(8);
+  auto population = cache.GetMulti({"_*.book[author].title", "_*.book"});
+  ASSERT_TRUE(population.ok()) << population.status().ToString();
+  std::shared_ptr<StreamSession> session = pool.OpenSubscriptions(*population);
+  session->Feed(DocEvents());
+  session->Close();
+  session->Wait();
+  ASSERT_TRUE(session->status().ok());
+
+  const std::string json = registry.ToJson();
+  // One query's entry: from its "query" key to the next entry.
+  auto entry = [&](int slot) {
+    const size_t at =
+        json.find("\"query\": \"" + (*population)->slot_text(slot) + "\"");
+    if (at == std::string::npos) return std::string();
+    const size_t end = json.find("{\"id\": ", at);
+    return json.substr(at, end == std::string::npos ? end : end - at);
+  };
+  const std::string slot0 = entry(0);
+  const std::string slot1 = entry(1);
+  ASSERT_FALSE(slot0.empty()) << json;
+  ASSERT_FALSE(slot1.empty()) << json;
+  EXPECT_EQ(slot0.find("\"batches\": 0,"), std::string::npos) << json;
+  EXPECT_NE(slot0.find("\"hot_nodes\": [{"), std::string::npos) << json;
+  EXPECT_NE(slot1.find("\"batches\": 0,"), std::string::npos) << json;
+  EXPECT_NE(slot1.find("\"hot_nodes\": []"), std::string::npos) << json;
+}
+
 // ---------------------------------------------------------------------------
 // FlightRecorder ring.
 

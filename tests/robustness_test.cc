@@ -730,7 +730,7 @@ TEST(ChaosSubscriptionTest, BreachesQuarantinePerSessionNotTheTemplate) {
     EXPECT_TRUE(session->status().ok()) << session->status().message();
     std::vector<std::vector<std::string>> per_slot;
     for (int s = 0; s < slots; ++s) {
-      per_slot.push_back(session->subscription_results(s));
+      per_slot.push_back(session->slot_results(s));
     }
     return per_slot;
   };
@@ -786,10 +786,10 @@ TEST(ChaosSubscriptionTest, BreachesQuarantinePerSessionNotTheTemplate) {
       const std::vector<std::string> oracle =
           OracleFor((*mq_template)->slot_expr(s), events);
       const std::vector<std::string>& results =
-          session->subscription_results(s);
+          session->slot_results(s);
       if (status.code() == StatusCode::kResourceExhausted) {
         // Only the certain prefix is comparable — and it must be exact.
-        const int64_t certain = session->subscription_certain_count(s);
+        const int64_t certain = session->slot_certain_count(s);
         ASSERT_LE(certain, static_cast<int64_t>(results.size()));
         ASSERT_LE(certain, static_cast<int64_t>(oracle.size()));
         for (int64_t r = 0; r < certain; ++r) {

@@ -1,0 +1,197 @@
+// The one engine core (spex/run_core.h) under its three front-ends: a
+// one-query population compiles to exactly the single-query network, and
+// SpexEngine, a one-query MultiQueryEngine and the one-atom conjunctive query
+// `q(X) :- Root(r) X` behave identically — fragments, governor statuses,
+// certain prefixes, progress watermarks and message counts — at every batch
+// size.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "cq/conjunctive.h"
+#include "query_gen.h"
+#include "rpeq/parser.h"
+#include "spex/engine.h"
+#include "spex/multi_query.h"
+#include "xml/generators.h"
+
+namespace spex {
+namespace {
+
+// The four §VI query classes of each evaluation corpus.
+const char* const kSectionSixQueries[] = {
+    "_*.province.city", "_*.country[province].name",
+    "_*.country[province].religions", "_*.Noun.wordForm",
+    "_*.Noun[wordForm]", "_*.Noun[wordForm].gloss",
+    "_*.Topic.Title", "_*.Topic[editor].Title",
+    "_*.Topic[editor].newsGroup", "_*._"};
+
+std::string SingleNetwork(const Expr& query) {
+  CountingResultSink sink;
+  SpexEngine engine(query, &sink);
+  return engine.network().Describe();
+}
+
+std::string OneSlotPopulationNetwork(const Expr& query) {
+  CountingResultSink sink;
+  MultiQueryEngine mq;
+  EXPECT_TRUE(mq.AddQuery(query, &sink).ok());
+  mq.Finalize();
+  return mq.network().Describe();
+}
+
+TEST(RunCoreTest, OneSlotPopulationCompilesToSingleQueryNetwork) {
+  const std::vector<std::pair<std::string, QueryGenKnobs>> mixes = {
+      {"default", QueryGenKnobs{}},
+      {"structural", QueryGenKnobs::Structural()},
+      {"axes20", QueryGenKnobs::WithAxes(20)},
+      {"full", QueryGenKnobs::Full()}};
+  int compared = 0;
+  for (const auto& [name, knobs] : mixes) {
+    QueryGen gen(/*seed=*/2024, knobs);
+    for (int i = 0; i < 300; ++i) {
+      ExprPtr query = gen.Gen(1 + i % 6);
+      SCOPED_TRACE(name + " query=" + query->ToString());
+      ASSERT_EQ(OneSlotPopulationNetwork(*query), SingleNetwork(*query));
+      ++compared;
+    }
+  }
+  for (const char* text : kSectionSixQueries) {
+    SCOPED_TRACE(text);
+    ExprPtr query = MustParseRpeq(text);
+    ASSERT_EQ(OneSlotPopulationNetwork(*query), SingleNetwork(*query));
+    ++compared;
+  }
+  EXPECT_EQ(compared, 4 * 300 + 10);
+}
+
+// ---------------------------------------------------------------------------
+// Front-end parity.
+
+struct RunOutcome {
+  std::vector<std::string> fragments;
+  StatusCode code = StatusCode::kOk;
+  int64_t certain = 0;
+  int64_t watermarks = 0;
+  int64_t total_messages = 0;
+};
+
+bool operator==(const RunOutcome& a, const RunOutcome& b) {
+  return a.fragments == b.fragments && a.code == b.code &&
+         a.certain == b.certain && a.watermarks == b.watermarks &&
+         a.total_messages == b.total_messages;
+}
+
+void PrintTo(const RunOutcome& o, std::ostream* os) {
+  *os << "{fragments=" << o.fragments.size()
+      << " code=" << StatusCodeName(o.code) << " certain=" << o.certain
+      << " watermarks=" << o.watermarks
+      << " messages=" << o.total_messages << "}";
+}
+
+// Feeds `events` in `batch`-sized slices, seals a breached run, and reads
+// back what every front-end must agree on.
+RunOutcome Drive(RunCore* engine, const SerializingResultSink& sink,
+                 const std::vector<StreamEvent>& events, size_t batch,
+                 const int64_t* watermarks) {
+  for (size_t i = 0; i < events.size(); i += batch) {
+    if (batch == 1) {
+      engine->OnEvent(events[i]);
+    } else {
+      engine->OnEventBatch(events.data() + i,
+                           std::min(batch, events.size() - i));
+    }
+  }
+  if (!engine->status().ok()) engine->FinalizeTruncated();
+  RunOutcome out;
+  out.fragments = sink.results();
+  out.code = engine->status().code();
+  out.certain = engine->certain_result_count(0);
+  out.watermarks = *watermarks;
+  out.total_messages = engine->ComputeStats().total_messages;
+  return out;
+}
+
+TEST(RunCoreTest, FrontEndParity) {
+  struct Config {
+    std::string name;
+    std::function<void(EngineOptions*, size_t events)> apply;
+    int breaches = 0;
+  };
+  std::vector<Config> configs = {
+      {"progress",
+       [](EngineOptions* o, size_t) { o->progress.every_events = 17; }},
+      {"max_events",
+       [](EngineOptions* o, size_t events) {
+         o->limits.max_events = static_cast<int64_t>(events / 2);
+       }},
+      {"max_depth",
+       [](EngineOptions* o, size_t) { o->limits.max_depth = 4; }},
+      {"max_buffered_bytes",
+       [](EngineOptions* o, size_t) { o->limits.max_buffered_bytes = 24; }},
+  };
+  int watermark_runs = 0;
+  for (uint64_t seed : {2, 6, 14}) {
+    RandomTreeOptions tree;
+    tree.max_elements = 150;
+    tree.text_probability = 0.3;
+    const std::vector<StreamEvent> events = GenerateToVector(
+        [&](EventSink* s) { GenerateRandomTree(seed, tree, s); });
+    for (const char* text : {"_*.a", "_*.a[c].b", "r._*.b[a]"}) {
+      ExprPtr query = MustParseRpeq(text);
+      auto cq = MustParseConjunctiveQuery(std::string("q(X) :- Root(") +
+                                          text + ") X");
+      for (Config& config : configs) {
+        for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+          SCOPED_TRACE("seed=" + std::to_string(seed) + " " + text + " " +
+                       config.name + " batch=" + std::to_string(batch));
+          int64_t watermarks = 0;
+          EngineOptions options;
+          options.batch_size = static_cast<int>(batch);
+          config.apply(&options, events.size());
+          options.progress.callback = [&watermarks](const Watermark&) {
+            ++watermarks;
+          };
+
+          SerializingResultSink single_sink;
+          SpexEngine single(*query, &single_sink, options);
+          const RunOutcome expected =
+              Drive(&single, single_sink, events, batch, &watermarks);
+
+          watermarks = 0;
+          SerializingResultSink mq_sink;
+          MultiQueryEngine mq(options);
+          ASSERT_TRUE(mq.AddQuery(*query, &mq_sink).ok());
+          mq.Finalize();
+          EXPECT_EQ(Drive(&mq, mq_sink, events, batch, &watermarks),
+                    expected);
+
+          watermarks = 0;
+          SerializingResultSink cq_sink;
+          ConjunctiveEngine conjunctive(*cq, {&cq_sink}, options);
+          ASSERT_TRUE(conjunctive.ok()) << conjunctive.error();
+          EXPECT_EQ(Drive(&conjunctive, cq_sink, events, batch, &watermarks),
+                    expected);
+
+          if (expected.code != StatusCode::kOk) ++config.breaches;
+          if (expected.watermarks > 0) ++watermark_runs;
+        }
+      }
+    }
+  }
+  // Progress fires on every progress run; every limit leg really breaches.
+  EXPECT_EQ(watermark_runs, 3 * 3 * 3);
+  EXPECT_EQ(configs[0].breaches, 0);
+  for (size_t i = 1; i < configs.size(); ++i) {
+    EXPECT_GT(configs[i].breaches, 0) << configs[i].name;
+  }
+}
+
+}  // namespace
+}  // namespace spex

@@ -636,12 +636,11 @@ class Server {
       }
       const std::vector<std::string>& results = p.session->Wait();
       total_results += p.session->result_count();
-      if (p.session->subscription()) {
+      if (multi_template_ != nullptr) {
         // Route the document to its matching query ids: one line per
         // template slot with results, `-` when nothing matched.  A failed
         // session reports its ERROR line first, then whatever partial
         // routing was sealed.
-        const spex::MultiQueryTemplate* t = p.session->subscription_template();
         if (!p.session->status().ok()) {
           ++failed_sessions;
           std::printf("%s\t%s\tERROR(%s)\tcertain=%lld/%lld\t%s\n",
@@ -652,9 +651,9 @@ class Server {
                       p.session->status().message().c_str());
         }
         int matched = 0;
-        for (int slot = 0; slot < t->slot_count(); ++slot) {
+        for (int slot = 0; slot < p.session->slot_count(); ++slot) {
           const std::vector<std::string>& slot_results =
-              p.session->subscription_results(slot);
+              p.session->slot_results(slot);
           if (slot_results.empty()) continue;
           ++matched;
           std::printf("%s\tsub#%d\t%lld\n", p.document.c_str(), slot,
