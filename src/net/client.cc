@@ -4,6 +4,7 @@
 #include <errno.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -22,6 +23,34 @@ void SetIoTimeout(int fd, int64_t ms) {
   tv.tv_usec = (ms % 1000) * 1000;
   setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+}
+
+// The document a server frame belongs to: RESULT, DOC_DONE and a
+// document-scoped ERROR name one.  Other frames (and payloads that do not
+// parse) belong to whoever reads them next.
+bool FrameDocId(const OwnedFrame& frame, uint32_t* doc_id) {
+  switch (frame.type) {
+    case FrameType::kResult: {
+      ResultFrame rf;
+      if (!rf.Parse(frame.payload).ok()) return false;
+      *doc_id = rf.doc_id;
+      return true;
+    }
+    case FrameType::kDocDone: {
+      DocDoneFrame done;
+      if (!done.Parse(frame.payload).ok()) return false;
+      *doc_id = done.doc_id;
+      return true;
+    }
+    case FrameType::kError: {
+      ErrorFrame err;
+      if (!err.Parse(frame.payload).ok() || err.doc_id == 0) return false;
+      *doc_id = err.doc_id;
+      return true;
+    }
+    default:
+      return false;
+  }
 }
 
 }  // namespace
@@ -52,6 +81,7 @@ Status SpexClient::Connect(const std::string& host, uint16_t port) {
   int one = 1;
   setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   decoder_.Reset();
+  pending_.clear();
   drain_received_ = false;
 
   HelloFrame hello;
@@ -87,6 +117,7 @@ Status SpexClient::Connect(const std::string& host, uint16_t port) {
 void SpexClient::Close() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
+  pending_.clear();
   version_ = 0;
   server_max_frame_ = 0;
 }
@@ -142,71 +173,83 @@ Status SpexClient::SendChunk(uint32_t handle, uint32_t doc_id,
   stream.handle = handle;
   stream.doc_id = doc_id;
   stream.chunk = chunk;
-  return SendRaw(stream.Encode());
+  return SendWhileReading(stream.Encode());
 }
 
 Status SpexClient::SendEndDoc(uint32_t handle, uint32_t doc_id) {
   EndDocFrame end;
   end.handle = handle;
   end.doc_id = doc_id;
-  return SendRaw(end.Encode());
+  return SendWhileReading(end.Encode());
 }
 
 DocOutcome SpexClient::Collect(uint32_t doc_id) {
   DocOutcome out;
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    uint32_t owner = 0;
+    if (FrameDocId(*it, &owner) && owner != doc_id) {
+      ++it;
+      continue;
+    }
+    const OwnedFrame frame = std::move(*it);
+    it = pending_.erase(it);
+    if (Absorb(frame, &out)) return out;
+  }
   for (;;) {
     OwnedFrame frame;
-    out.status = ReadFrame(&frame);
+    out.status = ReadWireFrame(&frame);
     if (!out.status.ok()) return out;
-    switch (frame.type) {
-      case FrameType::kDrain:
-        drain_received_ = true;
-        continue;
-      case FrameType::kPong:
-        continue;
-      case FrameType::kResult: {
-        ResultFrame rf;
-        out.status = rf.Parse(frame.payload);
-        if (!out.status.ok()) return out;
-        if (rf.doc_id != doc_id) continue;  // stale frame of another doc
-        ClientResult r;
-        r.slot = rf.slot;
-        r.certain = rf.certain != 0;
-        r.fragment = std::string(rf.fragment);
-        out.results.push_back(std::move(r));
-        continue;
-      }
-      case FrameType::kDocDone: {
-        DocDoneFrame done;
-        out.status = done.Parse(frame.payload);
-        if (!out.status.ok()) return out;
-        if (done.doc_id != doc_id) continue;
-        out.certain = done.certain;
-        out.total = done.total;
-        out.terminal_frame = true;
-        out.status = Status::Ok();
-        return out;
-      }
-      case FrameType::kError: {
-        ErrorFrame err;
-        Status parsed = err.Parse(frame.payload);
-        if (!parsed.ok()) {
-          out.status = parsed;
-          return out;
-        }
-        if (err.doc_id != 0 && err.doc_id != doc_id) continue;
-        out.certain = err.certain;
-        out.total = err.total;
-        out.retry_after_ms = err.retry_after_ms;
-        out.terminal_frame = true;
-        out.status = Status(err.code, err.message);
-        return out;
-      }
-      default:
-        out.status = Status::FailedPrecondition(
-            std::string("unexpected frame ") + FrameTypeName(frame.type));
-        return out;
+    uint32_t owner = 0;
+    if (FrameDocId(frame, &owner) && owner != doc_id) {
+      pending_.push_back(std::move(frame));  // another document's
+      continue;
     }
+    if (Absorb(frame, &out)) return out;
+  }
+}
+
+bool SpexClient::Absorb(const OwnedFrame& frame, DocOutcome* out) {
+  switch (frame.type) {
+    case FrameType::kDrain:
+      drain_received_ = true;
+      return false;
+    case FrameType::kPong:
+      return false;
+    case FrameType::kResult: {
+      ResultFrame rf;
+      out->status = rf.Parse(frame.payload);
+      if (!out->status.ok()) return true;
+      ClientResult r;
+      r.slot = rf.slot;
+      r.certain = rf.certain != 0;
+      r.fragment = std::string(rf.fragment);
+      out->results.push_back(std::move(r));
+      return false;
+    }
+    case FrameType::kDocDone: {
+      DocDoneFrame done;
+      out->status = done.Parse(frame.payload);
+      if (!out->status.ok()) return true;
+      out->certain = done.certain;
+      out->total = done.total;
+      out->terminal_frame = true;
+      return true;
+    }
+    case FrameType::kError: {
+      ErrorFrame err;
+      out->status = err.Parse(frame.payload);
+      if (!out->status.ok()) return true;
+      out->certain = err.certain;
+      out->total = err.total;
+      out->retry_after_ms = err.retry_after_ms;
+      out->terminal_frame = true;
+      out->status = Status(err.code, err.message);
+      return true;
+    }
+    default:
+      out->status = Status::FailedPrecondition(
+          std::string("unexpected frame ") + FrameTypeName(frame.type));
+      return true;
   }
 }
 
@@ -252,7 +295,68 @@ Status SpexClient::SendRaw(std::string_view bytes) {
   return Status::Ok();
 }
 
+Status SpexClient::SendWhileReading(std::string_view bytes) {
+  if (fd_ < 0) return Status::FailedPrecondition("not connected");
+  const int timeout_ms = options_.io_timeout_ms > 0
+                             ? static_cast<int>(options_.io_timeout_ms)
+                             : -1;
+  bool read_closed = false;  // EOF or a read error: the send decides
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    pollfd pfd{fd_, static_cast<short>(POLLOUT | (read_closed ? 0 : POLLIN)),
+               0};
+    const int ready = poll(&pfd, 1, timeout_ms);
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      return Status::Cancelled("poll: " + std::string(strerror(errno)));
+    }
+    if (ready == 0) return Status::DeadlineExceeded("send timed out");
+    if (!read_closed && (pfd.revents & POLLIN)) {
+      char buf[64 * 1024];
+      const ssize_t n = recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
+      if (n > 0) {
+        Status appended =
+            decoder_.Append(std::string_view(buf, static_cast<size_t>(n)));
+        if (!appended.ok()) return appended;
+        Frame view;
+        while (decoder_.Next(&view)) {
+          if (view.type == FrameType::kDrain) {
+            drain_received_ = true;
+          } else if (view.type != FrameType::kPong) {
+            pending_.push_back(
+                OwnedFrame{view.type, std::string(view.payload)});
+          }
+        }
+        if (!decoder_.status().ok()) return decoder_.status();
+      } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK &&
+                            errno != EINTR)) {
+        read_closed = true;
+      }
+    }
+    if (pfd.revents & (POLLOUT | POLLERR | POLLHUP)) {
+      const ssize_t n = send(fd_, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n > 0) {
+        sent += static_cast<size_t>(n);
+      } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        return Status::Cancelled("connection closed during send: " +
+                                 std::string(strerror(errno)));
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 Status SpexClient::ReadFrame(OwnedFrame* frame) {
+  if (!pending_.empty()) {
+    *frame = std::move(pending_.front());
+    pending_.pop_front();
+    return Status::Ok();
+  }
+  return ReadWireFrame(frame);
+}
+
+Status SpexClient::ReadWireFrame(OwnedFrame* frame) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
   Frame view;
   for (;;) {
@@ -281,14 +385,25 @@ Status SpexClient::ReadFrame(OwnedFrame* frame) {
 }
 
 Status SpexClient::ReadSignificantFrame(OwnedFrame* frame) {
+  uint32_t owner = 0;
+  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+    if (FrameDocId(*it, &owner)) continue;
+    *frame = std::move(*it);
+    pending_.erase(it);
+    return Status::Ok();
+  }
   for (;;) {
-    Status got = ReadFrame(frame);
+    Status got = ReadWireFrame(frame);
     if (!got.ok()) return got;
     if (frame->type == FrameType::kDrain) {
       drain_received_ = true;
       continue;
     }
     if (frame->type == FrameType::kPong) continue;
+    if (FrameDocId(*frame, &owner)) {
+      pending_.push_back(std::move(*frame));  // a document's, not a reply
+      continue;
+    }
     return Status::Ok();
   }
 }

@@ -6,6 +6,13 @@
 // prepare, stream, collect — one thread per connection; concurrency in
 // tests/bench comes from running many clients.
 //
+// The server sends RESULT frames as soon as fragments are decided, so they
+// may arrive while a document is still streaming, interleaved with other
+// documents' frames.  StreamDocument therefore reads while it writes (a
+// result stream larger than the server's write cap cannot deadlock it),
+// and frames of a document other than the one being collected are kept
+// for that document's own Collect.
+//
 // Every call reports failures as spex::Status; a structured ERROR frame
 // from the server is surfaced as the Status it carries (with the certain/
 // total counts preserved in DocOutcome), while transport failures map to
@@ -15,6 +22,7 @@
 #define SPEX_NET_CLIENT_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -84,15 +92,19 @@ class SpexClient {
   Status Prepare(const std::string& text, uint8_t kind, uint32_t* handle,
                  uint32_t* slots = nullptr);
 
-  // Streams `document` in chunk_bytes STREAM frames, sends END_DOC, then
-  // collects RESULT frames until the document's terminal DOC_DONE/ERROR.
-  // Transport failures surface in DocOutcome.status.
+  // Streams `document` in chunk_bytes STREAM frames and sends END_DOC,
+  // reading the frames that arrive meanwhile, then collects RESULT frames
+  // until the document's terminal DOC_DONE/ERROR.  Transport failures
+  // surface in DocOutcome.status.
   DocOutcome StreamDocument(uint32_t handle, uint32_t doc_id,
                             const std::string& document);
 
   // Split phases for callers that interleave documents / kill mid-stream.
   Status SendChunk(uint32_t handle, uint32_t doc_id, std::string_view chunk);
   Status SendEndDoc(uint32_t handle, uint32_t doc_id);
+  // Frames already received for `doc_id` first (in arrival order), then the
+  // socket, until the document's terminal frame; frames of other documents
+  // are kept for their own Collect.
   DocOutcome Collect(uint32_t doc_id);
 
   Status Ping(const std::string& payload = "ping");
@@ -103,18 +115,30 @@ class SpexClient {
   // --- Low-level access (tests) ---
   // Sends raw bytes as-is (malformed-frame injection).
   Status SendRaw(std::string_view bytes);
-  // Reads the next frame, transparently handling none of the bookkeeping.
+  // Reads the next frame (kept frames first), transparently handling none
+  // of the bookkeeping.
   Status ReadFrame(OwnedFrame* frame);
   int fd() const { return fd_; }
 
  private:
+  // Reads the next frame off the socket.
+  Status ReadWireFrame(OwnedFrame* frame);
   // Reads frames until one that is not DRAIN/PONG (those are recorded /
-  // dropped); used by the request/response helpers.
+  // dropped) and not a document's (those are kept); used by the
+  // request/response helpers.
   Status ReadSignificantFrame(OwnedFrame* frame);
+  // SendRaw that also reads whatever the server sends meanwhile into
+  // pending_, so neither side's buffers can fill up and stall the other.
+  Status SendWhileReading(std::string_view bytes);
+  // Folds one frame of the document being collected into `out`; true once
+  // `out` is final (terminal frame or error).
+  bool Absorb(const OwnedFrame& frame, DocOutcome* out);
 
   ClientOptions options_;
   int fd_ = -1;
   FrameDecoder decoder_;
+  // Frames received but not yet collected, in arrival order.
+  std::deque<OwnedFrame> pending_;
   uint16_t version_ = 0;
   uint32_t server_max_frame_ = 0;
   bool drain_received_ = false;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "runtime/admin_server.h"
@@ -22,6 +23,12 @@ namespace {
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+int64_t NowUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
@@ -44,6 +51,56 @@ void SendDirect(int fd, const std::string& frame) {
 
 }  // namespace
 
+// The loop's wake-up channel.  Every admitted session's ready callback holds
+// a reference, so the pipe stays open for as long as a worker may still
+// seal a session — after Stop(), and after the NetServer itself is gone.
+class NetServer::WakePipe {
+ public:
+  WakePipe() {
+    if (pipe(fds_) != 0) {
+      fds_[0] = fds_[1] = -1;
+      return;
+    }
+    SetNonBlocking(fds_[0]);
+    SetNonBlocking(fds_[1]);
+  }
+  ~WakePipe() {
+    for (int fd : fds_) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+  WakePipe(const WakePipe&) = delete;
+  WakePipe& operator=(const WakePipe&) = delete;
+
+  bool ok() const { return fds_[0] >= 0; }
+  int read_fd() const { return fds_[0]; }
+
+  // Any thread.  Writes a byte unless one is already pending.
+  void Wake() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pending_) return;
+    pending_ = true;
+    const char byte = 'w';
+    (void)!write(fds_[1], &byte, 1);
+  }
+
+  // Loop thread, before it looks for work: consumes the pending byte.  A
+  // Wake() that follows finds nothing pending and writes a fresh one, so
+  // no wake-up is lost; one that precedes is seen by the caller's scan.
+  void Drain() {
+    std::lock_guard<std::mutex> lock(mu_);
+    char buf[64];
+    while (read(fds_[0], buf, sizeof(buf)) > 0) {
+    }
+    pending_ = false;
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+  std::mutex mu_;
+  bool pending_ = false;  // a byte is in the pipe; guarded by mu_
+};
+
 NetServer::NetServer(EnginePool* pool, CompiledQueryCache* cache,
                      NetServerOptions options, SessionDirectory* directory)
     : pool_(pool),
@@ -53,12 +110,6 @@ NetServer::NetServer(EnginePool* pool, CompiledQueryCache* cache,
   if (options_.max_connections < 1) options_.max_connections = 1;
   if (options_.max_docs_in_flight < 1) options_.max_docs_in_flight = 1;
   if (options_.max_docs_per_connection < 1) options_.max_docs_per_connection = 1;
-  if (options_.feed_batch_events < 1) options_.feed_batch_events = 1;
-  // Pool sessions require unstamped labels (each session owns a private
-  // symbol table on its worker); per-document parsers also never share a
-  // metrics registry.
-  options_.parser.symbols = nullptr;
-  options_.parser.metrics = nullptr;
 
   obs::MetricRegistry& m = pool_->metrics();
   m.SetHelp("spex_net_connections", "Live TCP serving connections.");
@@ -96,6 +147,10 @@ NetServer::NetServer(EnginePool* pool, CompiledQueryCache* cache,
   m.SetHelp("spex_net_doc_latency_us",
             "First STREAM frame to terminal frame queued, microseconds.");
   doc_latency_us_ = m.AddAtomicHistogram("spex_net_doc_latency_us");
+  m.SetHelp("spex_net_ttfr_us",
+            "First STREAM frame to first RESULT frame queued, microseconds "
+            "(documents with at least one result).");
+  ttfr_us_ = m.AddAtomicHistogram("spex_net_ttfr_us");
 }
 
 NetServer::~NetServer() { Stop(); }
@@ -105,10 +160,7 @@ bool NetServer::Start(std::string* error) {
     if (error != nullptr) *error = what + ": " + std::strerror(errno);
     if (listen_fd_ >= 0) ::close(listen_fd_);
     listen_fd_ = -1;
-    for (int& fd : wake_fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
+    wake_.reset();
     return false;
   };
   if (running_.load(std::memory_order_acquire)) return true;
@@ -134,9 +186,8 @@ bool NetServer::Start(std::string* error) {
   }
   port_ = ntohs(addr.sin_port);
   if (!SetNonBlocking(listen_fd_)) return fail("fcntl(listen)");
-  if (pipe(wake_fds_) != 0) return fail("pipe");
-  SetNonBlocking(wake_fds_[0]);
-  SetNonBlocking(wake_fds_[1]);
+  wake_ = std::make_shared<WakePipe>();
+  if (!wake_->ok()) return fail("pipe");
 
   stop_.store(false, std::memory_order_release);
   drain_.store(false, std::memory_order_release);
@@ -149,10 +200,7 @@ bool NetServer::Start(std::string* error) {
 void NetServer::RequestDrain() {
   if (!running_.load(std::memory_order_acquire)) return;
   drain_.store(true, std::memory_order_release);
-  if (wake_fds_[1] >= 0) {
-    const char byte = 'd';
-    (void)!write(wake_fds_[1], &byte, 1);
-  }
+  if (wake_ != nullptr) wake_->Wake();
 }
 
 void NetServer::Join() {
@@ -161,15 +209,8 @@ void NetServer::Join() {
 
 void NetServer::Stop() {
   stop_.store(true, std::memory_order_release);
-  if (wake_fds_[1] >= 0) {
-    const char byte = 's';
-    (void)!write(wake_fds_[1], &byte, 1);
-  }
+  if (wake_ != nullptr) wake_->Wake();
   Join();
-  for (int& fd : wake_fds_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
 }
 
 void NetServer::Loop() {
@@ -185,7 +226,7 @@ void NetServer::Loop() {
 
     pfds.clear();
     // Slot 0: wake pipe.  Slot 1: listener (POLLIN only while accepting).
-    pfds.push_back({wake_fds_[0], POLLIN, 0});
+    pfds.push_back({wake_->read_fd(), POLLIN, 0});
     pfds.push_back(
         {listen_fd_, static_cast<short>(listen_fd_ >= 0 ? POLLIN : 0), 0});
     const size_t polled_conns = conns_.size();
@@ -194,23 +235,21 @@ void NetServer::Loop() {
       // Backpressure: a connection whose responses are not being read stops
       // being read itself once its write buffer is over the cap.
       if (!conn->eof && !conn->closing &&
-          conn->out_bytes <= options_.max_write_buffer_bytes) {
+          conn->out_bytes() <= options_.max_write_buffer_bytes) {
         events |= POLLIN;
       }
-      if (conn->out_bytes > 0) events |= POLLOUT;
+      if (conn->out_bytes() > 0) events |= POLLOUT;
       pfds.push_back({conn->fd, events, 0});
     }
 
-    // Short timeout: completions are polled (StreamSession::done()), not
-    // signalled through a fd, so the loop ticks even when sockets are quiet.
+    // Workers signal hand-offs and sealed sessions through the wake pipe;
+    // the timeout is only the deadline tick.
     (void)poll(pfds.data(), pfds.size(), 15);
     if (stop_.load(std::memory_order_acquire)) break;
 
-    if (pfds[0].revents & POLLIN) {
-      char buf[64];
-      while (read(wake_fds_[0], buf, sizeof(buf)) > 0) {
-      }
-    }
+    // Consumed before the scan below, so a hand-off racing it re-wakes.
+    const bool woken = (pfds[0].revents & POLLIN) != 0;
+    if (woken) wake_->Drain();
     const int64_t post_poll_now = NowMs();
     if (listen_fd_ >= 0 && (pfds[1].revents & POLLIN)) AcceptNew(post_poll_now);
 
@@ -230,19 +269,19 @@ void NetServer::Loop() {
       if (re & (POLLIN | POLLHUP)) HandleReadable(conn, post_poll_now);
     }
 
-    // Housekeeping pass: harvest finished sessions, enforce deadlines, flush
-    // what the handlers queued, retire connections that are done.
+    // Housekeeping pass: frame what the workers handed off, enforce
+    // deadlines, flush what the handlers queued, retire connections that
+    // are done.
     const int64_t tick = NowMs();
     for (auto& conn_ptr : conns_) {
       Conn* conn = conn_ptr.get();
       if (conn->fd < 0) continue;
-      PumpCompletions(conn, tick);
-      if (conn->fd < 0) continue;
+      if (woken) PumpResults(conn);
       EnforceDeadlines(conn, tick);
       if (conn->fd < 0) continue;
-      if (conn->out_bytes > 0 && !FlushWrites(conn, tick)) continue;
-      const bool drained_conn = conn->docs.empty() && conn->out_bytes == 0;
-      if (conn->closing && conn->out_bytes == 0) {
+      if (conn->out_bytes() > 0 && !FlushWrites(conn, tick)) continue;
+      const bool drained_conn = conn->live_docs == 0 && conn->out_bytes() == 0;
+      if (conn->closing && conn->out_bytes() == 0) {
         CloseConn(conn, Status::Cancelled("connection closed"));
       } else if (conn->eof && drained_conn) {
         CloseConn(conn, Status::Ok());
@@ -323,18 +362,18 @@ void NetServer::CloseConn(Conn* conn, const Status& doc_abort_status) {
   if (conn->fd < 0) return;
   for (auto& [key, doc] : conn->docs) {
     (void)key;
-    if (doc.session != nullptr) {
-      if (!doc.closed) {
-        doc.session->Abort(doc_abort_status.ok()
-                               ? Status::Cancelled("connection closed")
-                               : doc_abort_status);
-      }
-      // The worker still seals the session (Abort enqueued a close task);
-      // nobody harvests it — that is fine, the pool owns completion.
-      --docs_in_flight_;
+    if (doc.terminal) continue;
+    if (!doc.closed) {
+      doc.session->Abort(doc_abort_status.ok()
+                             ? Status::Cancelled("connection closed")
+                             : doc_abort_status);
     }
+    // The worker still seals the session (Abort enqueued a close task);
+    // nobody takes its fragments — that is fine, the pool owns completion.
+    --docs_in_flight_;
   }
   conn->docs.clear();
+  conn->live_docs = 0;
   ::close(conn->fd);
   conn->fd = -1;
 }
@@ -351,7 +390,7 @@ void NetServer::HandleReadable(Conn* conn, int64_t now_ms) {
       Frame frame;
       while (conn->decoder.Next(&frame)) {
         frames_in_->Increment();
-        HandleFrame(conn, frame, now_ms);
+        HandleFrame(conn, frame);
         if (conn->fd < 0 || conn->closing) return;
       }
       if (!decode.ok() || !conn->decoder.status().ok()) {
@@ -371,9 +410,7 @@ void NetServer::HandleReadable(Conn* conn, int64_t now_ms) {
       conn->eof = true;
       for (auto& [key, doc] : conn->docs) {
         (void)key;
-        if (!doc.closed && !doc.shed) {
-          AbortDoc(&doc, Status::Cancelled("client closed mid-document"));
-        }
+        AbortDoc(&doc, Status::Cancelled("client closed mid-document"));
       }
       return;
     }
@@ -384,7 +421,7 @@ void NetServer::HandleReadable(Conn* conn, int64_t now_ms) {
   }
 }
 
-void NetServer::HandleFrame(Conn* conn, const Frame& frame, int64_t now_ms) {
+void NetServer::HandleFrame(Conn* conn, const Frame& frame) {
   if (!conn->hello_done && frame.type != FrameType::kHello) {
     FailConnection(conn,
                    Status::FailedPrecondition("expected HELLO, got " +
@@ -400,7 +437,7 @@ void NetServer::HandleFrame(Conn* conn, const Frame& frame, int64_t now_ms) {
       HandlePrepare(conn, frame);
       return;
     case FrameType::kStream:
-      HandleStream(conn, frame, now_ms);
+      HandleStream(conn, frame);
       return;
     case FrameType::kEndDoc:
       HandleEndDoc(conn, frame);
@@ -496,7 +533,7 @@ void NetServer::HandlePrepare(Conn* conn, const Frame& frame) {
   SendFrame(conn, ok.Encode());
 }
 
-void NetServer::HandleStream(Conn* conn, const Frame& frame, int64_t now_ms) {
+void NetServer::HandleStream(Conn* conn, const Frame& frame) {
   StreamFrame stream;
   const Status parsed = stream.Parse(frame.payload);
   if (!parsed.ok()) {
@@ -508,11 +545,11 @@ void NetServer::HandleStream(Conn* conn, const Frame& frame, int64_t now_ms) {
   auto it = conn->docs.find(key);
   if (it == conn->docs.end()) {
     // First frame of a new document: admission control.  A refusal creates
-    // a shed entry that swallows the rest of the document's frames (the
+    // a terminal entry that swallows the rest of the document's frames (the
     // terminal ERROR is sent exactly once, here).
     if (conn->docs.size() >= 4 * (options_.max_docs_per_connection + 1)) {
-      // Even shed entries cost memory; a client churning refused documents
-      // without ever ending them is hostile.
+      // Even terminal entries cost memory; a client churning refused or
+      // failed documents without ever ending them is hostile.
       FailConnection(conn,
                      Status::ResourceExhausted("too many open documents"));
       return;
@@ -520,15 +557,10 @@ void NetServer::HandleStream(Conn* conn, const Frame& frame, int64_t now_ms) {
     Doc doc;
     doc.handle = stream.handle;
     doc.doc_id = stream.doc_id;
-    doc.first_stream_ms = now_ms;
+    doc.first_stream_us = NowUs();
     ErrorFrame refusal;
     refusal.doc_id = stream.doc_id;
     auto handle_it = conn->handles.find(stream.handle);
-    size_t live_docs = 0;
-    for (const auto& [k, d] : conn->docs) {
-      (void)k;
-      if (!d.shed) ++live_docs;
-    }
     if (handle_it == conn->handles.end()) {
       refusal.code = StatusCode::kInvalidArgument;
       refusal.message = "unknown handle " + std::to_string(stream.handle);
@@ -542,34 +574,31 @@ void NetServer::HandleStream(Conn* conn, const Frame& frame, int64_t now_ms) {
       refusal.retry_after_ms = options_.retry_after_ms;
       refusal.message = "document limit reached, retry later";
       shed_docs_->Increment();
-    } else if (live_docs >= options_.max_docs_per_connection) {
+    } else if (conn->live_docs >= options_.max_docs_per_connection) {
       refusal.code = StatusCode::kResourceExhausted;
       refusal.message = "per-connection document limit reached";
       shed_docs_->Increment();
     } else {
-      // Admitted.
+      // Admitted.  The ready callback holds the wake pipe, not the server:
+      // the session may be sealed after the server is gone.
       doc.session = pool_->OpenSession(handle_it->second);
-      doc.sink = std::make_unique<RecordingEventSink>();
-      doc.parser = std::make_unique<XmlParser>(doc.sink.get(), options_.parser);
+      doc.session->SetReadyCallback([wake = wake_] { wake->Wake(); });
       ++docs_in_flight_;
+      ++conn->live_docs;
       if (directory_ != nullptr) {
         directory_->Register(doc.session, options_.session_limits);
       }
     }
     if (doc.session == nullptr) {
-      doc.shed = true;
+      doc.terminal = true;
       CountDocTerminal(refusal.code);
       SendFrame(conn, refusal.Encode());
     }
     it = conn->docs.emplace(key, std::move(doc)).first;
   }
   Doc* doc = &it->second;
-  if (doc->shed || doc->closed) return;  // terminal already decided; swallow
-  if (!doc->parser->Feed(stream.chunk)) {
-    AbortDoc(doc, doc->parser->status());
-    return;
-  }
-  FeedParsedEvents(doc, /*force=*/false);
+  if (doc->terminal || doc->closed) return;  // terminal decided; swallow
+  doc->session->FeedBytes(std::string(stream.chunk));
 }
 
 void NetServer::HandleEndDoc(Conn* conn, const Frame& frame) {
@@ -593,24 +622,20 @@ void NetServer::HandleEndDoc(Conn* conn, const Frame& frame) {
     synthesized.type = FrameType::kStream;
     synthesized.payload = std::string_view(payload_frame)
                               .substr(kFrameHeaderBytes);
-    HandleStream(conn, synthesized, NowMs());
+    HandleStream(conn, synthesized);
     it = conn->docs.find(key);
     if (it == conn->docs.end()) return;  // connection failed during admission
   }
   Doc* doc = &it->second;
-  if (doc->shed) {
-    // END_DOC is the last frame of a shed document; the refusal was its
-    // terminal frame, so the entry can go.
+  doc->end_received = true;
+  if (doc->terminal) {
+    // END_DOC is the last frame of a document whose terminal frame was
+    // already sent (shed, or failed mid-stream), so the entry can go.
     conn->docs.erase(it);
     return;
   }
-  if (doc->closed) return;
-  if (!doc->parser->Finish()) {
-    AbortDoc(doc, doc->parser->status());
-    return;
-  }
-  FeedParsedEvents(doc, /*force=*/true);
-  doc->session->Close();
+  if (doc->closed) return;  // aborted; the terminal frame retires the entry
+  doc->session->Close();    // the worker finishes the parse
   doc->closed = true;
 }
 
@@ -627,77 +652,77 @@ void NetServer::FailConnection(Conn* conn, const Status& status) {
   conn->closing = true;
 }
 
-void NetServer::SendFrame(Conn* conn, std::string frame) {
+void NetServer::SendFrame(Conn* conn, const std::string& frame) {
   if (conn->fd < 0) return;
   frames_out_->Increment();
-  conn->out_bytes += frame.size();
-  conn->out_frames.push_back(std::move(frame));
+  conn->out += frame;
 }
 
 bool NetServer::FlushWrites(Conn* conn, int64_t now_ms) {
-  while (conn->out_bytes > 0) {
-    if (conn->write_pos >= conn->write_buf.size()) {
-      if (conn->out_frames.empty()) break;
-      conn->write_buf = std::move(conn->out_frames.front());
-      conn->out_frames.pop_front();
-      conn->write_pos = 0;
-    }
-    const ssize_t n =
-        send(conn->fd, conn->write_buf.data() + conn->write_pos,
-             conn->write_buf.size() - conn->write_pos, MSG_NOSIGNAL);
+  while (conn->out_pos < conn->out.size()) {
+    const ssize_t n = send(conn->fd, conn->out.data() + conn->out_pos,
+                           conn->out.size() - conn->out_pos, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->write_pos += static_cast<size_t>(n);
-      conn->out_bytes -= static_cast<size_t>(n);
+      conn->out_pos += static_cast<size_t>(n);
       bytes_out_->Increment(n);
       conn->last_activity_ms = now_ms;
       continue;
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     CloseConn(conn, Status::Cancelled("connection reset during write"));
     return false;
   }
+  // Compact once the sent prefix dominates, so appends stay amortized O(1).
+  if (conn->out_pos == conn->out.size()) {
+    conn->out.clear();
+    conn->out_pos = 0;
+  } else if (conn->out_pos > conn->out.size() / 2) {
+    conn->out.erase(0, conn->out_pos);
+    conn->out_pos = 0;
+  }
   return true;
 }
 
-void NetServer::PumpCompletions(Conn* conn, int64_t now_ms) {
+void NetServer::PumpResults(Conn* conn) {
   for (auto it = conn->docs.begin(); it != conn->docs.end();) {
     Doc& doc = it->second;
-    if (!doc.closed || doc.session == nullptr || !doc.session->done()) {
+    if (doc.terminal) {
       ++it;
       continue;
     }
-    StreamSession& session = *doc.session;
-    session.Wait();  // done() is true: returns immediately
-    uint64_t certain = 0;
-    uint64_t total = 0;
-    for (int slot = 0; slot < session.slot_count(); ++slot) {
-      const std::vector<std::string>& results = session.slot_results(slot);
-      const int64_t slot_certain = session.slot_certain_count(slot);
-      for (size_t i = 0; i < results.size(); ++i) {
-        ResultFrame rf;
-        rf.doc_id = doc.doc_id;
-        rf.slot = static_cast<uint32_t>(slot);
-        rf.certain = static_cast<int64_t>(i) < slot_certain ? 1 : 0;
-        rf.fragment = results[i];
-        SendFrame(conn, rf.Encode());
+    fragments_.clear();
+    const bool sealed = doc.session->TakeFragments(&fragments_);
+    for (const StreamSession::Fragment& fragment : fragments_) {
+      ResultFrame rf;
+      rf.doc_id = doc.doc_id;
+      rf.slot = static_cast<uint32_t>(fragment.slot);
+      rf.certain = fragment.certain ? 1 : 0;
+      rf.fragment = fragment.xml;
+      SendFrame(conn, rf.Encode());
+      if (doc.results_sent++ == 0) {
+        ttfr_us_->Observe(NowUs() - doc.first_stream_us);
       }
-      certain += static_cast<uint64_t>(slot_certain);
-      total += results.size();
+      doc.certain_sent += rf.certain;
     }
-    const Status& status = session.status();
+    if (!sealed) {
+      ++it;
+      continue;
+    }
+    // The terminal frame counts exactly the RESULT frames sent.
+    const Status& status = doc.session->status();
     if (status.ok()) {
       DocDoneFrame done;
       done.doc_id = doc.doc_id;
-      done.certain = certain;
-      done.total = total;
+      done.certain = doc.certain_sent;
+      done.total = doc.results_sent;
       SendFrame(conn, done.Encode());
     } else {
       ErrorFrame err;
       err.doc_id = doc.doc_id;
       err.code = status.code();
-      err.certain = certain;
-      err.total = total;
+      err.certain = doc.certain_sent;
+      err.total = doc.results_sent;
       err.message = status.message();
       if (status.code() == StatusCode::kUnavailable) {
         err.retry_after_ms = options_.retry_after_ms;
@@ -705,9 +730,18 @@ void NetServer::PumpCompletions(Conn* conn, int64_t now_ms) {
       SendFrame(conn, err.Encode());
     }
     CountDocTerminal(status.code());
-    doc_latency_us_->Observe((now_ms - doc.first_stream_ms) * 1000);
+    doc_latency_us_->Observe(NowUs() - doc.first_stream_us);
     --docs_in_flight_;
-    it = conn->docs.erase(it);
+    --conn->live_docs;
+    doc.session.reset();
+    doc.terminal = true;
+    // A document sealed mid-stream keeps its entry until END_DOC, so the
+    // rest of its frames are swallowed instead of opening a new document.
+    if (doc.end_received) {
+      it = conn->docs.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -715,8 +749,8 @@ void NetServer::EnforceDeadlines(Conn* conn, int64_t now_ms) {
   if (options_.doc_deadline_ms > 0) {
     for (auto& [key, doc] : conn->docs) {
       (void)key;
-      if (doc.closed || doc.shed) continue;
-      if (now_ms - doc.first_stream_ms > options_.doc_deadline_ms) {
+      if (doc.closed || doc.terminal) continue;
+      if (now_ms - doc.first_stream_us / 1000 > options_.doc_deadline_ms) {
         timeouts_doc_->Increment();
         AbortDoc(&doc, Status::DeadlineExceeded(
                            "document exceeded deadline of " +
@@ -756,28 +790,15 @@ void NetServer::BeginDrain(int64_t now_ms) {
     // terminal frames carrying their certain partial counts.
     for (auto& [key, doc] : conn->docs) {
       (void)key;
-      if (!doc.closed && !doc.shed) {
-        AbortDoc(&doc, Status::Cancelled("server draining"));
-      }
+      AbortDoc(&doc, Status::Cancelled("server draining"));
     }
   }
 }
 
-void NetServer::FeedParsedEvents(Doc* doc, bool force) {
-  const std::vector<StreamEvent>& events = doc->sink->events();
-  if (events.empty()) return;
-  if (!force && events.size() < options_.feed_batch_events) return;
-  doc->session->Feed(events);  // by-value overload copies into a shared batch
-  doc->sink->Clear();
-}
-
 void NetServer::AbortDoc(Doc* doc, const Status& status) {
-  if (doc->closed || doc->shed) return;
-  // Events parsed before the failure still count: feed them so the sealed
-  // partial reflects everything the server actually consumed (on a parser
-  // failure the buffered tail is mid-token garbage, but every *emitted*
-  // event is still well-formed prefix).
-  FeedParsedEvents(doc, /*force=*/true);
+  if (doc->closed || doc->terminal) return;
+  // The worker seals what it already parsed (every event before the cut)
+  // without finishing the parse.
   doc->session->Abort(status);
   doc->closed = true;
 }

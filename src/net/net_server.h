@@ -2,17 +2,25 @@
 //
 // NetServer speaks the versioned wire protocol of net/wire_protocol.h over
 // non-blocking sockets driven by one poll(2) event loop, and feeds every
-// admitted document into the existing EnginePool as a StreamSession —
-// nothing about the engine's "one message in the network" discipline
-// changes; the network tier is purely a frames-to-sessions adapter built
-// for hostile conditions:
+// admitted document into the existing EnginePool as a byte-fed
+// StreamSession — nothing about the engine's "one message in the network"
+// discipline changes; the network tier is purely a frames-to-sessions
+// adapter built for hostile conditions.  The loop only decodes frames: a
+// STREAM chunk goes to the session's pinned worker as bytes (the worker
+// parses), and each finished result fragment comes back as a RESULT frame
+// as soon as the worker hands it off (progressive emission, paper §III.8)
+// — while the document is still streaming, interleaved with the other
+// documents' frames.
 //
 //   * Bounded per-connection buffers.  The frame decoder holds at most
 //     header + max_frame_bytes (an adversarial length prefix is rejected
 //     from the 5 header bytes alone, before any allocation).  A connection
 //     whose *write* buffer exceeds its cap — a client that streams requests
 //     but never reads responses — stops being read (backpressure) and dies
-//     by idle timeout if it never drains.
+//     by idle timeout if it never drains; its pending output is bounded by
+//     the cap plus what its already-queued chunks produce.  Outbound frames
+//     are appended to one byte buffer per connection, flushed with as few
+//     send() calls as the socket allows.
 //   * Per-connection idle deadline (slow-loris defense: progress in either
 //     direction resets it) and per-document deadline (a stream that neither
 //     finishes nor fails within its budget is aborted kDeadlineExceeded;
@@ -25,8 +33,10 @@
 //   * Fault isolation (PR5 quarantine reused): a document that breaches
 //     engine limits, fails to parse, or times out poisons only its own
 //     session — the connection and every other document keep serving, and
-//     the terminal ERROR frame carries the Status code plus the
-//     certain/speculative counts of the sealed partial.
+//     the terminal ERROR frame (sent as soon as the session is sealed, even
+//     mid-stream) carries the Status code plus the certain/speculative
+//     counts of the RESULT frames sent for it.  The document's entry then
+//     swallows its remaining frames until END_DOC.
 //   * Graceful drain.  RequestDrain() (spexserve wires SIGTERM to it) stops
 //     accepting, sends DRAIN to every client, aborts mid-stream documents
 //     (kCancelled) and flushes every in-flight session's certain results
@@ -35,8 +45,11 @@
 //
 // Thread model: one event-loop thread owns every connection; Start/Stop/
 // RequestDrain/Join are called from a control thread.  Sessions live on
-// pool workers as always — the loop only Feeds, Closes/Aborts and, once
-// done() flips, harvests.
+// pool workers as always — the loop only feeds bytes, Closes/Aborts and
+// takes the fragments the workers hand off.  A worker wakes the loop
+// through a wake pipe (at most one pending byte) when it hands fragments
+// off or seals a session; the pipe is shared with the sessions, so it
+// stays open for workers that seal aborted sessions after Stop().
 //
 // Metrics (registered on the pool registry at construction):
 //   spex_net_connections (live gauge), spex_net_connections_total,
@@ -44,14 +57,15 @@
 //   spex_net_frame_errors_total, spex_net_sheds_total{reason=...},
 //   spex_net_timeouts_total{kind=idle|doc}, spex_net_drains_total,
 //   spex_net_docs_total{status=...}, spex_net_doc_latency_us histogram
-//   (first STREAM byte to terminal frame queued).
+//   (first STREAM frame to terminal frame queued), spex_net_ttfr_us
+//   histogram (first STREAM frame to first RESULT frame queued, documents
+//   with at least one result).
 
 #ifndef SPEX_NET_NET_SERVER_H_
 #define SPEX_NET_NET_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -63,7 +77,6 @@
 #include "obs/metrics.h"
 #include "runtime/engine_pool.h"
 #include "runtime/query_cache.h"
-#include "xml/xml_parser.h"
 
 namespace spex {
 
@@ -95,13 +108,6 @@ struct NetServerOptions {
   // Graceful drain: connections still unfinished this long after
   // RequestDrain() are force-closed (their sessions aborted kCancelled).
   int64_t drain_grace_ms = 5000;
-
-  // Parsed events buffered per document before a pool Feed.
-  size_t feed_batch_events = 1024;
-
-  // Per-document XML parser bounds (symbols/metrics fields are ignored —
-  // pool sessions require unstamped labels).
-  XmlParserOptions parser;
 
   // The engine limits sessions run under (mirror of PoolOptions::
   // engine.limits) — reported to the session directory for /sessions
@@ -155,32 +161,38 @@ class NetServer {
   }
 
  private:
-  // One in-flight document on a connection.
+  class WakePipe;
+
+  // One document on a connection, from its first frame to its END_DOC.
   struct Doc {
     uint32_t handle = 0;
     uint32_t doc_id = 0;
-    std::shared_ptr<StreamSession> session;  // null when shed
-    std::unique_ptr<RecordingEventSink> sink;
-    std::unique_ptr<XmlParser> parser;
-    int64_t first_stream_ms = 0;
-    // END_DOC processed or the document was aborted: the session is sealed
-    // (or sealing) and the loop polls done() to emit the terminal frame.
+    // Null once the terminal frame was sent (or the document was shed).
+    std::shared_ptr<StreamSession> session;
+    int64_t first_stream_us = 0;
+    // RESULT frames sent so far, and how many of them were certain.
+    uint64_t results_sent = 0;
+    uint64_t certain_sent = 0;
+    // No more input goes to the session: END_DOC processed or aborted.
     bool closed = false;
-    // Refused at admission (kUnavailable/kResourceExhausted): the terminal
-    // ERROR was already sent; later STREAM/END_DOC frames are swallowed.
-    bool shed = false;
+    // END_DOC arrived: the client sends nothing more for this document.
+    bool end_received = false;
+    // The terminal frame was sent (a shed refusal or the sealed session's
+    // DOC_DONE/ERROR); the entry only swallows frames until END_DOC.
+    bool terminal = false;
   };
 
   struct Conn {
     int fd = -1;
     int64_t id = 0;
     FrameDecoder decoder;
-    // Outbound frames not yet handed to the socket; out_bytes is their sum
-    // plus the partial write_buf.
-    std::deque<std::string> out_frames;
-    std::string write_buf;
-    size_t write_pos = 0;
-    size_t out_bytes = 0;
+    // Outbound bytes (whole frames) not yet handed to the socket start at
+    // out_pos.
+    std::string out;
+    size_t out_pos = 0;
+    size_t out_bytes() const { return out.size() - out_pos; }
+    // Documents still waiting for their terminal frame.
+    size_t live_docs = 0;
     bool hello_done = false;
     uint32_t next_handle = 1;
     // Prepared handles: a query is one slot, a population one per distinct
@@ -196,21 +208,21 @@ class NetServer {
   void AcceptNew(int64_t now_ms);
   void CloseConn(Conn* conn, const Status& doc_abort_status);
   void HandleReadable(Conn* conn, int64_t now_ms);
-  void HandleFrame(Conn* conn, const Frame& frame, int64_t now_ms);
+  void HandleFrame(Conn* conn, const Frame& frame);
   void HandleHello(Conn* conn, const Frame& frame);
   void HandlePrepare(Conn* conn, const Frame& frame);
-  void HandleStream(Conn* conn, const Frame& frame, int64_t now_ms);
+  void HandleStream(Conn* conn, const Frame& frame);
   void HandleEndDoc(Conn* conn, const Frame& frame);
   // Sends a connection-level ERROR and schedules the close (flush first).
   void FailConnection(Conn* conn, const Status& status);
-  void SendFrame(Conn* conn, std::string frame);
-  // Moves queued frames into the socket; false on a dead peer.
+  void SendFrame(Conn* conn, const std::string& frame);
+  // Moves buffered output into the socket; false on a dead peer.
   bool FlushWrites(Conn* conn, int64_t now_ms);
-  // Emits terminal frames for every sealed session whose done() flipped.
-  void PumpCompletions(Conn* conn, int64_t now_ms);
+  // Frames the fragments the workers handed off as RESULT frames, and the
+  // terminal frame of every session that was sealed.
+  void PumpResults(Conn* conn);
   void EnforceDeadlines(Conn* conn, int64_t now_ms);
   void BeginDrain(int64_t now_ms);
-  void FeedParsedEvents(Doc* doc, bool force);
   void AbortDoc(Doc* doc, const Status& status);
   void CountDocTerminal(StatusCode code);
 
@@ -220,7 +232,7 @@ class NetServer {
   SessionDirectory* directory_;
 
   int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};
+  std::shared_ptr<WakePipe> wake_;
   uint16_t port_ = 0;
   std::thread thread_;
   std::atomic<bool> running_{false};
@@ -234,6 +246,7 @@ class NetServer {
   size_t docs_in_flight_ = 0;
   int64_t next_conn_id_ = 1;
   int64_t drain_started_ms_ = 0;
+  std::vector<StreamSession::Fragment> fragments_;  // reused by PumpResults
 
   // Meters (owned by the pool registry).
   obs::AtomicCounter* connections_total_ = nullptr;
@@ -250,6 +263,7 @@ class NetServer {
   obs::AtomicCounter* drains_ = nullptr;
   obs::AtomicCounter* docs_by_status_[kStatusCodeCount] = {};
   obs::AtomicHistogram* doc_latency_us_ = nullptr;
+  obs::AtomicHistogram* ttfr_us_ = nullptr;
 };
 
 }  // namespace net

@@ -17,19 +17,28 @@
 //
 //   HELLO(min_ver, max_ver)           → WELCOME(version, max_frame) | ERROR
 //   PREPARE(kind, text)               → PREPARED(handle, slots) | ERROR
-//   STREAM(handle, doc, chunk)*       (chunked document bytes)
-//   END_DOC(handle, doc)              → RESULT(doc, slot, certain, frag)*
+//   STREAM(handle, doc, chunk)*       → RESULT(doc, slot, certain, frag)*
+//   END_DOC(handle, doc)                (as each fragment is decided)
 //                                       then DOC_DONE(doc, certain, total)
 //                                       or ERROR(doc, code, certain, total)
 //   PING(payload)                     → PONG(payload)
 //                                     ← DRAIN()       (server is shutting
 //                                                      down; no new work)
 //
+// Results are progressive: a RESULT frame is sent as soon as its fragment
+// is decided, so RESULT frames may arrive while the document is still
+// streaming (before END_DOC is sent), interleaved with the frames of other
+// documents on the connection.  A client must read while it writes.  The
+// terminal DOC_DONE/ERROR counts exactly the RESULT frames sent for the
+// document (certain ones first within each slot).
+//
 // A document that dies mid-stream — malformed bytes, deadline, resource
 // breach, server drain — still terminates with one structured ERROR frame
 // carrying the Status code and the certain/speculative result counts of the
 // sealed partial (PR5 semantics extended to the wire), preceded by the
 // partial RESULT frames themselves when the connection is still writable.
+// That terminal may precede the document's END_DOC; the server swallows
+// the document's remaining STREAM frames until its END_DOC.
 //
 // The codec layer here is deliberately dumb: framing, field packing and the
 // incremental decoder.  All protocol *state* (handshake order, handle

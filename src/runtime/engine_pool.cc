@@ -31,17 +31,16 @@ StreamSession::StreamSession(EnginePool* pool, int worker,
       worker_(worker),
       slot_template_(std::move(slot_template)),
       flight_(pool->options_.flight_frames),
-      slot_results_(static_cast<size_t>(slot_template_->slot_count())),
-      slot_certain_(static_cast<size_t>(slot_template_->slot_count()), 0) {}
+      outbox_(static_cast<size_t>(slot_template_->slot_count())) {}
 
 const std::vector<std::string>& StreamSession::slot_results(int slot) const {
-  assert(slot >= 0 && slot < static_cast<int>(slot_results_.size()));
-  return slot_results_[static_cast<size_t>(slot)];
+  assert(slot >= 0 && slot < static_cast<int>(outbox_.size()));
+  return outbox_[static_cast<size_t>(slot)].fragments;
 }
 
 int64_t StreamSession::slot_certain_count(int slot) const {
-  assert(slot >= 0 && slot < static_cast<int>(slot_certain_.size()));
-  return slot_certain_[static_cast<size_t>(slot)];
+  assert(slot >= 0 && slot < static_cast<int>(outbox_.size()));
+  return outbox_[static_cast<size_t>(slot)].certain;
 }
 
 void StreamSession::Feed(EventBatch batch) {
@@ -50,12 +49,26 @@ void StreamSession::Feed(EventBatch batch) {
   if (first_feed_ns_.load(std::memory_order_relaxed) == 0) {
     first_feed_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
   }
-  pool_->Submit(worker_,
-                EnginePool::Task{shared_from_this(), std::move(batch), false});
+  EnginePool::Task task;
+  task.session = shared_from_this();
+  task.batch = std::move(batch);
+  pool_->Submit(worker_, std::move(task));
 }
 
 void StreamSession::Feed(std::vector<StreamEvent> events) {
   Feed(std::make_shared<const std::vector<StreamEvent>>(std::move(events)));
+}
+
+void StreamSession::FeedBytes(std::string chunk) {
+  if (closed_.load(std::memory_order_relaxed)) return;
+  if (first_feed_ns_.load(std::memory_order_relaxed) == 0) {
+    first_feed_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
+  }
+  EnginePool::Task task;
+  task.session = shared_from_this();
+  task.kind = EnginePool::Task::kBytes;
+  task.bytes = std::move(chunk);
+  pool_->Submit(worker_, std::move(task));
 }
 
 void StreamSession::OverrideLimits(const EngineLimits& limits) {
@@ -63,9 +76,16 @@ void StreamSession::OverrideLimits(const EngineLimits& limits) {
   has_limits_override_ = true;
 }
 
+void StreamSession::SetReadyCallback(std::function<void()> callback) {
+  on_ready_ = std::move(callback);
+}
+
 void StreamSession::Close() {
   if (closed_.exchange(true, std::memory_order_relaxed)) return;
-  pool_->Submit(worker_, EnginePool::Task{shared_from_this(), nullptr, true});
+  EnginePool::Task task;
+  task.session = shared_from_this();
+  task.kind = EnginePool::Task::kClose;
+  pool_->Submit(worker_, std::move(task));
 }
 
 void StreamSession::Abort(Status status) {
@@ -85,7 +105,21 @@ const std::vector<std::string>& StreamSession::Wait() {
   static const std::vector<std::string> kNoSlots;
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] { return done_; });
-  return slot_results_.empty() ? kNoSlots : slot_results_[0];
+  return outbox_.empty() ? kNoSlots : outbox_[0].fragments;
+}
+
+bool StreamSession::TakeFragments(std::vector<Fragment>* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t slot = 0; slot < outbox_.size(); ++slot) {
+    SlotOutbox& box = outbox_[slot];
+    for (std::string& xml : box.fragments) {
+      out->push_back(Fragment{static_cast<int>(slot), box.taken < box.certain,
+                              std::move(xml)});
+      ++box.taken;
+    }
+    box.fragments.clear();
+  }
+  return done_;
 }
 
 LiveSessionInfo StreamSession::Live() const {
@@ -101,39 +135,38 @@ LiveSessionInfo StreamSession::Live() const {
   return info;
 }
 
-void StreamSession::ProcessBatch(const EventBatch& batch,
-                                 const EngineOptions& base) {
-  if (finished_) return;  // quarantined: the stream's remainder is dropped
-  try {
-    if (engine_ == nullptr) {
-      EngineOptions options = base;
-      // Per-session private symbol table: labels are interned on the worker
-      // as events enter the engine.  A caller-supplied shared table would be
-      // mutated from every worker at once, so it is deliberately dropped.
-      options.symbols = nullptr;
-      if (has_limits_override_) options.limits = limits_override_;
-      // Every pool session is sealable: failure/cancellation must be able
-      // to close the stream virtually whether or not limits are set.
-      options.track_open_elements = true;
-      // Admin-plane capture window: the sink may upgrade this session to
-      // observe=full / profile and will be offered the engine at teardown.
-      if (SessionCaptureSink* sink =
-              pool_->capture_sink_.load(std::memory_order_acquire)) {
-        captured_ = sink->OnSessionStart(worker_, &options);
-      }
-      // Instantiate the shared template — immutable, so a later quarantine
-      // tears down only this instance — with one collector per slot.
-      std::vector<ResultSink*> sinks;
-      for (int slot = 0; slot < slot_template_->slot_count(); ++slot) {
-        sinks_.push_back(std::make_unique<SerializingResultSink>());
-        sinks.push_back(sinks_.back().get());
-      }
-      engine_ = slot_template_->Instantiate(sinks, std::move(options));
-      // Always-on sampling: the engine draws once per delivered batch from
-      // the pool-wide controller (disabled controller = one null-ish
-      // check).
-      engine_->SetBatchSampler(&pool_->sampler_);
-    }
+void StreamSession::BuildEngine(const EngineOptions& base) {
+  EngineOptions options = base;
+  // Per-session private symbol table: labels are interned on the worker
+  // as events enter the engine.  A caller-supplied shared table would be
+  // mutated from every worker at once, so it is deliberately dropped.
+  options.symbols = nullptr;
+  if (has_limits_override_) options.limits = limits_override_;
+  // Every pool session is sealable: failure/cancellation must be able
+  // to close the stream virtually whether or not limits are set.
+  options.track_open_elements = true;
+  // Admin-plane capture window: the sink may upgrade this session to
+  // observe=full / profile and will be offered the engine at teardown.
+  if (SessionCaptureSink* sink =
+          pool_->capture_sink_.load(std::memory_order_acquire)) {
+    captured_ = sink->OnSessionStart(worker_, &options);
+  }
+  // Instantiate the shared template — immutable, so a later quarantine
+  // tears down only this instance — with one collector per slot.
+  std::vector<ResultSink*> sinks;
+  for (int slot = 0; slot < slot_template_->slot_count(); ++slot) {
+    sinks_.push_back(std::make_unique<SerializingResultSink>());
+    sinks.push_back(sinks_.back().get());
+  }
+  engine_ = slot_template_->Instantiate(sinks, std::move(options));
+  // Always-on sampling: the engine draws once per delivered batch from
+  // the pool-wide controller (disabled controller = one null-ish check).
+  engine_->SetBatchSampler(&pool_->sampler_);
+}
+
+void StreamSession::ProcessEvents(const EventBatch& batch,
+                                  const EngineOptions& base) {
+  RunInput(base, [&] {
 #ifndef NDEBUG
     // Batches are shared across sessions whose engines each own a private
     // symbol table — a stamped label would be resolved against the wrong
@@ -162,6 +195,52 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
         engine_->OnEventBatch(events + i, std::min(step, total - i));
       }
     }
+    return Status::Ok();
+  });
+}
+
+void StreamSession::ProcessBytes(const std::string& chunk,
+                                 const EngineOptions& base) {
+  RunInput(base, [&] {
+    if (parser_ == nullptr) {
+      // Built on the worker against the engine's own symbol table, so
+      // labels arrive stamped; parsed events go straight into the engine,
+      // in the engine's delivery batches.
+      XmlParserOptions options = pool_->options_.parser;
+      options.symbols = engine_->symbol_table();
+      options.metrics = nullptr;
+      options.event_batch_size = base.batch_size;
+      parser_ = std::make_unique<XmlParser>(engine_.get(), options);
+    }
+    return parser_->Feed(chunk) ? Status::Ok() : parser_->status();
+  });
+}
+
+void StreamSession::ProcessClose(const EngineOptions& base) {
+  bool aborted = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    aborted = !abort_status_.ok();
+  }
+  // An aborted stream is cut, not ended: no Finish() (which would report
+  // the cut as malformed input and emit </$>).
+  if (parser_ != nullptr && !finished_ && !aborted) {
+    RunInput(base, [&] {
+      return parser_->Finish() ? Status::Ok() : parser_->status();
+    });
+  }
+  Finalize();
+}
+
+void StreamSession::RunInput(const EngineOptions& base,
+                             const std::function<Status()>& input) {
+  if (finished_) return;  // quarantined: the stream's remainder is dropped
+  const int64_t events_before =
+      engine_ != nullptr ? engine_->events_processed() : 0;
+  Status input_status;
+  try {
+    if (engine_ == nullptr) BuildEngine(base);
+    input_status = input();
   } catch (const std::exception& e) {
     // Exception barrier: a bug in this session must not take down the
     // worker (and with it every other session pinned here).
@@ -172,20 +251,25 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
     run_status_ = Status::Internal("exception escaped engine");
     seal_allowed_ = false;
   }
+  // The engine's own breach wins over the input's: it came first (a parser
+  // reports its error only after delivering every event before it).
   if (run_status_.ok() && engine_ != nullptr && !engine_->status().ok()) {
     run_status_ = engine_->status();
   }
+  if (run_status_.ok() && !input_status.ok()) run_status_ = input_status;
   // Publish live telemetry at the batch boundary (the engine is between
   // messages here, so the buffered-occupancy reads are consistent).
   if (engine_ != nullptr) {
+    const int64_t events = engine_->events_processed() - events_before;
     const int64_t results = engine_->result_count();
     const int64_t buffered_events = engine_->buffered_events();
     const int64_t buffered_bytes = engine_->buffered_bytes();
-    live_events_.fetch_add(static_cast<int64_t>(batch->size()),
-                           std::memory_order_relaxed);
+    live_events_.fetch_add(events, std::memory_order_relaxed);
     live_results_.store(results, std::memory_order_relaxed);
     live_buffered_events_.store(buffered_events, std::memory_order_relaxed);
     live_buffered_bytes_.store(buffered_bytes, std::memory_order_relaxed);
+    EnginePool::Worker& worker = *pool_->workers_[static_cast<size_t>(worker_)];
+    worker.events->Increment(events);
     // Flight recorder: one batch-boundary snapshot into the post-mortem
     // ring (same consistency argument as the live telemetry above).
     obs::FlightFrame frame;
@@ -193,14 +277,29 @@ void StreamSession::ProcessBatch(const EventBatch& batch,
     frame.results = results;
     frame.buffered_events = buffered_events;
     frame.buffered_bytes = buffered_bytes;
-    frame.queue_depth =
-        pool_->workers_[static_cast<size_t>(worker_)]->queue_depth->value();
+    frame.queue_depth = worker.queue_depth->value();
     flight_.Record(frame, SteadyNowNs());
+    // After an exception barrier the network's state is suspect: nothing
+    // more is handed off.
+    if (seal_allowed_) HandOff();
   }
   // Quarantine: seal and publish now so Wait()ers are released without
-  // needing a Close() the producer may never send; remaining batches are
+  // needing a Close() the producer may never send; remaining tasks are
   // dropped at the top of this function.
   if (!run_status_.ok()) Finalize();
+}
+
+void StreamSession::HandOff() {
+  bool moved = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t slot = 0; slot < sinks_.size(); ++slot) {
+      SlotOutbox& box = outbox_[slot];
+      moved |= sinks_[slot]->TakeFinished(&box.fragments) > 0;
+      box.certain = engine_->certain_result_count(static_cast<int>(slot));
+    }
+  }
+  if (moved && on_ready_) on_ready_();
 }
 
 void StreamSession::Finalize(const Status& shutdown_fallback) {
@@ -215,10 +314,6 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
     if (status.ok()) status = abort_status_;
   }
   const int slots = slot_template_->slot_count();
-  std::vector<std::vector<std::string>> results(static_cast<size_t>(slots));
-  std::vector<int64_t> certain(static_cast<size_t>(slots), 0);
-  int64_t count = 0;
-  int64_t certain_total = 0;
   bool truncated = false;
   RunStats stats;
   QueryRegistry* registry =
@@ -236,16 +331,11 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
       }
       truncated = engine_->truncated();
       stats = engine_->ComputeStats();
-      for (int slot = 0; slot < slots; ++slot) {
-        const size_t i = static_cast<size_t>(slot);
-        results[i] = sinks_[i]->results();
-        certain[i] = engine_->certain_result_count(slot);
-        count += static_cast<int64_t>(results[i].size());
-        certain_total += certain[i];
-        if (registry != nullptr) {
-          records[i].buffered_events_peak =
-              engine_->output_stats(slot).buffered_events_peak;
-        }
+      // The sealed run decided every candidate: hand off the rest.
+      HandOff();
+      for (size_t i = 0; i < records.size(); ++i) {
+        records[i].buffered_events_peak =
+            engine_->output_stats(static_cast<int>(i)).buffered_events_peak;
       }
     }
     // else: the exception barrier fired — the network's state is suspect,
@@ -298,8 +388,26 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
 
     // The engine (its network, formula nodes, symbol table) was built on
     // this worker thread; destroy it here too, before handing results back.
+    // The parser borrows the engine, so it goes first.
+    parser_.reset();
     engine_.reset();
     sinks_.clear();
+  }
+  std::vector<int64_t> slot_counts(static_cast<size_t>(slots), 0);
+  int64_t count = 0;
+  int64_t certain_total = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < outbox_.size(); ++i) {
+      SlotOutbox& box = outbox_[i];
+      if (!seal_allowed_) {
+        box.fragments.clear();
+        box.certain = 0;
+      }
+      slot_counts[i] = box.taken + static_cast<int64_t>(box.fragments.size());
+      count += slot_counts[i];
+      certain_total += box.certain;
+    }
   }
   // End-to-end latency: first Feed to sealed result, on the worker that
   // owned the run.  Sessions that were never fed observe nothing.
@@ -322,8 +430,7 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
       record.code = status.code();
       record.truncated = truncated;
       record.events = live_events_.load(std::memory_order_relaxed);
-      record.results =
-          static_cast<int64_t>(results[static_cast<size_t>(slot)].size());
+      record.results = slot_counts[static_cast<size_t>(slot)];
       record.feed_to_result_us = feed_us;
       record.limits = has_limits_override_ ? limits_override_
                                            : pool_->options_.engine.limits;
@@ -351,10 +458,12 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
       pool_->sessions_failed_[code]->Increment();
     }
   }
+  // No longer load on its worker; before done_, so a thread returning from
+  // Wait() sees the pin released.
+  pool_->workers_[static_cast<size_t>(worker_)]->unfinished.fetch_sub(
+      1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    slot_results_ = std::move(results);
-    slot_certain_ = std::move(certain);
     result_count_ = count;
     certain_results_ = certain_total;
     truncated_ = truncated;
@@ -363,6 +472,7 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
     done_ = true;
   }
   done_cv_.notify_all();
+  if (on_ready_) on_ready_();
 }
 
 // ---------------------------------------------------------------------------
@@ -469,8 +579,7 @@ EnginePool::~EnginePool() {
 std::shared_ptr<StreamSession> EnginePool::OpenSession(
     std::shared_ptr<const SlotTemplate> slot_template) {
   if (slot_template == nullptr) return nullptr;
-  const int worker = static_cast<int>(
-      next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size());
+  const int worker = PickWorker();
   sessions_opened_->Increment();
   auto session = std::shared_ptr<StreamSession>(
       new StreamSession(this, worker, std::move(slot_template)));
@@ -500,6 +609,29 @@ StatusOr<std::shared_ptr<StreamSession>> EnginePool::OpenSession(
   StatusOr<std::shared_ptr<const QueryTemplate>> t = cache->Get(query_text);
   if (!t.ok()) return t.status();
   return OpenSession(std::move(t).value());
+}
+
+int EnginePool::PickWorker() {
+  // Fewest unfinished sessions; the round-robin counter picks where the
+  // scan starts, so ties rotate.  A racing OpenSession may read a stale
+  // load and pick the same worker — pinning is a heuristic, not a bound.
+  const size_t n = workers_.size();
+  const size_t start = static_cast<size_t>(
+      next_worker_.fetch_add(1, std::memory_order_relaxed) % n);
+  size_t best = start;
+  int64_t best_load =
+      workers_[start]->unfinished.load(std::memory_order_relaxed);
+  for (size_t i = 1; i < n; ++i) {
+    const size_t w = (start + i) % n;
+    const int64_t load =
+        workers_[w]->unfinished.load(std::memory_order_relaxed);
+    if (load < best_load) {
+      best = w;
+      best_load = load;
+    }
+  }
+  workers_[best]->unfinished.fetch_add(1, std::memory_order_relaxed);
+  return static_cast<int>(best);
 }
 
 void EnginePool::Submit(int worker_index, Task task) {
@@ -538,12 +670,12 @@ void EnginePool::WorkerLoop(int index) {
     }
     worker.not_full.notify_one();
     worker.queue_wait_us->Observe((SteadyNowNs() - task.enqueue_ns) / 1000);
-    if (task.close) {
+    if (task.kind == Task::kClose) {
       // Count the close task before Finalize releases Wait()ers: a thread
       // that has returned from Wait() on every session must observe
       // batches_submitted == batches_completed.
       batches_completed_->Increment();
-      task.session->Finalize();
+      task.session->ProcessClose(options_.engine);
       for (size_t i = 0; i < worker.active.size(); ++i) {
         if (worker.active[i] == task.session) {
           worker.active[i] = worker.active.back();
@@ -555,9 +687,14 @@ void EnginePool::WorkerLoop(int index) {
       if (options_.before_batch) options_.before_batch(index);
       const bool first =
           task.session->engine_ == nullptr && !task.session->finished_;
-      task.session->ProcessBatch(task.batch, options_.engine);
-      // A quarantined session needs no teardown at shutdown (ProcessBatch
-      // already finalized it); keep `active` to sessions with live engines.
+      if (task.kind == Task::kBytes) {
+        task.session->ProcessBytes(task.bytes, options_.engine);
+      } else {
+        task.session->ProcessEvents(task.batch, options_.engine);
+      }
+      // A quarantined session needs no teardown at shutdown (the input
+      // task already finalized it); keep `active` to sessions with live
+      // engines.
       if (first && !task.session->finished_) {
         worker.active.push_back(task.session);
       } else if (!first && task.session->finished_) {
@@ -569,7 +706,6 @@ void EnginePool::WorkerLoop(int index) {
           }
         }
       }
-      worker.events->Increment(static_cast<int64_t>(task.batch->size()));
       batches_completed_->Increment();
     }
   }

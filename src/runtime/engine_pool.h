@@ -12,15 +12,24 @@
 // verify it).
 //
 // Data flow:
-//   * OpenSession(template) pins a session to a worker (round-robin).
-//   * Feed(batch) enqueues a shared, immutable slice of document events
-//     onto the pinned worker's queue.  The queue is bounded: when the
-//     worker falls behind, Feed blocks — backpressure, not unbounded
-//     buffering.  Batches of one session are processed in submission
-//     order by one worker, so per-session results come back in document
-//     order, byte-for-byte identical to a single-threaded run.
+//   * OpenSession(template) pins a session to the worker with the fewest
+//     unfinished sessions (ties broken round-robin).
+//   * FeedBytes(chunk) enqueues raw XML bytes onto the pinned worker's
+//     queue; the worker parses them with the session's own XmlParser,
+//     stamped with the engine's symbol table, straight into the engine.
+//     Feed(batch) enqueues a shared, immutable slice of already parsed
+//     events instead, for callers that fan one parse out to many sessions.
+//     The queue is bounded: when the worker falls behind, feeding blocks —
+//     backpressure, not unbounded buffering.  Tasks of one session are
+//     processed in submission order by one worker, so per-session results
+//     come back in document order, byte-for-byte identical to a
+//     single-threaded run.
+//   * At every batch boundary the worker hands each slot's newly finished
+//     fragments to the session; TakeFragments() drains them progressively
+//     (the wire server), with a ready callback to wake the drainer.
 //   * Close() marks the end of input; Wait() blocks until the worker has
-//     processed everything and returns the serialized result fragments.
+//     processed everything and returns the serialized result fragments
+//     nobody took.
 //
 // Event batches are shared const vectors so one parsed document can fan
 // out to many sessions (many queries) without copying.  They must carry
@@ -53,6 +62,7 @@
 #include "obs/sampling_profiler.h"
 #include "runtime/query_cache.h"
 #include "spex/engine.h"
+#include "xml/xml_parser.h"
 
 namespace spex {
 
@@ -112,6 +122,11 @@ struct PoolOptions {
   // Flight-recorder ring size per session (batch-boundary snapshots kept
   // for post-mortem dumps).
   size_t flight_frames = 32;
+  // Parser bounds of byte-fed sessions (StreamSession::FeedBytes): max_depth,
+  // max_text_bytes and the data-model switches.  Each session's parser is
+  // built on its worker; the pool sets `symbols` (the engine's table),
+  // `metrics` (none) and `event_batch_size` (engine.batch_size).
+  XmlParserOptions parser;
 };
 
 // One document stream evaluated against one compiled template on one pool
@@ -120,6 +135,13 @@ struct PoolOptions {
 // Created by EnginePool::OpenSession; thread-safe for a single
 // producer (Feed/Close/Abort from one thread at a time) plus any number of
 // Wait()ers.  Sessions must be Close()d and must not outlive the pool.
+//
+// Hand-off (one path for every session): after every batch the worker moves
+// each slot's longest prefix of finished fragments, in Begin order, out of
+// its result sink into the session.  A drainer takes them with
+// TakeFragments() while the document still streams; whatever nobody took
+// is what Wait() and slot_results() return, so a session nobody drains
+// reports exactly what a single-threaded run collects.
 //
 // Failure model (DESIGN.md §10): a session whose engine fails — governor
 // breach, parser-injected garbage tripping a limit, or an exception escaping
@@ -141,6 +163,23 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   void Feed(EventBatch batch);
   // Convenience: wraps a by-value event vector into a shared batch.
   void Feed(std::vector<StreamEvent> events);
+
+  // Byte-fed input: enqueues a chunk of XML (possibly empty) on the pinned
+  // worker, which parses it with the session's own XmlParser
+  // (PoolOptions::parser) straight into the engine.  Close() runs the
+  // parser's Finish(); an Abort()ed session skips it.  A parse error or
+  // parser-limit breach quarantines the session like an engine breach:
+  // status() is the parser's status, every event parsed before the error
+  // was consumed, and the certain prefix is sealed as for any failure.  A
+  // session is fed either bytes or event batches, not both.
+  void FeedBytes(std::string chunk);
+
+  // Wake-up for a TakeFragments drainer: invoked on the worker thread, with
+  // no session lock held, after a batch handed fragments off and once the
+  // session is sealed.  Must be thread-safe and must not depend on the
+  // drainer still existing (workers seal aborted sessions after it is
+  // gone).  Set before the first Feed (published like OverrideLimits).
+  void SetReadyCallback(std::function<void()> callback);
 
   // Per-session limit override, replacing PoolOptions::engine.limits for
   // this session only (per-request deadlines, chaos injection).  Must be
@@ -166,16 +205,25 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   // slot 0's serialized result fragments in document order (all of a
   // single-query session's results).  On a failed or truncated session
   // these are the structured partials: the first slot_certain_count(0)
-  // fragments are exact, the rest speculative.
+  // fragments are exact, the rest speculative.  Fragments taken by
+  // TakeFragments are not returned again.
   const std::vector<std::string>& Wait();
 
-  // True once the worker has sealed and published the run — Wait() is then
-  // guaranteed not to block.  Lets an event-loop server (src/net) poll for
-  // completion instead of parking a thread per session.
-  bool done() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return done_;
-  }
+  // One serialized result fragment handed off by the worker.
+  struct Fragment {
+    int slot = 0;
+    // Exact under any continuation: true until the run fails; afterwards
+    // the sealed run's certain prefix (certain_result_count semantics).
+    bool certain = true;
+    std::string xml;
+  };
+  // Moves every fragment handed off since the last call to the back of
+  // *out (slots ascending, each in document order); the session keeps no
+  // copy.  Returns true once the session is sealed: every fragment has then
+  // been handed off, and status() is valid.  After an exception barrier
+  // nothing more is handed off.  Call from one drainer thread; do not mix
+  // with reading slot_results() concurrently.
+  bool TakeFragments(std::vector<Fragment>* out);
 
   // Valid after Wait() returned: kOk, or the first failure that poisoned
   // the session (engine breach, Abort status, pool shutdown kCancelled).
@@ -185,14 +233,16 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   // Valid after Wait(): true when the run was sealed before end-of-stream.
   bool truncated() const { return truncated_; }
 
-  // Valid after Wait() returned: results summed over the slots.
+  // Valid after Wait() returned: results handed off (taken or not), summed
+  // over the slots.
   int64_t result_count() const { return result_count_; }
   const RunStats& stats() const { return stats_; }
 
   // Result slots of the session's template (1 for a single query; a
   // population's sorted-canonical slots).
   int slot_count() const { return slot_template_->slot_count(); }
-  // Valid after Wait(): serialized fragments of `slot`, document order.
+  // Valid after Wait(): serialized fragments of `slot` nobody took,
+  // document order.
   const std::vector<std::string>& slot_results(int slot) const;
   // Valid after Wait(): the certain prefix length of `slot`'s results.
   int64_t slot_certain_count(int slot) const;
@@ -217,12 +267,24 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   StreamSession(EnginePool* pool, int worker,
                 std::shared_ptr<const SlotTemplate> slot_template);
 
-  // Worker-side: lazily builds the engine (first batch), feeds events,
-  // captures results + stats and destroys the engine (close task).  Only
-  // the pinned worker thread touches engine_/sinks_.  Detects engine failure
-  // after the batch and quarantines (finalizes early); exceptions escaping
-  // the network are caught and become kInternal.
-  void ProcessBatch(const EventBatch& batch, const EngineOptions& base);
+  // Worker-side input tasks.  Only the pinned worker thread touches
+  // engine_/parser_/sinks_.  Each input runs under the exception barrier
+  // (an exception escaping the network becomes kInternal), then through
+  // the one post-batch path: failure detection, live telemetry, flight
+  // recorder, hand-off, and quarantine (finalizing early) on failure.
+  void ProcessEvents(const EventBatch& batch, const EngineOptions& base);
+  void ProcessBytes(const std::string& chunk, const EngineOptions& base);
+  // Close task: a byte-fed session that was not aborted finishes its
+  // parser first; then the run is sealed.
+  void ProcessClose(const EngineOptions& base);
+  // `input` feeds the engine (built on first use) and returns the input's
+  // own failure (a parse error), if any.
+  void RunInput(const EngineOptions& base,
+                const std::function<Status()>& input);
+  void BuildEngine(const EngineOptions& base);
+  // Moves every slot's finished fragment prefix into outbox_ and wakes the
+  // drainer when any moved.
+  void HandOff();
   // Seals + publishes the run; idempotent.  `shutdown_fallback` is applied
   // only when the stream is incomplete and nothing else failed (the pool
   // destructor's drain passes kCancelled; everything else passes kOk).
@@ -243,10 +305,14 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   // engine construction (ordered by the task queue's mutex).
   EngineLimits limits_override_;
   bool has_limits_override_ = false;
+  std::function<void()> on_ready_;
 
-  // Worker-thread-only run state: the engine and one sink per slot.
+  // Worker-thread-only run state: the engine, one sink per slot and, for a
+  // byte-fed session, the parser feeding the engine (declared after the
+  // engine: it borrows the engine and its symbol table).
   std::vector<std::unique_ptr<SerializingResultSink>> sinks_;
   std::unique_ptr<RunCore> engine_;
+  std::unique_ptr<XmlParser> parser_;
   // True when the capture sink upgraded this session's engine options
   // (worker-thread-only); Finalize then offers the engine back to the sink
   // before teardown.
@@ -278,7 +344,14 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   std::atomic<int> live_state_{LiveSessionInfo::kStreaming};
   std::atomic<int> live_status_code_{static_cast<int>(StatusCode::kOk)};
 
-  // Completion handshake and captured outputs.
+  // Fragments of one slot handed off by the worker.
+  struct SlotOutbox {
+    std::vector<std::string> fragments;  // not yet taken, document order
+    int64_t taken = 0;    // fragments TakeFragments moved out (they precede)
+    int64_t certain = 0;  // certain prefix length over taken + fragments
+  };
+
+  // Completion handshake, hand-off and captured outputs.
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
   bool done_ = false;
@@ -288,11 +361,9 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   int64_t certain_results_ = 0;
   bool truncated_ = false;
   RunStats stats_;
-  // Per-slot serialized results + certain prefix lengths, harvested at
-  // Finalize (sized slot_count at construction, so the accessors are safe
-  // even for sessions that were never fed).
-  std::vector<std::vector<std::string>> slot_results_;
-  std::vector<int64_t> slot_certain_;
+  // One per slot (sized at construction, so the accessors are safe even
+  // for sessions that were never fed).
+  std::vector<SlotOutbox> outbox_;
 };
 
 class EnginePool {
@@ -306,12 +377,13 @@ class EnginePool {
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
-  // Pins a new session for `slot_template` to a worker (round-robin).  A
-  // population template (subscription mode, DESIGN.md §14) evaluates one
-  // document stream against the whole standing population on a merged
-  // shared DAG — one delivery sweep per event batch, per-slot result
-  // collectors.  Every slot's canonical text is interned with the query
-  // registry, and Finalize reports one QueryRunRecord per slot.
+  // Pins a new session for `slot_template` to the worker with the fewest
+  // unfinished sessions (ties broken round-robin).  A population template
+  // (subscription mode, DESIGN.md §14) evaluates one document stream
+  // against the whole standing population on a merged shared DAG — one
+  // delivery sweep per event batch, per-slot result collectors.  Every
+  // slot's canonical text is interned with the query registry, and Finalize
+  // reports one QueryRunRecord per slot.
   std::shared_ptr<StreamSession> OpenSession(
       std::shared_ptr<const SlotTemplate> slot_template);
   // Convenience: resolves the query text through `cache` first.  Null (and
@@ -370,9 +442,11 @@ class EnginePool {
   friend class StreamSession;
 
   struct Task {
+    enum Kind : uint8_t { kEvents, kBytes, kClose };
     std::shared_ptr<StreamSession> session;
-    StreamSession::EventBatch batch;  // null for a close task
-    bool close = false;
+    Kind kind = kEvents;
+    StreamSession::EventBatch batch;  // kEvents
+    std::string bytes;                // kBytes
     int64_t enqueue_ns = 0;  // steady-clock stamp at Submit
   };
 
@@ -389,10 +463,14 @@ class EnginePool {
     obs::AtomicHistogram* feed_to_result_us = nullptr;
     // Sessions whose engine is live on this worker; worker-thread-only.
     std::vector<std::shared_ptr<StreamSession>> active;
+    // Sessions pinned here and not yet finalized: the pinning load.
+    std::atomic<int64_t> unfinished{0};
   };
 
   // Blocks while the worker's queue is full (backpressure).
   void Submit(int worker, Task task);
+  // Least-loaded worker for a new session (counts it as unfinished there).
+  int PickWorker();
   void WorkerLoop(int index);
 
   PoolOptions options_;

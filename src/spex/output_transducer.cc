@@ -1,8 +1,7 @@
 #include "spex/output_transducer.h"
 
 #include <cassert>
-
-#include "xml/xml_writer.h"
+#include <utility>
 
 namespace spex {
 
@@ -61,24 +60,43 @@ void CollectingResultSink::OnResultEnd(int64_t id) {
 }
 
 void SerializingResultSink::OnResultBegin(int64_t id) {
-  collector_.OnResultBegin(id);
-  open_.emplace_back(id, begun_++);
+  open_.push_back(OpenFragment{id, begun_++, XmlWriter()});
   results_.emplace_back();
 }
 
 void SerializingResultSink::OnResultEvent(const StreamEvent& event) {
-  collector_.OnResultEvent(event);
+  for (OpenFragment& fragment : open_) fragment.writer.OnEvent(event);
 }
 
 void SerializingResultSink::OnReplayedResultEvent(int64_t id,
                                                   const StreamEvent& event) {
-  collector_.OnReplayedResultEvent(id, event);
+  Find(id).writer.OnEvent(event);
 }
 
 void SerializingResultSink::OnResultEnd(int64_t id) {
-  size_t idx = TakeOpenIndex(&open_, id);
-  results_[idx] = EventsToXml(collector_.results()[idx]);
-  collector_.OnResultEnd(id);
+  OpenFragment& fragment = Find(id);
+  results_[fragment.index - taken_] = fragment.writer.Release();
+  open_.erase(open_.begin() + (&fragment - open_.data()));
+}
+
+size_t SerializingResultSink::TakeFinished(std::vector<std::string>* out) {
+  // open_ is in Begin order, so its front bounds the finished prefix.
+  const size_t end = open_.empty() ? begun_ : open_.front().index;
+  const size_t count = end - taken_;
+  for (size_t i = 0; i < count; ++i) out->push_back(std::move(results_[i]));
+  results_.erase(results_.begin(),
+                 results_.begin() + static_cast<ptrdiff_t>(count));
+  taken_ = end;
+  return count;
+}
+
+SerializingResultSink::OpenFragment& SerializingResultSink::Find(int64_t id) {
+  // Searched from the back: fragments close mostly LIFO.
+  for (size_t i = open_.size(); i > 0; --i) {
+    if (open_[i - 1].id == id) return open_[i - 1];
+  }
+  assert(false && "unknown result id");
+  return open_.back();
 }
 
 OutputTransducer::OutputTransducer(ResultSink* sink, RunContext* context)

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "spex/transducer.h"
+#include "xml/xml_writer.h"
 
 namespace spex {
 
@@ -89,19 +90,34 @@ class CollectingResultSink : public ResultSink {
 };
 
 // Serializes each result fragment to an XML string, in Begin order.
+// Incremental: every open fragment has its own XmlWriter (a live event is
+// written to each open one, a replayed event to its target only), so a
+// finished fragment is one string and no result event is kept.
 class SerializingResultSink : public ResultSink {
  public:
   void OnResultBegin(int64_t id) override;
   void OnResultEvent(const StreamEvent& event) override;
   void OnReplayedResultEvent(int64_t id, const StreamEvent& event) override;
   void OnResultEnd(int64_t id) override;
-  // Complete only after every fragment closed (end of stream).
+  // Fragments in Begin order, minus the prefix TakeFinished moved out; a
+  // fragment's entry stays empty until it closes, so the vector is complete
+  // only after every fragment closed (end of stream).
   const std::vector<std::string>& results() const { return results_; }
+  // Moves the longest prefix of finished fragments (Begin order) to the back
+  // of *out and forgets it; returns how many moved.
+  size_t TakeFinished(std::vector<std::string>* out);
 
  private:
-  CollectingResultSink collector_;
+  struct OpenFragment {
+    int64_t id = 0;
+    size_t index = 0;  // Begin-order position over every fragment so far
+    XmlWriter writer;
+  };
+  OpenFragment& Find(int64_t id);
+
   std::vector<std::string> results_;
-  std::vector<std::pair<int64_t, size_t>> open_;
+  std::vector<OpenFragment> open_;  // Begin order
+  size_t taken_ = 0;                // fragments moved out by TakeFinished
   size_t begun_ = 0;
 };
 

@@ -1,8 +1,16 @@
 #include "xml/xml_writer.h"
 
+#include <utility>
+
 namespace spex {
 
 XmlWriter::XmlWriter(XmlWriterOptions options) : options_(options) {}
+
+std::string XmlWriter::Release() {
+  std::string out = std::move(out_);
+  Clear();
+  return out;
+}
 
 void XmlWriter::Clear() {
   out_.clear();

@@ -34,6 +34,8 @@ class XmlWriter : public EventSink {
   // most recent start tag may still be open ("<a" without '>') until the
   // next non-attribute event decides that no attributes follow.
   const std::string& str() const { return out_; }
+  // Moves the serialization out and resets the writer (as Clear()).
+  std::string Release();
   void Clear();
 
   // Escapes '<', '>', '&' in character data.

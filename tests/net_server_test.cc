@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include "base/status.h"
 #include "baseline/dom_evaluator.h"
 #include "net/chaos_proxy.h"
@@ -84,9 +86,10 @@ std::vector<std::string> OracleFor(const Expr& query,
 
 // Events the server's per-document parser produced for a byte prefix —
 // reproduced locally with the same parser configuration.
-std::vector<StreamEvent> EventsForPrefix(const std::string& prefix) {
+std::vector<StreamEvent> EventsForPrefix(const std::string& prefix,
+                                         XmlParserOptions options = {}) {
   RecordingEventSink sink;
-  XmlParser parser(&sink);
+  XmlParser parser(&sink, options);
   parser.Feed(prefix);
   return sink.events();
 }
@@ -109,9 +112,11 @@ struct Stack {
 
   explicit Stack(NetServerOptions options = {}, int threads = 2,
                  std::function<void(int)> before_batch = nullptr,
-                 SessionDirectory* directory = nullptr) {
+                 SessionDirectory* directory = nullptr,
+                 XmlParserOptions parser = {}) {
     pool_options.threads = threads;
     pool_options.before_batch = std::move(before_batch);
+    pool_options.parser = parser;
     pool = std::make_unique<EnginePool>(pool_options);
     cache = std::make_unique<CompiledQueryCache>(64);
     server = std::make_unique<NetServer>(pool.get(), cache.get(), options,
@@ -338,6 +343,179 @@ TEST(NetServer, ParseFailurePoisonsOnlyThatDocument) {
   EXPECT_EQ(good.total,
             DomEvaluateToStrings(*MustParseRpeq("_*.b"), std::string(kDoc))
                 .size());
+}
+
+// A document that failed mid-stream keeps a terminal entry until its
+// END_DOC: the rest of its frames are swallowed, not served as a new
+// document with the same id (which would send RESULT frames and a second
+// terminal for a document the client was told had failed).
+TEST(NetServer, FailedDocumentSwallowsItsRemainingFrames) {
+  Stack stack;
+  SpexClient client(ClientOptions{.io_timeout_ms = 500});
+  { Status c = client.Connect("127.0.0.1", stack.server->port()); ASSERT_TRUE(c.ok()) << c.ToString(); }
+  uint32_t handle = 0;
+  ASSERT_TRUE(
+      client.Prepare("_*.b", PrepareFrame::kQuery, &handle, nullptr).ok());
+  ASSERT_TRUE(client.SendChunk(handle, 1, "<doc><a></wrong>").ok());
+  DocOutcome failed = client.Collect(1);  // terminal before END_DOC
+  ASSERT_TRUE(failed.terminal_frame);
+  EXPECT_EQ(failed.status.code(), StatusCode::kMalformedInput)
+      << failed.status.ToString();
+  EXPECT_EQ(failed.total, 0u);
+
+  ASSERT_TRUE(client.SendChunk(handle, 1, "<b>x</b></a></doc>").ok());
+  ASSERT_TRUE(client.SendEndDoc(handle, 1).ok());
+  // A later document on the connection orders after anything doc 1 could
+  // still produce.
+  DocOutcome good = client.StreamDocument(handle, 2, kDoc);
+  ASSERT_TRUE(good.status.ok()) << good.status.ToString();
+  DocOutcome again = client.Collect(1);
+  EXPECT_EQ(again.status.code(), StatusCode::kDeadlineExceeded)
+      << again.status.ToString();
+  EXPECT_TRUE(again.results.empty());
+  EXPECT_FALSE(again.terminal_frame);
+
+  const obs::MetricsSnapshot snap = stack.pool->metrics().Collect();
+  EXPECT_EQ(snap.Value("spex_pool_sessions_opened"), 2);
+}
+
+// Progressive emission over the wire: a RESULT frame arrives while the
+// document is still streaming (END_DOC not sent yet).
+TEST(NetServer, ResultArrivesBeforeEndDoc) {
+  Stack stack;
+  SpexClient client(ClientOptions{.io_timeout_ms = 5000});
+  { Status c = client.Connect("127.0.0.1", stack.server->port()); ASSERT_TRUE(c.ok()) << c.ToString(); }
+  uint32_t handle = 0;
+  ASSERT_TRUE(
+      client.Prepare("_*.b", PrepareFrame::kQuery, &handle, nullptr).ok());
+  const std::string doc(kDoc);
+  const size_t half = doc.size() / 2;
+  ASSERT_TRUE(client.SendChunk(handle, 1, doc.substr(0, half)).ok());
+  OwnedFrame frame;
+  Status got = client.ReadFrame(&frame);
+  ASSERT_TRUE(got.ok()) << got.ToString();
+  ASSERT_EQ(frame.type, FrameType::kResult);
+  ResultFrame first;
+  ASSERT_TRUE(first.Parse(frame.payload).ok());
+  EXPECT_EQ(first.doc_id, 1u);
+  EXPECT_EQ(first.certain, 1);
+
+  ASSERT_TRUE(client.SendChunk(handle, 1, doc.substr(half)).ok());
+  ASSERT_TRUE(client.SendEndDoc(handle, 1).ok());
+  DocOutcome rest = client.Collect(1);
+  ASSERT_TRUE(rest.status.ok()) << rest.status.ToString();
+  std::vector<std::string> all = {std::string(first.fragment)};
+  for (const ClientResult& r : rest.results) all.push_back(r.fragment);
+  EXPECT_EQ(all, DomEvaluateToStrings(*MustParseRpeq("_*.b"), doc));
+  EXPECT_EQ(rest.total, all.size());
+  EXPECT_EQ(rest.certain, all.size());
+}
+
+// The client reads while it writes: a result stream far larger than the
+// server's write cap (and than small socket buffers) cannot deadlock it.
+TEST(NetServer, LargeResultStreamDoesNotDeadlockClient) {
+  NetServerOptions options;
+  options.max_write_buffer_bytes = 64 * 1024;
+  Stack stack(options);
+  std::string doc = "<doc>";
+  for (int i = 0; i < 6000; ++i) {
+    doc += "<a><b>" + std::string(100, 'x') + std::to_string(i) +
+           "</b><c>y</c></a>";
+  }
+  doc += "</doc>";
+  const std::vector<std::string> oracle =
+      DomEvaluateToStrings(*MustParseRpeq("_*._"), doc);
+  size_t result_bytes = 0;
+  for (const std::string& r : oracle) result_bytes += r.size();
+  ASSERT_GT(result_bytes, 16 * options.max_write_buffer_bytes);
+
+  SpexClient client(ClientOptions{.chunk_bytes = 16 * 1024});
+  { Status c = client.Connect("127.0.0.1", stack.server->port()); ASSERT_TRUE(c.ok()) << c.ToString(); }
+  const int small = 16 * 1024;
+  setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &small, sizeof(small));
+  setsockopt(client.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+  uint32_t handle = 0;
+  ASSERT_TRUE(
+      client.Prepare("_*._", PrepareFrame::kQuery, &handle, nullptr).ok());
+  DocOutcome outcome = client.StreamDocument(handle, 1, doc);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  std::vector<std::string> got;
+  for (const ClientResult& r : outcome.results) got.push_back(r.fragment);
+  EXPECT_TRUE(got == oracle);
+  EXPECT_EQ(outcome.total, oracle.size());
+}
+
+// Parser limits apply on the worker: a document breaching max_depth over
+// the wire ends in exactly one ERROR kResourceExhausted whose certain
+// fragments are results of the accepted prefix.
+TEST(NetServer, ParserDepthLimitOnWorkerEndsInOneError) {
+  XmlParserOptions parser;
+  parser.max_depth = 4;
+  Stack stack(NetServerOptions{}, 2, nullptr, nullptr, parser);
+  SpexClient client(ClientOptions{.chunk_bytes = 8});
+  { Status c = client.Connect("127.0.0.1", stack.server->port()); ASSERT_TRUE(c.ok()) << c.ToString(); }
+  uint32_t handle = 0;
+  ASSERT_TRUE(
+      client.Prepare("_*.b", PrepareFrame::kQuery, &handle, nullptr).ok());
+  const std::string deep =
+      "<doc><a><b>one</b></a><a><b><c><d><e>deep</e></d></c></b></a>"
+      "<a><b>after</b></a></doc>";
+  DocOutcome outcome = client.StreamDocument(handle, 1, deep);
+  ASSERT_TRUE(outcome.terminal_frame);
+  EXPECT_EQ(outcome.status.code(), StatusCode::kResourceExhausted)
+      << outcome.status.ToString();
+  EXPECT_EQ(outcome.total, outcome.results.size());
+  EXPECT_GE(outcome.certain, 1u);
+  const std::vector<std::string> oracle =
+      OracleFor(*MustParseRpeq("_*.b"), EventsForPrefix(deep, parser));
+  uint64_t certain = 0;
+  for (const ClientResult& r : outcome.results) {
+    if (!r.certain) continue;
+    ++certain;
+    EXPECT_NE(std::find(oracle.begin(), oracle.end(), r.fragment),
+              oracle.end())
+        << r.fragment;
+  }
+  EXPECT_EQ(certain, outcome.certain);
+  // No second terminal or stray RESULT for the document: the next frame
+  // after the swallowed remainder is the PONG.
+  EXPECT_TRUE(client.Ping().ok());
+  const obs::MetricsSnapshot snap = stack.pool->metrics().Collect();
+  int64_t terminals = 0;
+  for (const obs::MetricSample& sample : snap.samples) {
+    if (sample.name == "spex_net_docs_total") terminals += sample.value;
+  }
+  EXPECT_EQ(terminals, 1);
+}
+
+// spex_net_ttfr_us: observed once per document with results, never above
+// the document's latency; a document without results records nothing.
+TEST(NetServer, TtfrMetricCoversDocumentsWithResults) {
+  Stack stack;
+  SpexClient client;
+  { Status c = client.Connect("127.0.0.1", stack.server->port()); ASSERT_TRUE(c.ok()) << c.ToString(); }
+  uint32_t handle = 0;
+  ASSERT_TRUE(
+      client.Prepare("_*.b", PrepareFrame::kQuery, &handle, nullptr).ok());
+  ASSERT_TRUE(client.StreamDocument(handle, 1, kDoc).status.ok());
+  obs::MetricsSnapshot snap = stack.pool->metrics().Collect();
+  const obs::MetricSample* ttfr = snap.Find("spex_net_ttfr_us");
+  const obs::MetricSample* latency = snap.Find("spex_net_doc_latency_us");
+  ASSERT_NE(ttfr, nullptr);
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(ttfr->count, 1);
+  EXPECT_EQ(latency->count, 1);
+  EXPECT_LE(ttfr->sum, latency->sum);
+
+  uint32_t none = 0;
+  ASSERT_TRUE(
+      client.Prepare("_*.zzz", PrepareFrame::kQuery, &none, nullptr).ok());
+  DocOutcome empty = client.StreamDocument(none, 2, kDoc);
+  ASSERT_TRUE(empty.status.ok()) << empty.status.ToString();
+  EXPECT_EQ(empty.total, 0u);
+  snap = stack.pool->metrics().Collect();
+  EXPECT_EQ(snap.Find("spex_net_ttfr_us")->count, 1);
+  EXPECT_EQ(snap.Find("spex_net_doc_latency_us")->count, 2);
 }
 
 TEST(NetServer, UnknownHandleIsDocScopedInvalidArgument) {

@@ -5,7 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "rpeq/parser.h"
+#include "spex/engine.h"
 #include "test_util.h"
+#include "xml/generators.h"
+#include "xml/xml_parser.h"
+#include "xml/xml_writer.h"
 
 namespace spex {
 namespace {
@@ -178,6 +187,93 @@ TEST_F(OutputTransducerTest, PastConditionCandidateNeverBuffers) {
   Send(Close("a"));
   EXPECT_EQ(ou_.output_stats().buffered_events_peak, 0);
   EXPECT_EQ(collector_.results().size(), 1u);
+}
+
+// Forwards every sink call to several sinks.
+class TeeSink : public ResultSink {
+ public:
+  explicit TeeSink(std::vector<ResultSink*> sinks) : sinks_(std::move(sinks)) {}
+  void OnResultBegin(int64_t id) override {
+    for (ResultSink* s : sinks_) s->OnResultBegin(id);
+  }
+  void OnResultEvent(const StreamEvent& event) override {
+    for (ResultSink* s : sinks_) s->OnResultEvent(event);
+  }
+  void OnReplayedResultEvent(int64_t id, const StreamEvent& event) override {
+    for (ResultSink* s : sinks_) s->OnReplayedResultEvent(id, event);
+  }
+  void OnResultEnd(int64_t id) override {
+    for (ResultSink* s : sinks_) s->OnResultEnd(id);
+  }
+
+ private:
+  std::vector<ResultSink*> sinks_;
+};
+
+// The incremental SerializingResultSink is byte-identical to serializing
+// the collected events of each fragment, and TakeFinished (called after
+// every event) hands out exactly those fragments in Begin order: §VI
+// generators, nested queries, both output orders, attribute folding.
+TEST(SerializingResultSinkTest, IncrementalMatchesCollectedEvents) {
+  struct Case {
+    std::string name;
+    std::vector<StreamEvent> events;
+    std::vector<std::string> queries;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"mondial", GenerateToVector([](EventSink* sink) {
+                     GenerateMondialLike(7, 0.02, sink);
+                   }),
+                   {"_*.country[province].name", "_*._", "_*.province._*"}});
+  cases.push_back({"wordnet", GenerateToVector([](EventSink* sink) {
+                     GenerateWordnetLike(7, 0.002, sink);
+                   }),
+                   {"_*.Noun[wordForm].gloss", "_*._", "_*.Noun._*"}});
+  cases.push_back({"dmoz", GenerateToVector([](EventSink* sink) {
+                     GenerateDmozLike(7, 0.0005, true, sink);
+                   }),
+                   {"_*.Topic[link].Title", "_*._", "_*.Topic._*"}});
+  {
+    XmlParserOptions attrs;
+    attrs.expose_attributes = true;
+    std::vector<StreamEvent> events;
+    ASSERT_TRUE(ParseXmlToEvents(
+                    "<a id=\"1\"><a x=\"&lt;2\"><b k=\"v\">t</b></a>"
+                    "<b><a id=\"3\"/></b></a>",
+                    &events, attrs)
+                    .ok());
+    cases.push_back({"attributes", events, {"_*._", "_*.a._*", "_*.a[b]"}});
+  }
+
+  for (const Case& c : cases) {
+    for (const std::string& q : c.queries) {
+      for (OutputOrder order :
+           {OutputOrder::kDocumentStart, OutputOrder::kDetermination}) {
+        SCOPED_TRACE(c.name + " " + q);
+        CollectingResultSink collected;
+        SerializingResultSink serialized;
+        SerializingResultSink taken_sink;
+        TeeSink tee({&collected, &serialized, &taken_sink});
+        EngineOptions options;
+        options.output_order = order;
+        SpexEngine engine(*MustParseRpeq(q), &tee, options);
+        std::vector<std::string> taken;
+        for (const StreamEvent& e : c.events) {
+          engine.OnEvent(e);
+          taken_sink.TakeFinished(&taken);
+        }
+        ASSERT_TRUE(engine.status().ok());
+        std::vector<std::string> expected;
+        for (const auto& fragment : collected.results()) {
+          expected.push_back(EventsToXml(fragment));
+        }
+        EXPECT_FALSE(expected.empty());
+        EXPECT_EQ(serialized.results(), expected);
+        EXPECT_EQ(taken, expected);
+        EXPECT_TRUE(taken_sink.results().empty());
+      }
+    }
+  }
 }
 
 }  // namespace

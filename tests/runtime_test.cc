@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "spex/engine.h"
 #include "xml/generators.h"
 #include "xml/xml_parser.h"
+#include "xml/xml_writer.h"
 
 namespace spex {
 namespace {
@@ -474,6 +479,278 @@ TEST(EnginePoolTest, ShutdownCancelsIncompleteStreams) {
   EXPECT_TRUE(session->truncated());
   EXPECT_EQ(session->result_count(), 1);  // the virtually sealed <b>
   EXPECT_EQ(session->certain_result_count(), 0);
+}
+
+// Least-loaded pinning: a worker that still holds an unfinished session is
+// not picked while another worker is idle (round-robin would put C next to
+// A here).
+TEST(EnginePoolTest, PinsToLeastLoadedWorker) {
+  PoolOptions options;
+  options.threads = 2;
+  EnginePool pool(options);
+  std::string error;
+  auto t = QueryTemplate::Build(*MustParseRpeq("a.b"), &error);
+  ASSERT_NE(t, nullptr) << error;
+  auto a = pool.OpenSession(t);
+  auto b = pool.OpenSession(t);
+  EXPECT_NE(a->worker(), b->worker());
+  b->Close();
+  b->Wait();
+  auto c = pool.OpenSession(t);
+  EXPECT_NE(c->worker(), a->worker());
+  a->Close();
+  c->Close();
+  a->Wait();
+  c->Wait();
+}
+
+// Fragments a drainer took, per slot, in the order taken.
+struct Drained {
+  std::vector<std::vector<std::string>> slots;
+  bool all_certain = true;
+  size_t before_close = 0;  // fragments taken before Close() was sent
+};
+
+// Byte-feeds `xml` in `chunk`-byte pieces, draining with TakeFragments as
+// it goes, then closes and drains until sealed.
+Drained FeedBytesAndDrain(StreamSession* session, const std::string& xml,
+                          size_t chunk) {
+  Drained out;
+  out.slots.resize(static_cast<size_t>(session->slot_count()));
+  std::vector<StreamSession::Fragment> taken;
+  auto take = [&] {
+    taken.clear();
+    const bool sealed = session->TakeFragments(&taken);
+    for (StreamSession::Fragment& f : taken) {
+      out.all_certain &= f.certain;
+      out.slots[static_cast<size_t>(f.slot)].push_back(std::move(f.xml));
+    }
+    return sealed;
+  };
+  for (size_t begin = 0; begin < xml.size(); begin += chunk) {
+    session->FeedBytes(xml.substr(begin, chunk));
+    take();
+  }
+  for (const auto& slot : out.slots) out.before_close += slot.size();
+  session->Close();
+  while (!take()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return out;
+}
+
+// One hand-off path: a byte-fed session (the worker parses) returns exactly
+// what an event-fed one does, whether nobody drains it (Wait/slot_results)
+// or a drainer takes every fragment as it is handed off — for single
+// queries and a population, both output orders, engine batches 1/7/64 and
+// byte chunks from 1 to the whole document.
+TEST(EnginePoolTest, ByteFedSessionsMatchEventFedDrainedOrNot) {
+  const std::vector<std::string> queries = {"_*.a[b].c", "_*._", "a._*.c",
+                                            "_*.b"};
+  std::vector<std::string> docs;
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    docs.push_back(EventsToXml(Doc(seed)));
+  }
+  CompiledQueryCache cache(16);
+  std::vector<std::shared_ptr<const SlotTemplate>> templates;
+  for (const std::string& q : queries) {
+    templates.push_back(cache.Get(q).value());
+  }
+  templates.push_back(cache.GetMulti(queries).value());
+
+  for (OutputOrder order :
+       {OutputOrder::kDocumentStart, OutputOrder::kDetermination}) {
+    for (int batch : {1, 7, 64}) {
+      PoolOptions options;
+      options.threads = 2;
+      options.engine.batch_size = batch;
+      options.engine.output_order = order;
+      EnginePool pool(options);
+      for (const std::string& xml : docs) {
+        std::vector<StreamEvent> events;
+        ASSERT_TRUE(ParseXmlToEvents(xml, &events));
+        for (const auto& t : templates) {
+          SCOPED_TRACE(t->label() + " batch " + std::to_string(batch));
+          auto by_events = pool.OpenSession(t);
+          by_events->Feed(events);
+          by_events->Close();
+          by_events->Wait();
+
+          auto by_bytes = pool.OpenSession(t);
+          for (size_t begin = 0; begin < xml.size(); begin += 5) {
+            by_bytes->FeedBytes(xml.substr(begin, 5));
+          }
+          by_bytes->Close();
+          by_bytes->Wait();
+          EXPECT_TRUE(by_bytes->status().ok()) << by_bytes->status().ToString();
+          EXPECT_EQ(by_bytes->result_count(), by_events->result_count());
+          for (int slot = 0; slot < t->slot_count(); ++slot) {
+            EXPECT_EQ(by_bytes->slot_results(slot),
+                      by_events->slot_results(slot));
+            EXPECT_EQ(by_bytes->slot_certain_count(slot),
+                      by_events->slot_certain_count(slot));
+          }
+
+          for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, xml.size()}) {
+            auto drained = pool.OpenSession(t);
+            const Drained got = FeedBytesAndDrain(drained.get(), xml, chunk);
+            EXPECT_TRUE(drained->status().ok());
+            EXPECT_TRUE(got.all_certain);
+            for (int slot = 0; slot < t->slot_count(); ++slot) {
+              EXPECT_EQ(got.slots[static_cast<size_t>(slot)],
+                        by_events->slot_results(slot))
+                  << "chunk " << chunk;
+              EXPECT_TRUE(drained->slot_results(slot).empty());
+            }
+            EXPECT_EQ(drained->result_count(), by_events->result_count());
+          }
+        }
+      }
+    }
+  }
+}
+
+// Fragments are handed off while the document still streams: a drainer
+// sees the first fragment before the session is closed.
+TEST(EnginePoolTest, FragmentsHandedOffBeforeEndOfStream) {
+  PoolOptions options;
+  EnginePool pool(options);
+  CompiledQueryCache cache(4);
+  auto session = pool.OpenSession(cache.Get("_*.b").value());
+  // The callback may run after this test's frame is gone (the worker wakes
+  // once more at seal), so it owns what it touches.
+  struct Signal {
+    std::mutex mu;
+    std::condition_variable cv;
+    int wakes = 0;
+  };
+  auto signal = std::make_shared<Signal>();
+  session->SetReadyCallback([signal] {
+    std::lock_guard<std::mutex> lock(signal->mu);
+    ++signal->wakes;
+    signal->cv.notify_all();
+  });
+  session->FeedBytes("<a><b>early</b><c>");
+  std::vector<StreamSession::Fragment> taken;
+  {
+    std::unique_lock<std::mutex> lock(signal->mu);
+    ASSERT_TRUE(signal->cv.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return signal->wakes > 0; }));
+  }
+  EXPECT_FALSE(session->TakeFragments(&taken));
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].xml, "<b>early</b>");
+  EXPECT_TRUE(taken[0].certain);
+  session->FeedBytes("</c><b>late</b></a>");
+  session->Close();
+  session->Wait();
+  taken.clear();
+  EXPECT_TRUE(session->TakeFragments(&taken));
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].xml, "<b>late</b>");
+  EXPECT_EQ(session->result_count(), 2);
+  EXPECT_EQ(session->certain_result_count(), 2);
+}
+
+// A parse error on the worker seals the session exactly as an Abort with
+// the parser's status after feeding the parsed prefix; a parser limit is
+// kResourceExhausted; an aborted byte-fed session never runs Finish().
+TEST(EnginePoolTest, ByteFedParseFailuresSealLikeAbort) {
+  CompiledQueryCache cache(4);
+  auto t = cache.Get("a.b").value();
+  const std::string bad = "<a><b></b><b><c></wrong>";
+
+  PoolOptions options;
+  EnginePool pool(options);
+  auto by_bytes = pool.OpenSession(t);
+  by_bytes->FeedBytes(bad);
+  by_bytes->Close();
+  const std::vector<std::string> got = by_bytes->Wait();
+
+  std::vector<StreamEvent> prefix;
+  const Status parse = ParseXmlToEvents(bad, &prefix, XmlParserOptions{});
+  ASSERT_EQ(parse.code(), StatusCode::kMalformedInput);
+  auto by_events = pool.OpenSession(t);
+  by_events->Feed(prefix);
+  by_events->Abort(parse);
+  EXPECT_EQ(got, by_events->Wait());
+  EXPECT_EQ(by_bytes->status().code(), StatusCode::kMalformedInput);
+  EXPECT_EQ(by_bytes->status().message(), parse.message());
+  EXPECT_EQ(by_bytes->certain_result_count(),
+            by_events->certain_result_count());
+  EXPECT_EQ(by_bytes->certain_result_count(), 1);
+  EXPECT_TRUE(by_bytes->truncated());
+
+  PoolOptions limited;
+  limited.parser.max_depth = 2;
+  EnginePool limited_pool(limited);
+  auto deep = limited_pool.OpenSession(t);
+  deep->FeedBytes("<a><b></b><b><c>x</c></b></a>");
+  deep->Close();
+  deep->Wait();
+  EXPECT_EQ(deep->status().code(), StatusCode::kResourceExhausted)
+      << deep->status().ToString();
+  EXPECT_EQ(deep->certain_result_count(), 1);
+
+  auto cut = pool.OpenSession(t);
+  cut->FeedBytes("<a><b></b>");
+  cut->Abort(Status::Cancelled("client closed mid-document"));
+  EXPECT_EQ(cut->Wait(), std::vector<std::string>{"<b></b>"});
+  EXPECT_EQ(cut->status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(cut->certain_result_count(), 1);
+}
+
+// After the exception barrier nothing more is handed off; fragments taken
+// before it stay taken, and a session nobody drained reports no results
+// (its partials are discarded, as before the hand-off existed).
+TEST(EnginePoolTest, ExceptionBarrierStopsHandOff) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 20; ++i) xml += "<a><b>" + std::to_string(i) + "</b></a>";
+  xml += "</r>";
+  std::vector<StreamEvent> events;
+  ASSERT_TRUE(ParseXmlToEvents(xml, &events));
+
+  PoolOptions options;
+  options.engine.progress.every_events = 1;
+  options.engine.progress.callback = [](const Watermark& w) {
+    if (w.events >= 60) throw std::runtime_error("injected");
+  };
+  EnginePool pool(options);
+  CompiledQueryCache cache(4);
+  auto t = cache.Get("_*.b").value();
+
+  auto drained = pool.OpenSession(t);
+  auto undrained = pool.OpenSession(t);
+  for (StreamSession* s : {drained.get(), undrained.get()}) {
+    for (size_t begin = 0; begin < 50; begin += 10) {
+      s->Feed(std::vector<StreamEvent>(events.begin() + begin,
+                                       events.begin() + begin + 10));
+    }
+  }
+  std::vector<StreamSession::Fragment> before;
+  while (before.empty()) {
+    drained->TakeFragments(&before);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (StreamSession* s : {drained.get(), undrained.get()}) {
+    s->Feed(std::vector<StreamEvent>(events.begin() + 50, events.end()));
+    s->Close();
+  }
+  std::vector<StreamSession::Fragment> after;
+  while (!drained->TakeFragments(&after)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(drained->status().code(), StatusCode::kInternal);
+  for (const auto& f : before) EXPECT_TRUE(f.certain);
+  // Only what the last hand-off before the failing batch already moved
+  // may still arrive; no later fragment does.
+  EXPECT_LE(before.size() + after.size(), 10u);
+  EXPECT_TRUE(drained->Wait().empty());
+  EXPECT_EQ(drained->result_count(),
+            static_cast<int64_t>(before.size() + after.size()));
+
+  EXPECT_TRUE(undrained->Wait().empty());
+  EXPECT_EQ(undrained->status().code(), StatusCode::kInternal);
+  EXPECT_EQ(undrained->result_count(), 0);
+  EXPECT_EQ(undrained->certain_result_count(), 0);
 }
 
 TEST(QueryCacheTest, StatusOverloadClassifiesParseErrors) {

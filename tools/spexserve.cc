@@ -169,11 +169,16 @@ struct Options {
   int64_t slow_ms = 0;
   int64_t slow_delay_ms = 0;
   int sampling_period = 256;
-  // Parser bounds (0 = unlimited).  The defaults keep an adversarial
-  // document from exhausting the parser while far exceeding anything a
-  // legitimate stream carries.
-  int max_depth = 10000;
-  size_t max_text_bytes = 16u << 20;
+  // Parser bounds (max_depth, max_text_bytes; 0 = unlimited), for the
+  // directory/frames parse and the TCP tier's worker-side parse alike.  The
+  // defaults keep an adversarial document from exhausting the parser while
+  // far exceeding anything a legitimate stream carries.
+  spex::XmlParserOptions parser = [] {
+    spex::XmlParserOptions bounds;
+    bounds.max_depth = 10000;
+    bounds.max_text_bytes = 16u << 20;
+    return bounds;
+  }();
   // Per-session engine limits (0 = off).
   spex::EngineLimits limits;
   // Deterministic chaos injection (--chaos=SEED).
@@ -336,6 +341,7 @@ class Server {
           pool_options.engine.limits = options.limits;
           pool_options.engine.batch_size = options.engine_batch;
           pool_options.sampling_period = options.sampling_period;
+          pool_options.parser = options.parser;
           if (options.chaos) {
             // Seeded worker stalls: one deterministic draw per batch (the
             // corruption/truncation/limit faults are planned per session in
@@ -485,8 +491,6 @@ class Server {
     net_options.max_connections = options_.net_max_connections;
     net_options.max_docs_in_flight = options_.net_max_docs;
     net_options.drain_grace_ms = options_.net_drain_grace_ms;
-    net_options.parser.max_depth = options_.max_depth;
-    net_options.parser.max_text_bytes = options_.max_text_bytes;
     net_options.session_limits = options_.limits;
     spex::net::NetServer net(
         &pool_, &cache_, net_options,
@@ -556,12 +560,9 @@ class Server {
         doc = &mutated;
       }
     }
-    spex::XmlParserOptions parser_options;
-    parser_options.max_depth = options_.max_depth;
-    parser_options.max_text_bytes = options_.max_text_bytes;
     std::vector<spex::StreamEvent> events;
     const spex::Status parse_status =
-        spex::ParseXmlToEvents(*doc, &events, parser_options);
+        spex::ParseXmlToEvents(*doc, &events, options_.parser);
     if (!parse_status.ok()) {
       LogWarn("document parse failed, serving continues",
               {{"document", name},
@@ -794,9 +795,9 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       if (!spex::obs::ParseLogLevel(v, &level)) return false;
       spex::obs::Logger::Global().SetLevel(level);
     } else if (const char* v = value("--max-depth=")) {
-      options->max_depth = std::atoi(v);
+      options->parser.max_depth = std::atoi(v);
     } else if (const char* v = value("--max-text=")) {
-      options->max_text_bytes = static_cast<size_t>(std::atoll(v));
+      options->parser.max_text_bytes = static_cast<size_t>(std::atoll(v));
     } else if (const char* v = value("--max-buffered-bytes=")) {
       options->limits.max_buffered_bytes = std::atoll(v);
     } else if (const char* v = value("--max-formula-bytes=")) {
