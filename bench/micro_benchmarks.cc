@@ -356,8 +356,8 @@ const char* ObserveName() {
 }
 
 // Feeds the stream in EngineOptions::batch_size chunks, exactly as XmlParser
-// delivers in production (DESIGN.md §11); the engine takes the batched
-// network path for batchable queries and falls back per-event otherwise.
+// delivers in production (DESIGN.md §11); the engine sweeps whole batches
+// through condition-free networks and one event per sweep otherwise.
 void FeedStream(SpexEngine* engine, const std::vector<StreamEvent>& events,
                 int batch_size) {
   const size_t step = batch_size > 1 ? static_cast<size_t>(batch_size) : 1;
@@ -393,8 +393,8 @@ Record RunWorkload(const Workload& w) {
   options.profile = g_profile;
 
   // One process-wide sampler (as EnginePool holds one) so --sampling prices
-  // the production wiring: relaxed-load draw per batch, instrumented path on
-  // the stride.
+  // the production wiring: relaxed-load draw per batch, timed sweeps on the
+  // stride.
   static obs::SamplingProfiler sampler(
       obs::SamplingProfiler::Options{g_sampling});
 

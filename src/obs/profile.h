@@ -4,13 +4,11 @@
 // Two pieces:
 //
 //  * ProfileAccumulator — an allocation-free per-node time accumulator fed
-//    by the network's per-delivery hooks (the same hooks observe=full uses
-//    for Chrome-trace spans).  Delivery is synchronous and depth-first, so
-//    an inclusive delivery time covers all downstream work it triggered; the
-//    accumulator keeps a frame stack of child times and attributes each
-//    delivery's *exclusive* (self) time to its node.  Self times partition
-//    the instrumented wall time, which is what makes per-node time shares
-//    sum to 100% by construction.
+//    by the network's sweep (the same per-node-call clock pair observe=full
+//    uses for Chrome-trace spans).  Node calls of a sweep never nest, so a
+//    call's time is its node's self time; self times partition the
+//    instrumented wall time, which is what makes per-node time shares sum
+//    to 100% by construction.
 //
 //  * ProfileReport — the post-run (or mid-run) attribution result: one row
 //    per network node carrying the node's query provenance (the rpeq
@@ -34,22 +32,19 @@
 namespace spex {
 namespace obs {
 
-// Accumulates per-node delivery counts and self/inclusive times.  All state
-// is preallocated at construction (node count is fixed once a network is
-// compiled); Enter/Leave never allocate in steady state.
+// Accumulates per-node delivery counts and self times.  All state is
+// preallocated at construction (node count is fixed once a network is
+// compiled); Record never allocates.
 class ProfileAccumulator {
  public:
   struct NodeCost {
-    int64_t deliveries = 0;
-    int64_t self_ns = 0;   // exclusive: inclusive minus nested deliveries
-    int64_t total_ns = 0;  // inclusive per delivery (overlaps across nodes)
+    int64_t deliveries = 0;  // messages handed to the node
+    int64_t self_ns = 0;
   };
 
   explicit ProfileAccumulator(int node_count)
       : origin_(std::chrono::steady_clock::now()),
-        nodes_(static_cast<size_t>(node_count)) {
-    frames_.reserve(64);
-  }
+        nodes_(static_cast<size_t>(node_count)) {}
 
   ProfileAccumulator(const ProfileAccumulator&) = delete;
   ProfileAccumulator& operator=(const ProfileAccumulator&) = delete;
@@ -62,19 +57,11 @@ class ProfileAccumulator {
         .count();
   }
 
-  // Bracket one message delivery; nesting follows the depth-first delivery
-  // order.  Leave() attributes `end - start` minus the nested deliveries'
-  // time to `node`.
-  void Enter() { frames_.push_back(0); }
-  void Leave(int node, int64_t start_ns, int64_t end_ns) {
-    const int64_t inclusive = end_ns - start_ns;
-    const int64_t child_ns = frames_.back();
-    frames_.pop_back();
+  // One timed node call of the sweep: `messages` deliveries in `ns`.
+  void Record(int node, int64_t messages, int64_t ns) {
     NodeCost& cost = nodes_[static_cast<size_t>(node)];
-    ++cost.deliveries;
-    cost.self_ns += inclusive - child_ns;
-    cost.total_ns += inclusive;
-    if (!frames_.empty()) frames_.back() += inclusive;
+    cost.deliveries += messages;
+    cost.self_ns += ns;
   }
 
   const std::vector<NodeCost>& nodes() const { return nodes_; }
@@ -88,7 +75,6 @@ class ProfileAccumulator {
  private:
   std::chrono::steady_clock::time_point origin_;
   std::vector<NodeCost> nodes_;
-  std::vector<int64_t> frames_;  // open deliveries' accumulated child time
 };
 
 // One network node's attribution row.
@@ -103,6 +89,8 @@ struct ProfileNode {
   int64_t messages_in = 0;
   int64_t messages_out = 0;
   int64_t self_ns = 0;
+  // Time of the node's calls.  Sweep calls never nest, so this equals
+  // self_ns; the field keeps the JSON report's shape.
   int64_t total_ns = 0;
   double time_share = 0;  // self_ns / total_self_ns; shares sum to ~1
   int64_t depth_stack_peak = 0;

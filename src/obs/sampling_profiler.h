@@ -1,16 +1,17 @@
 // Always-on statistical sampling profiler (DESIGN.md §13).
 //
 // The full EXPLAIN/PROFILE instrumentation (obs/profile.h) brackets every
-// message delivery with clock reads — precise, but a multiple of the
-// observe=off cost, so serving runs leave it off and attribution goes dark.
-// This controller closes the gap with batch-granular sampling: engines that
-// hold a SamplingProfiler draw once per delivered event batch, and only a
-// sampled batch (1 of every `period`) takes the instrumented per-message
-// Deliver path with a private ProfileAccumulator.  Per-node self-time
-// *shares* estimated from sampled batches converge on the full profile's
-// shares (batches are drawn on a fixed stride, so every phase of a stream is
-// represented), while the cost is the instrumentation tax divided by the
-// period — ≤2% at the default period of 64, proven by the bench gate.
+// node call of the network's sweep with clock reads — precise, but a
+// multiple of the observe=off cost, so serving runs leave it off and
+// attribution goes dark.  This controller closes the gap with batch-granular
+// sampling: engines that hold a SamplingProfiler draw once per delivered
+// event batch, and only a sampled batch (1 of every `period`) has the node
+// calls of its sweeps timed into a private ProfileAccumulator — the same
+// sweeps an unsampled batch takes.  Per-node self-time *shares* estimated
+// from sampled batches converge on the full profile's shares (batches are
+// drawn on a fixed stride, so every phase of a stream is represented),
+// while the cost is the instrumentation tax divided by the period, gated at
+// ≤2% by the bench (see Options::period for the default).
 //
 // The "ticker" is a deterministic stride, not a wall-clock thread: each
 // worker thread counts the batches it delivers and samples every Nth one.
@@ -62,7 +63,7 @@ class SamplingProfiler {
   }
 
   // One draw per delivered event batch.  True on the sampling stride: the
-  // caller routes that batch through the instrumented delivery path.
+  // caller times that batch's sweeps.
   bool ShouldSample() {
     const int period = period_.load(std::memory_order_relaxed);
     if (period <= 0) return false;

@@ -8,10 +8,10 @@
 //
 // Track model: pid is always 1; each tid is one track.  The SPEX engine maps
 // tid 0 to the document stream (one span per document message, covering the
-// whole synchronous delivery round) and tid i+1 to network node i (one span
-// per message delivery, naturally nested inside the enclosing round because
-// delivery is depth-first).  Track display names are registered with
-// SetTrackName and exported as thread_name metadata.
+// whole sweep of its round) and tid i+1 to network node i (one span per node
+// call of the sweep, inside the enclosing round's span).  Track display
+// names are registered with SetTrackName and exported as thread_name
+// metadata.
 //
 // Multi-worker runs (the engine pool): each worker's recorder stamps its
 // worker index into the tid space via SetTidBase(worker * kWorkerTidStride),

@@ -529,8 +529,8 @@ EnginePool::EnginePool(PoolOptions options)
   backpressure_waits_ =
       metrics_.AddAtomicCounter("spex_pool_backpressure_waits");
   metrics_.SetHelp("spex_pool_sampled_batches",
-                   "Event batches routed through the sampling profiler's "
-                   "instrumented delivery path.");
+                   "Event batches whose sweeps the sampling profiler "
+                   "timed.");
   metrics_.AddCallbackCounter("spex_pool_sampled_batches", {},
                               [this] { return sampler_.sampled_batches(); });
   // Which SIMD scanning backend the parser's runtime dispatch resolved —

@@ -115,8 +115,8 @@ struct PoolOptions {
   // injector that plugs in here).  Must be thread-safe.
   std::function<void(int worker)> before_batch;
   // Always-on sampling profiler (DESIGN.md §13): 1 of every
-  // `sampling_period` delivered event batches takes the instrumented
-  // delivery path and folds per-node self-times into the query registry.
+  // `sampling_period` delivered event batches has its sweeps timed and
+  // folds per-node self-times into the query registry.
   // <= 0 disables sampling.
   int sampling_period = 256;
   // Flight-recorder ring size per session (batch-boundary snapshots kept

@@ -24,8 +24,7 @@ bool ChildTransducer::Matches(const Message& m) const {
                                : m.event().name == label_;
 }
 
-template <typename Out>
-void ChildTransducer::Process(Message&& message, Out* out) {
+void ChildTransducer::Process(Message&& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       switch (state_) {
@@ -155,20 +154,9 @@ void ChildTransducer::Process(Message&& message, Out* out) {
   EmitTo(out, 0, std::move(message));
 }
 
-void ChildTransducer::OnMessage(int port, Message message, Emitter* out) {
+void ChildTransducer::ProcessBatch(int port, Message* messages, size_t count,
+                                   BatchEmitter* out) {
   (void)port;
-  CountIn(message);
-  Process(std::move(message), out);
-  FinishMessage();
-}
-
-void ChildTransducer::OnBatch(int port, Message* messages, size_t count,
-                              BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  NoteBatchIn(messages, count);
   for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
 }
 

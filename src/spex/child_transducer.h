@@ -20,10 +20,6 @@ class ChildTransducer : public Transducer {
   // `label` is the label to select; `wildcard` makes it match any element.
   ChildTransducer(std::string label, bool wildcard, RunContext* context);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
-
   // Exposed for white-box tests.
   enum class State : uint8_t { kWaiting, kMatching, kActivated1, kActivated2 };
   State state() const { return state_; }
@@ -31,9 +27,10 @@ class ChildTransducer : public Transducer {
   size_t condition_stack_size() const { return cond_.size(); }
 
  private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
   bool Matches(const Message& m) const;
-  template <typename Out>
-  void Process(Message&& message, Out* out);
+  void Process(Message&& message, BatchEmitter* out);
 
   std::string label_;
   bool wildcard_;

@@ -21,8 +21,7 @@ bool ClosureTransducer::Matches(const Message& m) const {
                                : m.event().name == label_;
 }
 
-template <typename Out>
-void ClosureTransducer::Process(Message&& message, Out* out) {
+void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       switch (state_) {
@@ -159,20 +158,9 @@ void ClosureTransducer::Process(Message&& message, Out* out) {
   EmitTo(out, 0, std::move(message));
 }
 
-void ClosureTransducer::OnMessage(int port, Message message, Emitter* out) {
+void ClosureTransducer::ProcessBatch(int port, Message* messages, size_t count,
+                                     BatchEmitter* out) {
   (void)port;
-  CountIn(message);
-  Process(std::move(message), out);
-  FinishMessage();
-}
-
-void ClosureTransducer::OnBatch(int port, Message* messages, size_t count,
-                                BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  NoteBatchIn(messages, count);
   for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
 }
 

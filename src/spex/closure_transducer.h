@@ -21,19 +21,16 @@ class ClosureTransducer : public Transducer {
  public:
   ClosureTransducer(std::string label, bool wildcard, RunContext* context);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
-
   enum class State : uint8_t { kWaiting, kMatching, kActivated1, kActivated2 };
   State state() const { return state_; }
   size_t depth_stack_size() const { return depth_.size(); }
   size_t condition_stack_size() const { return cond_.size(); }
 
  private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
   bool Matches(const Message& m) const;
-  template <typename Out>
-  void Process(Message&& message, Out* out);
+  void Process(Message&& message, BatchEmitter* out);
 
   std::string label_;
   bool wildcard_;

@@ -45,9 +45,9 @@ class NetworkBuilder {
   OutputTransducer* AddOutput(int in_tape, ResultSink* sink,
                               const Expr* prov = nullptr);
 
-  // True while everything built so far is safe for Network::DeliverBatch:
-  // no qualifier sandwich (VC/VD) or preceding-axis transducer (PR) — the
-  // only creators of condition variables, and exactly the nodes that draw a
+  // True while everything built so far is safe for whole-batch sweeps: no
+  // qualifier sandwich (VC/VD) or preceding-axis transducer (PR) — the only
+  // creators of condition variables, and exactly the nodes that draw a
   // qualifier id — was added, so no transducer reads or writes the global
   // assignment mid-round (see CompiledNetwork::batchable).
   bool batchable() const { return next_qualifier_id_ == 0; }
@@ -71,11 +71,12 @@ struct CompiledNetwork {
   Network network;
   int input_node = -1;                 // the IN transducer (inject here)
   OutputTransducer* output = nullptr;  // owned by `network`
-  // True when the network is provably safe for Network::DeliverBatch: it
-  // creates no condition variables (no VC/VD/PR nodes), so no transducer
-  // reads or writes the global assignment mid-round and every node's output
-  // is a function of its per-tape input sequences alone (DESIGN.md §11).
-  // Qualifier and preceding-axis queries keep per-event delivery.
+  // True when the network may sweep a whole event batch at once: it creates
+  // no condition variables (no VC/VD/PR nodes), so no transducer reads or
+  // writes the global assignment mid-round and every node's output is a
+  // function of its per-tape input sequences alone (DESIGN.md §11).
+  // Qualifier and preceding-axis queries sweep one event (one round) at a
+  // time.
   bool batchable = false;
 };
 

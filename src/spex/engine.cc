@@ -30,8 +30,8 @@ std::unique_ptr<RunCore> QueryTemplate::Instantiate(
 namespace {
 
 // Shared body of the one-shot helpers: evaluates into a `Sink`, feeding at
-// the configured granularity (1 = per event), which also routes every
-// helper-driven test through the batch path on batchable queries.
+// the configured granularity (1 = per event), which also sweeps whole
+// batches through batchable queries in every helper-driven test.
 template <typename Sink>
 auto Evaluate(const Expr& query, const std::vector<StreamEvent>& events,
               EngineOptions options) {

@@ -4,8 +4,7 @@ namespace spex {
 
 InputTransducer::InputTransducer() : Transducer("IN") {}
 
-template <typename Out>
-void InputTransducer::Process(Message&& message, Out* out) {
+void InputTransducer::Process(Message&& message, BatchEmitter* out) {
   if (!activated_ && message.is_document() &&
       message.event_kind == EventKind::kStartDocument) {
     Fire(1);
@@ -15,25 +14,14 @@ void InputTransducer::Process(Message&& message, Out* out) {
   EmitTo(out, 0, std::move(message));
 }
 
-void InputTransducer::OnMessage(int port, Message message, Emitter* out) {
+void InputTransducer::ProcessBatch(int port, Message* messages, size_t count,
+                                   BatchEmitter* out) {
   (void)port;
-  CountIn(message);
-  Process(std::move(message), out);
-  FinishMessage();
-}
-
-void InputTransducer::OnBatch(int port, Message* messages, size_t count,
-                              BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  NoteBatchIn(messages, count);
   if (activated_) [[likely]] {
     // Steady state: IN forwards everything unchanged.  O(1) per batch — the
-    // whole input vector becomes the deferred run (swapped downstream).
+    // input range becomes the deferred run (swapped downstream whole).
     stats_.messages_out += static_cast<int64_t>(count);
-    out->ForwardAll(0);
+    out->Forward(0, messages, count);
     return;
   }
   for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);

@@ -1,9 +1,7 @@
 // Input transducer IN (paper §III.2): the source of a SPEX network.
 //
 // Sends an activation message carrying the formula `true` on the start
-// document message, then forwards every document message unchanged.  The
-// engine feeds one document message at a time, preserving the paper's
-// invariant that a single message travels the network at any time.
+// document message, then forwards every document message unchanged.
 
 #ifndef SPEX_SPEX_INPUT_TRANSDUCER_H_
 #define SPEX_SPEX_INPUT_TRANSDUCER_H_
@@ -16,13 +14,10 @@ class InputTransducer : public Transducer {
  public:
   InputTransducer();
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
-
  private:
-  template <typename Out>
-  void Process(Message&& message, Out* out);
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
+  void Process(Message&& message, BatchEmitter* out);
 
   bool activated_ = false;
 };

@@ -6,23 +6,9 @@ namespace spex {
 
 IntersectTransducer::IntersectTransducer() : Transducer("IS") {}
 
-void IntersectTransducer::OnMessage(int port, Message message, Emitter* out) {
-  CountIn(message);
+void IntersectTransducer::ProcessBatch(int port, Message* messages,
+                                       size_t count, BatchEmitter* out) {
   assert(port == 0 || port == 1);
-  if (message.is_document()) ++buffered_docs_[port];
-  queues_[port].push_back(std::move(message));
-  Drain(out);
-  FinishMessage();
-}
-
-void IntersectTransducer::OnBatch(int port, Message* messages, size_t count,
-                                  BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  assert(port == 0 || port == 1);
-  NoteBatchIn(messages, count);
   for (size_t i = 0; i < count; ++i) {
     if (messages[i].is_document()) ++buffered_docs_[port];
     queues_[port].push_back(std::move(messages[i]));
@@ -30,8 +16,7 @@ void IntersectTransducer::OnBatch(int port, Message* messages, size_t count,
   Drain(out);
 }
 
-template <typename Out>
-void IntersectTransducer::Drain(Out* out) {
+void IntersectTransducer::Drain(BatchEmitter* out) {
   // A round completes when the document message is present on both inputs
   // (splits upstream guarantee it eventually is).
   for (;;) {

@@ -22,18 +22,16 @@ class IntersectTransducer : public Transducer {
  public:
   IntersectTransducer();
 
-  void OnMessage(int port, Message message, Emitter* out) override;
+ private:
   // Bulk enqueue followed by a single drain; Drain processes whole rounds,
   // so its output depends only on the two input sequences (DESIGN.md §11).
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
 
- private:
   // Buffers one round's messages per input until the document message
   // arrived on both sides, then emits [f1 AND f2] (if both activated)
   // followed by the document message.
-  template <typename Out>
-  void Drain(Out* out);
+  void Drain(BatchEmitter* out);
 
   std::deque<Message> queues_[2];
   // Document messages currently buffered per side: Drain makes progress iff

@@ -43,11 +43,7 @@ void Network::SetConsumer(int tape, int node, int in_port) {
 
 void Network::SetTraceRecorder(obs::TraceRecorder* recorder) {
   trace_recorder_ = recorder;
-  if (recorder != nullptr) {
-    kind_name_ids_[0] = recorder->InternName("document");
-    kind_name_ids_[1] = recorder->InternName("activation");
-    kind_name_ids_[2] = recorder->InternName("determination");
-  }
+  if (recorder != nullptr) span_name_id_ = recorder->InternName("deliver");
   instrumented_ = trace_recorder_ != nullptr || profiler_ != nullptr;
 }
 
@@ -61,75 +57,79 @@ void Network::SetProvenance(int node, SourceSpan span, std::string fragment) {
   nodes_[node].provenance.fragment = std::move(fragment);
 }
 
-void Network::Deliver(int node, int in_port, Message message) {
-  SPEX_DCHECK_THREAD(affinity_, "spex::Network");
-  NodeEmitter emitter(this, node);
-  if (!instrumented_) [[likely]] {
-    nodes_[node].transducer->OnMessage(in_port, std::move(message), &emitter);
-    return;
+void Network::AssignBuffers() {
+  std::vector<int> released;  // colours free for reuse, most recent last
+  int colours = 0;
+  auto take = [&] {
+    if (released.empty()) return colours++;
+    const int colour = released.back();
+    released.pop_back();
+    return colour;
+  };
+  for (int id = 0; id < node_count(); ++id) {
+    Node& node = nodes_[id];
+    // An input port 0 that no earlier node writes is an injection point.
+    if (node.in_buffers[0] == -1) node.in_buffers[0] = take();
+    for (int port = 0; port < 2; ++port) {
+      const int tape = node.out_tapes[port];
+      if (tape == -1 || tapes_[tape].consumer_node == -1) continue;
+      const Tape& t = tapes_[tape];
+      // The compiler adds nodes in topological order, which is what lets
+      // one ascending sweep drain every pending buffer.
+      assert(t.consumer_node > id && "network not in topological order");
+      node.out_buffers[port] = take();
+      nodes_[t.consumer_node].in_buffers[t.consumer_port] =
+          node.out_buffers[port];
+    }
+    // The intervals ending here are closed: release after the outputs took
+    // their colours.
+    for (int colour : node.in_buffers) {
+      if (colour != -1) released.push_back(colour);
+    }
   }
-  // Instrumented path: one pair of clock reads shared by the trace span and
-  // the profiler bracket (the profiler only uses differences, so either
-  // clock origin works).
-  const int kind = static_cast<int>(message.kind);
-  const int64_t start = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
-                                                   : profiler_->NowNs();
-  if (profiler_ != nullptr) profiler_->Enter();
-  nodes_[node].transducer->OnMessage(in_port, std::move(message), &emitter);
-  const int64_t end = trace_recorder_ != nullptr ? trace_recorder_->NowNs()
-                                                 : profiler_->NowNs();
-  if (trace_recorder_ != nullptr) {
-    trace_recorder_->RecordSpan(node + 1, kind_name_ids_[kind], start, end);
-  }
-  if (profiler_ != nullptr) profiler_->Leave(node, start, end);
-}
-
-std::vector<Message>* Network::PendingFor(int node, int port) {
-  const int tape = nodes_[node].out_tapes[port];
-  if (tape == -1) return nullptr;
-  const Tape& t = tapes_[tape];
-  if (t.consumer_node == -1) return nullptr;
-  // The compiler adds nodes in topological order, which is what lets one
-  // ascending sweep drain every pending buffer.
-  assert(t.consumer_node > node && "network not in topological order");
-  return &pending_[t.consumer_node][t.consumer_port];
+  buffers_.resize(static_cast<size_t>(colours));
 }
 
 void Network::DeliverBatch(int node, int in_port, std::vector<Message>* batch) {
   SPEX_DCHECK_THREAD(affinity_, "spex::Network");
-  if (instrumented_) {
-    // Per-delivery span/profile attribution requires per-message recursion.
-    for (Message& m : *batch) Deliver(node, in_port, std::move(m));
-    batch->clear();
-    return;
-  }
-  if (pending_.empty()) pending_.resize(nodes_.size());
-  pending_[node][in_port].swap(*batch);
+  if (buffers_.empty()) AssignBuffers();
+  std::vector<Message>* injected = Buffer(nodes_[node].in_buffers[in_port]);
+  assert(injected != nullptr && injected->empty() &&
+         "DeliverBatch must inject at an injection point");
+  injected->swap(*batch);
   const int n = node_count();
   for (int id = node; id < n; ++id) {
+    Node& current = nodes_[id];
     for (int port = 0; port < 2; ++port) {
-      std::vector<Message>& q = pending_[id][port];
-      if (q.empty()) continue;
-      BatchEmitter emitter(PendingFor(id, 0), PendingFor(id, 1), &q);
-      // Emissions only target higher node ids (asserted above), so `q` is
-      // never reallocated while OnBatch runs over it.
-      nodes_[id].transducer->OnBatch(port, q.data(), q.size(), &emitter);
+      std::vector<Message>* q = Buffer(current.in_buffers[port]);
+      if (q == nullptr || q->empty()) continue;
+      BatchEmitter emitter(Buffer(current.out_buffers[0]),
+                           Buffer(current.out_buffers[1]), q);
+      // Emissions only target higher node ids, through buffers no input of
+      // this node uses, so `q` is never reallocated while OnBatch runs.
+      if (!instrumented_) [[likely]] {
+        current.transducer->OnBatch(port, q->data(), q->size(), &emitter);
+      } else {
+        // One clock pair per node call, shared by the trace span and the
+        // profiler (which only uses differences, so either origin works).
+        const int64_t start = trace_recorder_ != nullptr
+                                  ? trace_recorder_->NowNs()
+                                  : profiler_->NowNs();
+        current.transducer->OnBatch(port, q->data(), q->size(), &emitter);
+        const int64_t end = trace_recorder_ != nullptr
+                                ? trace_recorder_->NowNs()
+                                : profiler_->NowNs();
+        if (trace_recorder_ != nullptr) {
+          trace_recorder_->RecordSpan(id + 1, span_name_id_, start, end);
+        }
+        if (profiler_ != nullptr) {
+          profiler_->Record(id, static_cast<int64_t>(q->size()), end - start);
+        }
+      }
       emitter.Finish();  // May swap q wholesale into the consumer's queue.
-      q.clear();
+      q->clear();
     }
   }
-}
-
-void Network::NodeEmitter::Emit(int port, Message message) {
-  network_->Route(node_, port, std::move(message));
-}
-
-void Network::Route(int node, int out_port, Message message) {
-  int tape = nodes_[node].out_tapes[out_port];
-  if (tape == -1) return;  // dangling output (the sink): drop
-  const Tape& t = tapes_[tape];
-  if (t.consumer_node == -1) return;
-  Deliver(t.consumer_node, t.consumer_port, std::move(message));
 }
 
 Transducer* Network::FindByName(const std::string& name) {

@@ -3,15 +3,17 @@
 // transducer).  Tapes are the edges; a tape is written by exactly one
 // transducer output port and read by exactly one input port.
 //
-// Message delivery is synchronous and depth-first: emitting a message on a
-// tape immediately runs the consumer, so a document message injected at the
-// source fully traverses the network (the paper's "only one message in the
-// network at a time") before the next one is injected.
+// Message delivery is one topological sweep (DESIGN.md §11): messages
+// injected at the source are handed to every node in ascending id order, one
+// Transducer::OnBatch call per node input port, and each emission lands in
+// the consumer's pending buffer until the sweep reaches it.  A sweep of one
+// document message is one round of the paper's "only one message in the
+// network at a time"; the engine (run_core.h) chooses how many document
+// messages a sweep carries.
 
 #ifndef SPEX_SPEX_NETWORK_H_
 #define SPEX_SPEX_NETWORK_H_
 
-#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,38 +59,34 @@ class Network {
   // Declares that `node` reads `tape` on input port `in_port`.
   void SetConsumer(int tape, int node, int in_port);
 
-  // Injects a message at node `node` input port 0 and runs it to quiescence.
-  void Deliver(int node, int in_port, Message message);
-
-  // Batched delivery (DESIGN.md §11): injects `batch` at node `node` and
-  // sweeps the network once in topological node order, handing each node its
-  // pending input sequence in one Transducer::OnBatch call per port.  On
-  // return every message has been fully processed (all pending buffers are
-  // drained) and *batch holds an empty vector whose capacity is recycled.
+  // The one delivery entry (DESIGN.md §11): injects `batch` at node `node`
+  // input port `in_port` and sweeps the network once in ascending node id
+  // order, handing each node its pending input sequence in one
+  // Transducer::OnBatch call per port.  On return every message has been
+  // fully processed (all pending buffers are drained) and *batch holds an
+  // empty vector whose capacity is recycled.  `in_port` must be an
+  // injection point: an input port no earlier node writes (IN's port 0).
   //
   // Correctness precondition (the engine enforces it): the per-tape message
-  // sequences must determine every node's output — true whenever no
-  // transducer reads or writes cross-node shared state mid-round, i.e. for
-  // networks without condition variables (no VC/VD/PR nodes).  Nodes are
-  // added in topological order, so a single ascending sweep sees every
-  // pending message; document payload borrows (Message::DocumentRef) must
-  // stay valid until DeliverBatch returns, which widens the per-round
-  // borrowing contract of Deliver to batch scope.  When a trace recorder or
-  // profiler is attached this falls back to per-message Deliver so span
-  // attribution keeps its per-delivery meaning.
+  // sequences must determine every node's output.  Across a sweep of several
+  // document messages that holds only for networks without condition
+  // variables (no VC/VD/PR nodes, CompiledNetwork::batchable); networks with
+  // them read and write RunContext::assignment mid-round and are swept one
+  // document message (one round) at a time.  Nodes are added in topological
+  // order, so a single ascending sweep sees every pending message; document
+  // payload borrows (Message::DocumentRef) must stay valid until the call
+  // returns.
   void DeliverBatch(int node, int in_port, std::vector<Message>* batch);
 
-  // Attaches a span recorder (observe=full): every message delivery records
-  // a span on track node+1, named after the message kind.  Because delivery
-  // is synchronous and depth-first, a delivery's span covers all downstream
-  // work it triggered — the Chrome trace reads as a flame graph of the
-  // network.  Null detaches; when neither a recorder nor a profiler is
-  // attached Deliver pays one branch.
+  // Attaches a span recorder (observe=full): every node call of the sweep
+  // records one span on track node+1.  Null detaches; with neither a
+  // recorder nor a profiler attached the sweep pays one branch per node
+  // call.
   void SetTraceRecorder(obs::TraceRecorder* recorder);
 
-  // Attaches a per-node cost accumulator (--profile): every delivery is
-  // bracketed with Enter/Leave around the same timestamps the trace spans
-  // use.  Null detaches.
+  // Attaches a per-node cost accumulator (--profile, sampled batches): every
+  // node call of the sweep is timed with the same clock pair the trace span
+  // uses and recorded as that node's self time.  Null detaches.
   void SetProfiler(obs::ProfileAccumulator* profiler);
 
   // Records the query provenance of `node` (see NodeProvenance).
@@ -99,6 +97,9 @@ class Network {
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
   int tape_count() const { return static_cast<int>(tapes_.size()); }
+  // Pending buffers of the sweep, assigned on the first delivery (0 before):
+  // one per tape *live at once*, not one per tape — see AssignBuffers.
+  int buffer_count() const { return static_cast<int>(buffers_.size()); }
   Transducer* node(int id) { return nodes_[id].transducer.get(); }
   const Transducer* node(int id) const { return nodes_[id].transducer.get(); }
 
@@ -136,23 +137,16 @@ class Network {
   std::string ToDot(const obs::ProfileReport* report) const;
 
  private:
-  // Stack-allocated per delivery: the network is movable, so no component
-  // may hold a stable back-pointer to it.
-  class NodeEmitter : public Emitter {
-   public:
-    NodeEmitter(Network* network, int node) : network_(network), node_(node) {}
-    void Emit(int port, Message message) override;
-
-   private:
-    Network* network_;
-    int node_;
-  };
-
   struct Node {
     std::unique_ptr<Transducer> transducer;
     // out_tapes[port] = tape id (or -1)
     int out_tapes[2] = {-1, -1};
     int in_tapes[2] = {-1, -1};
+    // Pending-buffer indices into buffers_ of the input ports and of the
+    // consumers wired to the output ports (-1 = none, e.g. the sink's
+    // dangling output); set by AssignBuffers.
+    int in_buffers[2] = {-1, -1};
+    int out_buffers[2] = {-1, -1};
     NodeProvenance provenance;
   };
 
@@ -163,30 +157,39 @@ class Network {
     int consumer_port = -1;
   };
 
-  void Route(int node, int out_port, Message message);
+  // Gives the sweep its pending buffers by interval colouring over the
+  // sweep order (called once, by the first DeliverBatch).  Tape t is live
+  // over [producer, consumer] — closed, since a node reading one tape while
+  // writing another needs both buffers at once — and an injection point
+  // over [node, node].  Colouring the intervals greedily in ascending start
+  // (node id) order, reusing any colour released so far, is optimal for
+  // interval graphs: buffer_count() equals the largest number of tapes live
+  // at any sweep position.  Two tapes of one node never share a buffer, so
+  // BatchEmitter may swap an input vector into an output buffer.
+  void AssignBuffers();
 
-  // Pending buffer of the consumer wired to `node`'s output `port`, or null
-  // when the tape dangles (the sink's unused output).
-  std::vector<Message>* PendingFor(int node, int port);
+  // Pending buffer `index`, or null for -1 (a dangling output).
+  std::vector<Message>* Buffer(int index) {
+    return index == -1 ? nullptr : &buffers_[static_cast<size_t>(index)];
+  }
 
   // Debug-mode single-thread guard: delivery binds to the first delivering
   // thread (see base/thread_check.h).  A network handed to a pool worker
-  // must be built *and* driven there — the one-message-in-network round
-  // invariant and the zero-copy payload borrowing are per-thread contracts.
+  // must be built *and* driven there — the zero-copy payload borrowing is a
+  // per-thread contract.
   ThreadAffinity affinity_;
   std::vector<Node> nodes_;
   std::vector<Tape> tapes_;
-  // Per-node per-port pending input sequences of the batched path; sized
-  // lazily on the first DeliverBatch.  Steady state reuses the vectors'
-  // capacity, so batched delivery allocates nothing per batch.
-  std::vector<std::array<std::vector<Message>, 2>> pending_;
+  // The sweep's pending buffers (see AssignBuffers).  Steady state reuses
+  // the vectors' capacity, so delivery allocates nothing per sweep.
+  std::vector<std::vector<Message>> buffers_;
   obs::TraceRecorder* trace_recorder_ = nullptr;
   obs::ProfileAccumulator* profiler_ = nullptr;
   // True iff a trace recorder or profiler is attached — the one predicted
-  // branch Deliver pays when observation is off.
+  // branch per node call when observation is off.
   bool instrumented_ = false;
-  // Interned span names, one per MessageKind.
-  int kind_name_ids_[3] = {0, 0, 0};
+  // Interned name of the node-call spans.
+  int span_name_id_ = 0;
 };
 
 }  // namespace spex

@@ -210,7 +210,7 @@ obs::ProfileReport BuildProfileReport(const Network& network,
           profiler->nodes()[static_cast<size_t>(i)];
       n.deliveries = cost.deliveries;
       n.self_ns = cost.self_ns;
-      n.total_ns = cost.total_ns;
+      n.total_ns = cost.self_ns;
       if (report.total_self_ns > 0) {
         n.time_share = static_cast<double>(cost.self_ns) /
                        static_cast<double>(report.total_self_ns);

@@ -7,8 +7,9 @@
 //    branch (a null observer check); nothing is registered or published.
 //  * ObserveLevel::kCounters — per-event counter increments and the output
 //    decision-delay histogram; no clock reads, no allocation.
-//  * ObserveLevel::kFull     — additionally two clock reads per message
-//    delivery for latency histograms and Chrome-trace spans.
+//  * ObserveLevel::kFull     — additionally one document message per sweep
+//    and two clock reads per sweep and per node call of the sweep, for the
+//    latency histogram and Chrome-trace spans.
 //
 // The pull collectors (Register*Collectors) expose state the components
 // maintain unconditionally anyway (TransducerStats, OutputStats, the formula
@@ -96,12 +97,19 @@ class EngineObservability {
   obs::TraceRecorder* trace_recorder() { return trace_.get(); }
   const obs::TraceRecorder* trace_recorder() const { return trace_.get(); }
 
-  // Publishes the per-event metrics around one delivery round.  `deliver`
-  // performs the actual network injection.
+  // Publishes the per-event metrics around one sweep of `count` document
+  // messages (DESIGN.md §11), the last of which is the run's
+  // `event_index`-th; `deliver` performs the sweep.  Increment(count) keeps
+  // spex_events_total exact at any sweep size.  The observer's event index
+  // (decision delay) advances per sweep, so it is exact wherever sweeps are
+  // one round and quantized to batch boundaries elsewhere.  At kFull the
+  // engine sweeps one message at a time, and each sweep gets a stream-track
+  // span named after its event `kind` plus a latency observation.
   template <typename Fn>
-  void ObserveDelivery(EventKind kind, int64_t event_index, Fn&& deliver) {
+  void ObserveSweep(EventKind kind, int64_t event_index, int64_t count,
+                    Fn&& deliver) {
     observer_.event_index = event_index;
-    observer_.events_total->Increment();
+    observer_.events_total->Increment(count);
     if (trace_ == nullptr) {
       deliver();
       return;
@@ -112,19 +120,6 @@ class EngineObservability {
     trace_->RecordSpan(/*tid=*/0, event_name_ids_[static_cast<int>(kind)],
                        start, end);
     observer_.event_latency_ns->Observe(end - start);
-  }
-
-  // Batch variant (DESIGN.md §11): one counter flush for `count` events —
-  // Increment(count) sums exactly to `count` per-event Increments, so
-  // spex_events_total stays precise at any batch size.  `event_index` is the
-  // index after the batch; per-event-indexed observations (decision delay)
-  // are quantized to batch boundaries.  Only used on the batch path, which
-  // the engine never takes at observe=full (trace_ is null here).
-  template <typename Fn>
-  void ObserveDeliveryBatch(int64_t event_index, int64_t count, Fn&& deliver) {
-    observer_.event_index = event_index;
-    observer_.events_total->Increment(count);
-    deliver();
   }
 
  private:
@@ -159,7 +154,7 @@ std::string PredictCostClass(std::string_view transducer_name);
 
 // Builds the EXPLAIN/PROFILE attribution report (see obs/profile.h): one
 // row per node folding TransducerStats, the compiler's query provenance and
-// — when `profiler` is non-null — the accumulated self/inclusive times; one
+// — when `profiler` is non-null — the accumulated self times; one
 // edge per wired tape with its message volume (derived as the producer's
 // messages_out split over its wired ports, so no hot-path tape counters are
 // needed).  A null `profiler` yields a static EXPLAIN (timed=false).

@@ -21,9 +21,13 @@ bool FollowingTransducer::Matches(const Message& m) const {
                                : m.event().name == label_;
 }
 
-void FollowingTransducer::OnMessage(int port, Message message, Emitter* out) {
+void FollowingTransducer::ProcessBatch(int port, Message* messages,
+                                       size_t count, BatchEmitter* out) {
   (void)port;
-  CountIn(message);
+  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+}
+
+void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       Fire(1);
@@ -33,7 +37,6 @@ void FollowingTransducer::OnMessage(int port, Message message, Emitter* out) {
         pending_activation_ = true;
         pending_formula_ = message.formula;
       }
-      FinishMessage();
       return;
     case MessageKind::kDetermination:
       Fire(5);
@@ -46,7 +49,6 @@ void FollowingTransducer::OnMessage(int port, Message message, Emitter* out) {
         }
       }
       EmitTo(out, 0, std::move(message));
-      FinishMessage();
       return;
     case MessageKind::kDocument:
       break;
@@ -54,7 +56,6 @@ void FollowingTransducer::OnMessage(int port, Message message, Emitter* out) {
 
   if (message.is_text()) {
     EmitTo(out, 0, std::move(message));
-    FinishMessage();
     return;
   }
 
@@ -78,7 +79,6 @@ void FollowingTransducer::OnMessage(int port, Message message, Emitter* out) {
     depth_.push_back(std::move(level));
     NoteDepthStack(depth_.size());
     EmitTo(out, 0, std::move(message));
-    FinishMessage();
     return;
   }
 
@@ -96,7 +96,6 @@ void FollowingTransducer::OnMessage(int port, Message message, Emitter* out) {
     armed_ = Formula::False();
   }
   EmitTo(out, 0, std::move(message));
-  FinishMessage();
 }
 
 PrecedingTransducer::PrecedingTransducer(std::string label, bool wildcard,
@@ -121,7 +120,7 @@ bool PrecedingTransducer::Matches(const Message& m) const {
 }
 
 void PrecedingTransducer::SatisfyClosed(const Formula& formula,
-                                        Emitter* out) {
+                                        BatchEmitter* out) {
   // A context arriving NOW can only satisfy candidates that are already
   // fully closed.  The candidate's condition becomes the disjunction over
   // all later contexts' formulas.
@@ -150,9 +149,13 @@ void PrecedingTransducer::SatisfyClosed(const Formula& formula,
   closed_.resize(kept);
 }
 
-void PrecedingTransducer::OnMessage(int port, Message message, Emitter* out) {
+void PrecedingTransducer::ProcessBatch(int port, Message* messages,
+                                       size_t count, BatchEmitter* out) {
   (void)port;
-  CountIn(message);
+  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+}
+
+void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       Fire(1);
@@ -166,7 +169,6 @@ void PrecedingTransducer::OnMessage(int port, Message message, Emitter* out) {
       } else {
         SatisfyClosed(message.formula, out);
       }
-      FinishMessage();
       return;
     case MessageKind::kDetermination: {
       Fire(5);
@@ -191,7 +193,6 @@ void PrecedingTransducer::OnMessage(int port, Message message, Emitter* out) {
       }
       closed_.resize(kept);
       EmitTo(out, 0, std::move(message));
-      FinishMessage();
       return;
     }
     case MessageKind::kDocument:
@@ -200,7 +201,6 @@ void PrecedingTransducer::OnMessage(int port, Message message, Emitter* out) {
 
   if (message.is_text()) {
     EmitTo(out, 0, std::move(message));
-    FinishMessage();
     return;
   }
 
@@ -221,7 +221,6 @@ void PrecedingTransducer::OnMessage(int port, Message message, Emitter* out) {
       Fire(3);
     }
     EmitTo(out, 0, std::move(message));
-    FinishMessage();
     return;
   }
 
@@ -251,7 +250,6 @@ void PrecedingTransducer::OnMessage(int port, Message message, Emitter* out) {
     closed_matches_ = 0;
   }
   EmitTo(out, 0, std::move(message));
-  FinishMessage();
 }
 
 }  // namespace spex

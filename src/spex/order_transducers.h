@@ -36,10 +36,11 @@ class FollowingTransducer : public Transducer {
  public:
   FollowingTransducer(std::string label, bool wildcard, RunContext* context);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-
  private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
   bool Matches(const Message& m) const;
+  void Process(Message&& message, BatchEmitter* out);
 
   std::string label_;
   bool wildcard_;
@@ -74,14 +75,15 @@ class PrecedingTransducer : public Transducer {
   PrecedingTransducer(std::string label, bool wildcard, uint32_t qualifier_id,
                       RunContext* context, bool evidence_mode = false);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-
   size_t open_speculation_count() const { return speculative_.size(); }
 
  private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
   bool Matches(const Message& m) const;
+  void Process(Message&& message, BatchEmitter* out);
   // Satisfies all fully-closed speculative variables under `formula`.
-  void SatisfyClosed(const Formula& formula, Emitter* out);
+  void SatisfyClosed(const Formula& formula, BatchEmitter* out);
 
   std::string label_;
   bool wildcard_;

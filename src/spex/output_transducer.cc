@@ -131,22 +131,10 @@ void OutputTransducer::HandleMessage(Message&& message) {
   }
 }
 
-void OutputTransducer::OnMessage(int port, Message message, Emitter* out) {
+void OutputTransducer::ProcessBatch(int port, Message* messages, size_t count,
+                                    BatchEmitter* out) {
   (void)port;
-  (void)out;  // OU is the network sink: no output tape
-  CountIn(message);
-  HandleMessage(std::move(message));
-  FinishMessage();
-}
-
-void OutputTransducer::OnBatch(int port, Message* messages, size_t count,
-                               BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  (void)port;
-  NoteBatchIn(messages, count);
+  (void)out;
   for (size_t i = 0; i < count; ++i) {
     // Idle fast path: with no pending activation and no candidates (open_
     // holds iterators into queue_, so queue_ empty implies open_ empty) a
@@ -154,6 +142,7 @@ void OutputTransducer::OnBatch(int port, Message* messages, size_t count,
     // recompute an unchanged buffered peak.  Skip it outright.
     if (messages[i].kind == MessageKind::kDocument &&
         !has_pending_activation_ && queue_.empty()) {
+      Fire(3);
       continue;
     }
     HandleMessage(std::move(messages[i]));

@@ -137,10 +137,6 @@ class OutputTransducer : public Transducer {
  public:
   OutputTransducer(ResultSink* sink, RunContext* context);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
-
   // Must be called once the stream ended: decides all remaining candidates
   // (a still-undetermined variable can no longer become true).
   void Flush();
@@ -157,6 +153,10 @@ class OutputTransducer : public Transducer {
   }
 
  private:
+  // OU is the network sink: it has no output tape and ignores `out`.
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
+
   struct Candidate {
     int64_t id = 0;  // Begin/End bracket identifier handed to the sink
     Formula formula;
@@ -176,8 +176,6 @@ class OutputTransducer : public Transducer {
     return context_->options.output_order == OutputOrder::kDetermination;
   }
 
-  // OnMessage minus the per-message bookkeeping (OU is the network sink, so
-  // no emitter is needed); shared by the per-message and batch paths.
   void HandleMessage(Message&& message);
   void StartCandidate(Formula formula);
   void HandleDocument(const StreamEvent& event);

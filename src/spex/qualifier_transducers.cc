@@ -12,10 +12,13 @@ VariableCreatorTransducer::VariableCreatorTransducer(uint32_t qualifier_id,
       context_(context),
       defer_invalidation_(defer_invalidation) {}
 
-void VariableCreatorTransducer::OnMessage(int port, Message message,
-                                          Emitter* out) {
+void VariableCreatorTransducer::ProcessBatch(int port, Message* messages,
+                                             size_t count, BatchEmitter* out) {
   (void)port;
-  CountIn(message);
+  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+}
+
+void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       if (state_ == State::kWorking) {  // (1): create a fresh instance
@@ -34,12 +37,10 @@ void VariableCreatorTransducer::OnMessage(int port, Message message,
                Message::Activation(Formula::And(message.formula,
                                                 Formula::Var(vars_.back()))));
       }
-      FinishMessage();
       return;
     case MessageKind::kDetermination:  // (6)
       Fire(6);
       EmitTo(out, 0, std::move(message));
-      FinishMessage();
       return;
     case MessageKind::kDocument:
       break;
@@ -47,7 +48,6 @@ void VariableCreatorTransducer::OnMessage(int port, Message message,
 
   if (message.is_text()) {
     EmitTo(out, 0, std::move(message));
-    FinishMessage();
     return;
   }
 
@@ -62,7 +62,6 @@ void VariableCreatorTransducer::OnMessage(int port, Message message,
     }
     NoteDepthStack(depth_.size());
     EmitTo(out, 0, std::move(message));
-    FinishMessage();
     return;
   }
 
@@ -106,7 +105,6 @@ void VariableCreatorTransducer::OnMessage(int port, Message message,
     deferred_.clear();
   }
   EmitTo(out, 0, std::move(message));
-  FinishMessage();
 }
 
 VariableFilterTransducer::VariableFilterTransducer(uint32_t qualifier_id,
@@ -118,10 +116,13 @@ VariableFilterTransducer::VariableFilterTransducer(uint32_t qualifier_id,
       positive_(positive),
       context_(context) {}
 
-void VariableFilterTransducer::OnMessage(int port, Message message,
-                                         Emitter* out) {
+void VariableFilterTransducer::ProcessBatch(int port, Message* messages,
+                                            size_t count, BatchEmitter* out) {
   (void)port;
-  CountIn(message);
+  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+}
+
+void VariableFilterTransducer::Process(Message&& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation: {
       if (positive_) {
@@ -155,18 +156,15 @@ void VariableFilterTransducer::OnMessage(int port, Message message,
         EmitTo(out, 0,
                Message::Activation(message.formula.Simplify(erase_scratch_)));
       }
-      FinishMessage();
       return;
     }
     case MessageKind::kDetermination:
       Fire(3);
       EmitTo(out, 0, std::move(message));
-      FinishMessage();
       return;
     case MessageKind::kDocument:
       Fire(4);
       EmitTo(out, 0, std::move(message));
-      FinishMessage();
       return;
   }
 }
@@ -178,7 +176,7 @@ VariableDeterminantTransducer::VariableDeterminantTransducer(
       context_(context) {}
 
 void VariableDeterminantTransducer::Determine(VarId var, Formula condition,
-                                              Emitter* out) {
+                                              BatchEmitter* out) {
   switch (condition.Evaluate(context_->assignment)) {
     case Truth::kTrue:
       if (context_->assignment.Set(var, true)) {
@@ -196,7 +194,7 @@ void VariableDeterminantTransducer::Determine(VarId var, Formula condition,
   }
 }
 
-void VariableDeterminantTransducer::RecheckPending(Emitter* out) {
+void VariableDeterminantTransducer::RecheckPending(BatchEmitter* out) {
   size_t kept = 0;
   for (size_t i = 0; i < pending_.size(); ++i) {
     PendingInstance& p = pending_[i];
@@ -220,10 +218,15 @@ void VariableDeterminantTransducer::RecheckPending(Emitter* out) {
   pending_.resize(kept);
 }
 
-void VariableDeterminantTransducer::OnMessage(int port, Message message,
-                                              Emitter* out) {
+void VariableDeterminantTransducer::ProcessBatch(int port, Message* messages,
+                                                 size_t count,
+                                                 BatchEmitter* out) {
   (void)port;
-  CountIn(message);
+  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+}
+
+void VariableDeterminantTransducer::Process(Message&& message,
+                                            BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation: {
       // (1): an instance reaching VD is satisfied as soon as the nested
@@ -250,17 +253,14 @@ void VariableDeterminantTransducer::OnMessage(int port, Message message,
         }
         Determine(v, message.formula.Simplify(isolate_scratch_), out);
       }
-      FinishMessage();
       return;
     }
     case MessageKind::kDetermination:  // (2): dropped — the main branch
       Fire(2);                         // already carries determinations —
       RecheckPending(out);             // but pending instances may resolve
-      FinishMessage();
       return;
     case MessageKind::kDocument:
       EmitTo(out, 0, std::move(message));
-      FinishMessage();
       return;
   }
 }

@@ -34,13 +34,15 @@ class VariableCreatorTransducer : public Transducer {
   VariableCreatorTransducer(uint32_t qualifier_id, RunContext* context,
                             bool defer_invalidation = false);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-
   enum class State : uint8_t { kWorking, kActivate };
   State state() const { return state_; }
   size_t condition_stack_size() const { return vars_.size(); }
 
  private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
+  void Process(Message&& message, BatchEmitter* out);
+
   uint32_t qualifier_id_;
   RunContext* context_;
   bool defer_invalidation_;
@@ -57,9 +59,11 @@ class VariableFilterTransducer : public Transducer {
   VariableFilterTransducer(uint32_t qualifier_id, bool positive,
                            RunContext* context);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-
  private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
+  void Process(Message&& message, BatchEmitter* out);
+
   uint32_t qualifier_id_;
   bool positive_;
   RunContext* context_;
@@ -73,21 +77,23 @@ class VariableDeterminantTransducer : public Transducer {
  public:
   VariableDeterminantTransducer(uint32_t qualifier_id, RunContext* context);
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-
   size_t pending_count() const { return pending_.size(); }
 
  private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
+
   struct PendingInstance {
     VarId var;        // the q-instance to determine
     Formula condition;  // over nested qualifiers' variables
   };
 
+  void Process(Message&& message, BatchEmitter* out);
   // Tries to satisfy instance `var` under `condition`; emits {var,true} if
   // the condition holds, stores a pending entry if it is still unknown.
-  void Determine(VarId var, Formula condition, Emitter* out);
+  void Determine(VarId var, Formula condition, BatchEmitter* out);
   // Re-evaluates pending instances against the global assignment.
-  void RecheckPending(Emitter* out);
+  void RecheckPending(BatchEmitter* out);
 
   uint32_t qualifier_id_;
   RunContext* context_;

@@ -75,11 +75,13 @@ void RunCore::Start(Network network, int input_node,
   }
   observed_path_ = obs_ != nullptr || progress_enabled_;
   guarded_ = options.limits.enabled() || options.track_open_elements;
-  // observe=full records a span per event delivery; batching would collapse
-  // those into one span per batch, so full observation keeps per-event
-  // feeding (the profiler needs no such carve-out: Network::DeliverBatch
-  // itself falls back to per-message delivery when instrumented).
-  batch_path_ = batchable && trace_recorder() == nullptr;
+  // Sweep size (DESIGN.md §11).  Networks with condition variables read and
+  // write the assignment mid-round, so they sweep one round at a time.
+  // observe=full keeps one stream span and latency sample per event, and
+  // the byte post-limits sample occupancy after every event.
+  whole_batch_sweeps_ = batchable && options.observe != ObserveLevel::kFull &&
+                        options.limits.max_buffered_bytes <= 0 &&
+                        options.limits.max_formula_bytes <= 0;
   if (guarded_) open_path_.reserve(64);
   run_start_ = std::chrono::steady_clock::now();
   if (options.limits.deadline_ms > 0) {
@@ -94,21 +96,12 @@ void RunCore::Reject(Status status) {
   guarded_ = true;  // the governed path drops every event of a failed run
 }
 
-void RunCore::OnEvent(const StreamEvent& event) {
-  // The resource governor costs this one branch when disabled (DESIGN.md
-  // §10), mirroring the observability contract below.
-  if (!guarded_) [[likely]] {
-    ProcessEvent(event);
-    return;
-  }
-  GuardedOnEvent(event);
-}
+void RunCore::OnEvent(const StreamEvent& event) { OnEventBatch(&event, 1); }
 
 void RunCore::OnEventBatch(const StreamEvent* events, size_t count) {
   if (count == 0) return;
-  // One null-check per *batch* when no controller is attached; with one, a
+  // One null-check per batch when no controller is attached; with one, a
   // thread-local increment and a relaxed load (see obs/sampling_profiler.h).
-  // Never on the per-event OnEvent path.
   if (sampler_ctl_ != nullptr && sampler_ctl_->ShouldSample()) [[unlikely]] {
     SampleBatch(events, count);
     return;
@@ -118,8 +111,8 @@ void RunCore::OnEventBatch(const StreamEvent* events, size_t count) {
 
 void RunCore::SampleBatch(const StreamEvent* events, size_t count) {
   if (profiler_ != nullptr) {
-    // options.profile already instruments every delivery; sampling on top
-    // would only steal its attributions.
+    // options.profile already times every sweep; sampling on top would only
+    // steal its attributions.
     OnEventBatchUnsampled(events, count);
     return;
   }
@@ -127,9 +120,6 @@ void RunCore::SampleBatch(const StreamEvent* events, size_t count) {
     sample_profiler_ =
         std::make_unique<obs::ProfileAccumulator>(network_.node_count());
   }
-  // With a profiler attached the network flags itself instrumented and
-  // DeliverBatch falls back to per-message delivery — exactly the
-  // instrumented path a full profile takes, for this one batch.
   network_.SetProfiler(sample_profiler_.get());
   OnEventBatchUnsampled(events, count);
   network_.SetProfiler(nullptr);
@@ -137,81 +127,104 @@ void RunCore::SampleBatch(const StreamEvent* events, size_t count) {
 }
 
 void RunCore::OnEventBatchUnsampled(const StreamEvent* events, size_t count) {
-  if (!batch_path_) {
-    // Non-batchable network (condition variables) or observe=full: the
-    // per-event path is the semantics, batching is only a feeding shape.
-    for (size_t i = 0; i < count; ++i) OnEvent(events[i]);
-    return;
-  }
+  // The resource governor costs this one branch when disabled (DESIGN.md
+  // §10), mirroring the observability contract in Sweep.
   if (!guarded_) [[likely]] {
-    DeliverEventBatch(events, count);
+    Deliver(events, count);
     return;
   }
   GuardedBatch(events, count);
 }
 
-void RunCore::DeliverEventBatch(const StreamEvent* events, size_t count) {
+void RunCore::Deliver(const StreamEvent* events, size_t count) {
+  const size_t per_sweep = whole_batch_sweeps_ ? count : 1;
+  for (size_t i = 0; i < count;) {
+    i += Sweep(events + i, std::min(per_sweep, count - i));
+  }
+}
+
+size_t RunCore::Sweep(const StreamEvent* events, size_t count) {
+  assert(input_node_ >= 0 &&
+         "feed events only after the network is compiled "
+         "(MultiQueryEngine::Finalize)");
+  // Zero-copy delivery: the messages borrow `events`, which outlive the
+  // sweep (no transducer keeps a document message queued across sweeps —
+  // see DESIGN.md "Hot path & memory discipline").  Events not stamped by a
+  // parser are interned here so the label transducers always take the
+  // integer fast path.
   message_batch_.clear();
   message_batch_.reserve(count);
   SymbolTable* symbols = context_->symbol_table();
-  bool saw_end = false;
-  for (size_t i = 0; i < count; ++i) {
-    const StreamEvent& e = events[i];
+  size_t swept = 0;
+  bool end = false;
+  while (swept < count && !end) {
+    const StreamEvent& e = events[swept++];
     Message m = Message::DocumentRef(e);
     if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
       m.symbol = symbols->Intern(e.name);
     }
-    saw_end |= (e.kind == EventKind::kEndDocument);
+    end = e.kind == EventKind::kEndDocument;
     message_batch_.push_back(std::move(m));
   }
-  if (saw_end && events[count - 1].kind != EventKind::kEndDocument) {
-    // </$> mid-batch: the per-event path flushes the output collectors at
-    // the end-document message, before anything that (bogusly) follows it.
-    // Keep that exact on this cold path.
-    message_batch_.clear();
-    for (size_t i = 0; i < count; ++i) ProcessEvent(events[i]);
-    return;
-  }
-  events_processed_ += static_cast<int64_t>(count);
+  events_processed_ += static_cast<int64_t>(swept);
+  // Observability costs this one branch when disabled (DESIGN.md §7).
   if (!observed_path_) [[likely]] {
     network_.DeliverBatch(input_node_, 0, &message_batch_);
   } else {
     if (obs_ != nullptr) {
-      obs_->ObserveDeliveryBatch(
-          events_processed_, static_cast<int64_t>(count),
+      obs_->ObserveSweep(
+          events[0].kind, events_processed_, static_cast<int64_t>(swept),
           [&] { network_.DeliverBatch(input_node_, 0, &message_batch_); });
     } else {
       network_.DeliverBatch(input_node_, 0, &message_batch_);
     }
     if (progress_enabled_) MaybeEmitProgress();
   }
-  if (saw_end) EndDocument();
-  // No end-of-round variable GC here: a batchable network creates no
-  // condition variables, so retired_variables stays empty by construction.
+  if (end) EndDocument();
+  // End-of-round garbage collection: with eager updates, formulas referring
+  // to a retired variable were rewritten while its determination propagated
+  // this round, so the binding can go.  Lazy mode and order-axis queries
+  // keep every binding, but the list itself is cleared every round.
+  std::vector<VarId>& retired = context_->retired_variables;
+  if (!retired.empty()) {
+    if (context_->options.eager_formula_update &&
+        context_->allow_variable_gc) {
+      for (VarId v : retired) context_->assignment.Erase(v);
+    }
+    retired.clear();
+  }
+  return swept;
 }
 
 void RunCore::GuardedBatch(const StreamEvent* events, size_t count) {
   if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
-  const EngineLimits& limits = context_->options.limits;
-  // The byte post-limits sample occupancy after every event; batching would
-  // coarsen the breach point, so those runs keep exact per-event checks.
-  if (limits.max_buffered_bytes > 0 || limits.max_formula_bytes > 0) {
-    for (size_t i = 0; i < count; ++i) GuardedOnEvent(events[i]);
+  Status breach;
+  if (whole_batch_sweeps_) {
+    // The pre-checks build the admissible prefix, exactly the events a
+    // one-event-at-a-time run would have delivered before the breach; the
+    // clock is read once per batch.
+    size_t admitted = 0;
+    while (admitted < count &&
+           Admit(events[admitted],
+                 events_processed_ + static_cast<int64_t>(admitted),
+                 /*check_deadline=*/admitted == 0, &breach)) {
+      ++admitted;
+    }
+    Deliver(events, admitted);
+    if (admitted < count) FailRun(std::move(breach));
     return;
   }
-  // Per-event pre-checks build the admissible prefix, exactly the events a
-  // per-event run would have delivered before the breach; the clock is read
-  // once per batch.
-  Status breach;
-  size_t admitted = 0;
-  while (admitted < count &&
-         Admit(events[admitted],
-               events_processed_ + static_cast<int64_t>(admitted),
-               /*check_deadline=*/admitted == 0, &breach)) {
-    ++admitted;
+  // One-event sweeps: admit, sweep and post-check each event before the
+  // next.  The clock is read every 256 events.
+  for (size_t i = 0; i < count; ++i) {
+    if (!Admit(events[i], events_processed_,
+               /*check_deadline=*/(events_processed_ & 255) == 0, &breach)) {
+      FailRun(std::move(breach));
+      return;
+    }
+    Sweep(events + i, 1);
+    if (!WithinByteLimits()) return;
   }
-  if (admitted > 0) DeliverEventBatch(events, admitted);
-  if (admitted < count) FailRun(std::move(breach));
 }
 
 bool RunCore::Admit(const StreamEvent& event, int64_t index,
@@ -244,66 +257,24 @@ bool RunCore::Admit(const StreamEvent& event, int64_t index,
   return true;
 }
 
-void RunCore::ProcessEvent(const StreamEvent& event) {
-  assert(input_node_ >= 0 &&
-         "feed events only after the network is compiled "
-         "(MultiQueryEngine::Finalize)");
-  ++events_processed_;
-  // Zero-copy delivery: the message borrows `event`, which outlives the
-  // synchronous delivery round (no transducer keeps a document message
-  // queued across rounds — see DESIGN.md "Hot path & memory discipline").
-  // Events not stamped by a parser are interned here so the label
-  // transducers always take the integer fast path.
-  Message m = Message::DocumentRef(event);
-  if (m.symbol == kNoSymbol && event.kind == EventKind::kStartElement) {
-    m.symbol = context_->symbol_table()->Intern(event.name);
-  }
-  // Observability costs this one branch when disabled (DESIGN.md §7).
-  if (!observed_path_) [[likely]] {
-    network_.Deliver(input_node_, 0, std::move(m));
-  } else {
-    OnEventObserved(event, std::move(m));
-  }
-  if (event.kind == EventKind::kEndDocument) EndDocument();
-  // End-of-round garbage collection: with eager updates, formulas referring
-  // to a retired variable were rewritten while its determination propagated
-  // this round, so the binding can go.  (Lazy mode keeps every binding.)
-  if (context_->options.eager_formula_update && context_->allow_variable_gc &&
-      !context_->retired_variables.empty()) {
-    for (VarId v : context_->retired_variables) {
-      context_->assignment.Erase(v);
-    }
-    context_->retired_variables.clear();
-  }
-}
-
 void RunCore::EndDocument() {
   document_ended_ = true;
   for (OutputTransducer* output : outputs_) output->Flush();
 }
 
-void RunCore::GuardedOnEvent(const StreamEvent& event) {
-  if (!status_.ok()) return;  // poisoned: the rest of the stream is dropped
-  // The clock is read every 256 events.
-  Status breach;
-  if (!Admit(event, events_processed_,
-             /*check_deadline=*/(events_processed_ & 255) == 0, &breach)) {
-    FailRun(std::move(breach));
-    return;
-  }
-  ProcessEvent(event);
-  // Post-checks: memory the event's delivery actually pinned.  Skipped once
-  // the stream completed — after end-document the run already flushed and
-  // decided everything, and the thread-shared formula arena may still hold
-  // *other* sessions' live nodes, which must not fail a finished run.
-  if (document_ended_) return;
+bool RunCore::WithinByteLimits() {
+  // Memory the sweep actually pinned.  Skipped once the stream completed —
+  // after end-document the run already flushed and decided everything, and
+  // the thread-shared formula arena may still hold *other* sessions' live
+  // nodes, which must not fail a finished run.
+  if (document_ended_) return true;
   const EngineLimits& limits = context_->options.limits;
   if (limits.max_buffered_bytes > 0 &&
       buffered_bytes() > limits.max_buffered_bytes) {
     FailRun(Status::ResourceExhausted(
         "max_buffered_bytes exceeded (" +
         std::to_string(limits.max_buffered_bytes) + ")"));
-    return;
+    return false;
   }
   if (limits.max_formula_bytes > 0 &&
       Formula::GetPoolStats().live *
@@ -312,7 +283,9 @@ void RunCore::GuardedOnEvent(const StreamEvent& event) {
     FailRun(Status::ResourceExhausted(
         "max_formula_bytes exceeded (" +
         std::to_string(limits.max_formula_bytes) + ")"));
+    return false;
   }
+  return true;
 }
 
 void RunCore::FailRun(Status status) {
@@ -342,18 +315,16 @@ Status RunCore::FinalizeTruncated() {
   }
   // Seal below the governor: the virtual closes must reach the network even
   // on a poisoned run, and must not re-trip the limit being breached.
-  const bool was_guarded = guarded_;
-  guarded_ = false;
   SymbolTable* symbols = context_->symbol_table();
-  while (!open_path_.empty()) {
-    const Symbol label = open_path_.back();
-    open_path_.pop_back();
-    StreamEvent close = StreamEvent::EndElement(symbols->Name(label));
-    close.label = label;
-    ProcessEvent(close);
+  std::vector<StreamEvent> seal;
+  seal.reserve(open_path_.size() + 1);
+  for (auto it = open_path_.rbegin(); it != open_path_.rend(); ++it) {
+    seal.push_back(StreamEvent::EndElement(symbols->Name(*it)));
+    seal.back().label = *it;
   }
-  ProcessEvent(StreamEvent::EndDocument());  // flushes OUs, decides candidates
-  guarded_ = was_guarded;
+  open_path_.clear();
+  seal.push_back(StreamEvent::EndDocument());  // flushes OUs, decides all
+  Deliver(seal.data(), seal.size());
   return status_;
 }
 
@@ -400,17 +371,6 @@ int64_t RunCore::buffered_bytes() const {
     total += output->buffered_bytes();
   }
   return total;
-}
-
-void RunCore::OnEventObserved(const StreamEvent& event, Message message) {
-  if (obs_ != nullptr) {
-    obs_->ObserveDelivery(event.kind, events_processed_, [&] {
-      network_.Deliver(input_node_, 0, std::move(message));
-    });
-  } else {
-    network_.Deliver(input_node_, 0, std::move(message));
-  }
-  if (progress_enabled_) MaybeEmitProgress();
 }
 
 void RunCore::MaybeEmitProgress() {

@@ -7,7 +7,7 @@
 // RunContext and hand it over with one output collector per result *slot*
 // (the query; the population's sorted-canonical slots; the conjunctive
 // query's head variables).  Everything that happens afterwards lives here,
-// once: symbol stamping, the choice between batched and per-message delivery,
+// once: symbol stamping, the sweep size of the network's one delivery path,
 // the end-document flush and end-of-round variable GC, the resource governor
 // with certain-prefix sealing, observability, sampling, progress watermarks
 // and the §V stats.  A single query is a population of one slot.
@@ -68,8 +68,19 @@ class RunCore : public EventSink {
   RunCore(const RunCore&) = delete;
   RunCore& operator=(const RunCore&) = delete;
 
-  // Feeds one document message through the network.  On kEndDocument every
-  // output collector is flushed and all remaining candidates decided.
+  // Feeds one document message through the network: OnEventBatch(&event, 1).
+  void OnEvent(const StreamEvent& event) override;
+
+  // Feeds `count` consecutive document messages (DESIGN.md §11).  On
+  // kEndDocument every output collector is flushed and all remaining
+  // candidates decided.  Every event reaches the network through its one
+  // delivery path, the topological sweep (Network::DeliverBatch).  A sweep
+  // carries the whole batch when the network creates no condition variables
+  // (CompiledNetwork::batchable), observe != kFull and neither byte limit
+  // is set; otherwise one event — one round, with the end-of-round variable
+  // GC between sweeps.  Results, statuses and counters are identical at
+  // every batch size; the difference is cost.  The events must outlive the
+  // call (zero-copy borrowing at batch scope).
   //
   // Resource governance (DESIGN.md §10): when EngineOptions::limits is set,
   // every event passes the governor first; a breached limit poisons the run
@@ -77,17 +88,6 @@ class RunCore : public EventSink {
   // further event is dropped.  Call FinalizeTruncated() to seal the stream
   // and harvest the partial result.  With limits unset and
   // track_open_elements off this costs exactly one predictable branch.
-  void OnEvent(const StreamEvent& event) override;
-
-  // Batched feeding (DESIGN.md §11): processes `count` consecutive document
-  // messages.  Results, statuses and counters are identical to `count`
-  // OnEvent calls at any batch size; the difference is cost.  For networks
-  // without condition variables (CompiledNetwork::batchable) the whole
-  // batch sweeps the network with one virtual dispatch and one stats flush
-  // per transducer (Network::DeliverBatch); everything else — qualifier /
-  // preceding-axis queries, observe=full runs, per-event byte limits — falls
-  // back to the exact per-event path internally.  The events must outlive
-  // the call (zero-copy borrowing at batch scope).
   void OnEventBatch(const StreamEvent* events, size_t count) override;
 
   // kOk while the run is healthy; the breach status once the governor
@@ -151,14 +151,13 @@ class RunCore : public EventSink {
   obs::ProfileReport Profile() const;
 
   // Always-on statistical sampling (DESIGN.md §13): with a controller
-  // attached, each OnEventBatch call draws once and the ~1/period batches
-  // that win are delivered through the instrumented per-message path into a
-  // private ProfileAccumulator — continuous attribution at a fraction of
-  // options.profile's cost.  The controller is shared (typically pool-wide)
-  // and must outlive the run; a full profiler (options.profile) takes
-  // precedence, since every batch is already instrumented then.  The
-  // per-event OnEvent path never samples: sampling is batch-granular by
-  // design (the draw must stay off the per-event hot path).
+  // attached, each OnEventBatch call (OnEvent is a batch of one) draws once,
+  // and the ~1/period batches that win have their sweeps' node calls timed
+  // into a private ProfileAccumulator — continuous attribution at a
+  // fraction of options.profile's cost.  The controller is shared
+  // (typically pool-wide) and must outlive the run; a full profiler
+  // (options.profile) takes precedence, since every batch is already timed
+  // then.
   void SetBatchSampler(obs::SamplingProfiler* sampler) {
     sampler_ctl_ = sampler;
   }
@@ -232,13 +231,20 @@ class RunCore : public EventSink {
  private:
   // OnEventBatch after the sampling draw.
   void OnEventBatchUnsampled(const StreamEvent* events, size_t count);
-  // Sampled batch: instrumented delivery into sample_profiler_.
+  // Sampled batch: the same sweeps, timed into sample_profiler_.
   void SampleBatch(const StreamEvent* events, size_t count);
-  // The ungoverned per-event path.
-  void ProcessEvent(const StreamEvent& event);
-  // Governed per-event path: limit checks + open-path tracking around
-  // ProcessEvent.  Entered only when guarded_ (limits or tracking on).
-  void GuardedOnEvent(const StreamEvent& event);
+  // Ungoverned delivery of `count` events in sweeps of the run's size.
+  void Deliver(const StreamEvent* events, size_t count);
+  // One sweep over up to `count` events, ending early after an end-document
+  // (so the output collectors flush before anything that bogusly follows
+  // it); returns the number of events swept.  Runs the end-document flush,
+  // progress watermarks and the end-of-round variable GC after the sweep.
+  size_t Sweep(const StreamEvent* events, size_t count);
+  // Governed delivery: per-event pre-checks (max_events / max_depth /
+  // open-path tracking) admit exactly the events a one-event-at-a-time run
+  // would have processed before a breach poisons the run; with one-event
+  // sweeps the byte post-limits are checked after each sweep.
+  void GuardedBatch(const StreamEvent* events, size_t count);
   // Governor pre-checks of the event that would be the run's `index`-th
   // (max_events, the deadline when `check_deadline`, max_depth): true after
   // tracking the event on the open path, false with *breach filled.  An
@@ -246,22 +252,15 @@ class RunCore : public EventSink {
   // what the network actually saw.
   bool Admit(const StreamEvent& event, int64_t index, bool check_deadline,
              Status* breach);
-  // Batch-sweep delivery of a batchable network (no condition variables).
-  void DeliverEventBatch(const StreamEvent* events, size_t count);
-  // Governed batch path: per-event pre-checks (max_events / max_depth /
-  // open-path tracking) build an admissible prefix, which is delivered as
-  // one batch before any breach poisons the run — so exactly the events a
-  // per-event run would have processed are processed.
-  void GuardedBatch(const StreamEvent* events, size_t count);
+  // Governor post-checks after a sweep (max_buffered_bytes,
+  // max_formula_bytes): false after poisoning the run.
+  bool WithinByteLimits();
   // Poisons the run and freezes the certain-result boundary.
   void FailRun(Status status);
   // Freezes every slot's certain-result boundary (first call wins).
   void FreezeCertain();
   // End-document: flushes every output collector.
   void EndDocument();
-  // Cold path of OnEvent: delivery wrapped in metric/trace publication plus
-  // watermark triggering.  Entered only when observation or progress is on.
-  void OnEventObserved(const StreamEvent& event, Message message);
   void MaybeEmitProgress();
   obs::ProfileReport BuildReport(const obs::ProfileAccumulator* profiler) const;
 
@@ -282,14 +281,13 @@ class RunCore : public EventSink {
   // shared by every run on the thread; reports show the per-run delta).
   int64_t formula_allocs_baseline_ = 0;
   int64_t events_processed_ = 0;
-  // True when OnEvent must take the governed path (limits configured or
+  // True when delivery must take the governed path (limits configured or
   // track_open_elements): the unguarded hot path tests exactly this flag.
   bool guarded_ = false;
-  // True when OnEventBatch may use Network::DeliverBatch: batchable network
-  // and no per-delivery event spans (observe != kFull).  Computed once in
-  // Start; false sends batches through the per-event loop.
-  bool batch_path_ = false;
-  // Reusable message buffer of the batch path; capacity circulates with the
+  // The sweep size, computed once in Start: true sweeps a whole batch at a
+  // time, false one event (one round) per sweep (see OnEventBatch).
+  bool whole_batch_sweeps_ = false;
+  // Reusable message buffer of the sweeps; capacity circulates with the
   // network's pending buffers, so steady state allocates nothing.
   std::vector<Message> message_batch_;
   bool document_ended_ = false;
@@ -304,7 +302,7 @@ class RunCore : public EventSink {
   bool certain_frozen_ = false;
   // Wall-clock breach point when limits.deadline_ms is set.
   std::chrono::steady_clock::time_point deadline_{};
-  // True when OnEvent must take the observed path (observe != kOff or
+  // True when a sweep must take the observed path (observe != kOff or
   // progress enabled): the disabled hot path tests exactly this one flag.
   bool observed_path_ = false;
   bool progress_enabled_ = false;

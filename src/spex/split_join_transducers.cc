@@ -6,24 +6,11 @@ namespace spex {
 
 SplitTransducer::SplitTransducer() : Transducer("SP") {}
 
-void SplitTransducer::OnMessage(int port, Message message, Emitter* out) {
+void SplitTransducer::ProcessBatch(int port, Message* messages, size_t count,
+                                   BatchEmitter* out) {
   (void)port;
-  CountIn(message);
-  Fire(1);
-  EmitTo(out, 0, Message(message));
-  EmitTo(out, 1, std::move(message));
-  FinishMessage();
-}
-
-void SplitTransducer::OnBatch(int port, Message* messages, size_t count,
-                              BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  (void)port;
-  NoteBatchIn(messages, count);
   for (size_t i = 0; i < count; ++i) {
+    Fire(1);
     // The copy goes to port 0 so the port-1 emission keeps the message's
     // original address, letting BatchEmitter elide the port-1 forward.
     EmitTo(out, 0, Message(messages[i]));
@@ -33,30 +20,16 @@ void SplitTransducer::OnBatch(int port, Message* messages, size_t count,
 
 JoinTransducer::JoinTransducer() : Transducer("JO") {}
 
-void JoinTransducer::OnMessage(int port, Message message, Emitter* out) {
-  CountIn(message);
+void JoinTransducer::ProcessBatch(int port, Message* messages, size_t count,
+                                  BatchEmitter* out) {
   assert(port == 0 || port == 1);
-  queues_[port].push_back(std::move(message));
-  Drain(out);
-  FinishMessage();
-}
-
-void JoinTransducer::OnBatch(int port, Message* messages, size_t count,
-                             BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  assert(port == 0 || port == 1);
-  NoteBatchIn(messages, count);
   for (size_t i = 0; i < count; ++i) {
     queues_[port].push_back(std::move(messages[i]));
   }
   Drain(out);
 }
 
-template <typename Out>
-void JoinTransducer::Drain(Out* out) {
+void JoinTransducer::Drain(BatchEmitter* out) {
   for (;;) {
     MessageQueue& left = queues_[0];
     MessageQueue& right = queues_[1];

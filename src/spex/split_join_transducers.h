@@ -63,22 +63,14 @@ class SplitTransducer : public Transducer {
  public:
   SplitTransducer();
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
+ private:
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
 };
 
 class JoinTransducer : public Transducer {
  public:
   JoinTransducer();
-
-  void OnMessage(int port, Message message, Emitter* out) override;
-  // Bulk enqueue followed by a single drain.  Drain's greedy transition loop
-  // is confluent — its output depends only on the two input sequences, not
-  // on their interleave — so draining once after the whole batch is
-  // equivalent to draining after every message (DESIGN.md §11).
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
 
   // Fig. 9 state: which input's document message has already been consumed.
   enum class State : uint8_t { kNone, kLeft, kRight };
@@ -86,9 +78,15 @@ class JoinTransducer : public Transducer {
   size_t pending(int port) const { return queues_[port].size(); }
 
  private:
+  // Bulk enqueue followed by a single drain.  Drain's greedy transition loop
+  // is confluent — its output depends only on the two input sequences, not
+  // on their interleave — so draining once after the whole batch is
+  // equivalent to draining after every message (DESIGN.md §11).
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
+
   // Applies as many Fig. 9 transitions as the buffered messages allow.
-  template <typename Out>
-  void Drain(Out* out);
+  void Drain(BatchEmitter* out);
 
   State state_ = State::kNone;
   MessageQueue queues_[2];

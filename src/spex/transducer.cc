@@ -2,29 +2,23 @@
 
 namespace spex {
 
-namespace {
-
-// Emitter adapter used by the default OnBatch: forwards into the batch
-// pending buffers so un-overridden transducers participate in batched
-// delivery with unchanged per-message semantics (including traces).
-class BatchForwardEmitter final : public Emitter {
- public:
-  explicit BatchForwardEmitter(BatchEmitter* out) : out_(out) {}
-  void Emit(int port, Message message) override {
-    out_->Emit(port, std::move(message));
-  }
-
- private:
-  BatchEmitter* out_;
-};
-
-}  // namespace
-
 void Transducer::OnBatch(int port, Message* messages, size_t count,
                          BatchEmitter* out) {
-  BatchForwardEmitter forward(out);
+  stats_.messages_in += static_cast<int64_t>(count);
   for (size_t i = 0; i < count; ++i) {
-    OnMessage(port, std::move(messages[i]), &forward);
+    // Activations are rare on hot streams.
+    if (messages[i].is_activation()) NoteFormula(messages[i].formula);
+  }
+  if (trace_ == nullptr) [[likely]] {
+    ProcessBatch(port, messages, count, out);
+    return;
+  }
+  // Traced: one message at a time, closing a trace group after every
+  // document message (the presentation of Figs. 4, 5 and 13).
+  for (size_t i = 0; i < count; ++i) {
+    const bool document = messages[i].is_document();
+    ProcessBatch(port, &messages[i], 1, out);
+    if (document) trace_->EndGroup();
   }
 }
 

@@ -8,12 +8,16 @@
 //
 // Each concrete transducer implements its transition table from the paper
 // verbatim and reports the fired rule numbers through an optional trace,
-// letting tests replay Figs. 4, 5 and 13 exactly.
+// letting tests replay Figs. 4, 5 and 13 exactly.  A transducer has one
+// entry point, OnBatch: the network's topological sweep (network.h) hands
+// it the pending input sequence of one tape and collects its emissions in
+// the consumers' pending buffers through a BatchEmitter.
 
 #ifndef SPEX_SPEX_TRANSDUCER_H_
 #define SPEX_SPEX_TRANSDUCER_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,18 +27,11 @@
 
 namespace spex {
 
-// Receives the messages a transducer emits.  `port` selects the output tape
-// (always 0 except for the split transducer, which also writes port 1).
-class Emitter {
- public:
-  virtual ~Emitter() = default;
-  virtual void Emit(int port, Message message) = 0;
-};
-
-// Non-virtual emitter of the batched delivery path (Network::DeliverBatch):
-// routes emitted messages to the consumer nodes' pending buffers instead of
-// recursing into them.  Final so EmitTo(BatchEmitter*, ...) inlines — one
-// virtual dispatch per *batch*, not per message.
+// Emitter of the network's sweep (Network::DeliverBatch): routes emitted
+// messages to the consumer nodes' pending buffers.  `port` selects the
+// output tape (always 0 except for the split transducer, which also writes
+// port 1).  Final and non-virtual, so emission inlines into the
+// transducers' transition loops.
 //
 // Pass-through elision: most transducers forward most document messages
 // unchanged, and the emitted object IS the input-buffer element (Process
@@ -50,7 +47,8 @@ class BatchEmitter final {
  public:
   // `out0`/`out1` are the pending buffers of the consumers wired to output
   // ports 0/1 (null for a dangling port); `in` is the node's input buffer,
-  // owning messages[0..count) passed to OnBatch.
+  // owning the messages passed to OnBatch.  The network never lets an input
+  // buffer double as an output buffer of the same node.
   BatchEmitter(std::vector<Message>* out0, std::vector<Message>* out1,
                std::vector<Message>* in)
       : out_{out0, out1},
@@ -80,6 +78,20 @@ class BatchEmitter final {
     if (q != nullptr) q->push_back(std::move(message));
   }
 
+  // Equivalent to Emit(port, std::move(messages[i])) for every i < count in
+  // order, in O(1): the input range joins (or becomes) the deferred run.
+  // `messages` must point into the input buffer.
+  void Forward(int port, Message* messages, size_t count) {
+    assert(messages >= in_begin_ && messages + count <= in_end_);
+    if (messages != run_end_ || port != run_port_) {
+      MaterializeRun();
+      run_port_ = port;
+      run_begin_ = messages;
+      run_end_ = messages;
+    }
+    run_end_ += count;
+  }
+
   // Called by the network after OnBatch returns: delivers the deferred run.
   // When the run is the whole input batch and the consumer's queue is empty
   // (single producer per queue — always, except after a same-port fresh
@@ -99,16 +111,6 @@ class BatchEmitter final {
       return;
     }
     MaterializeRun();
-  }
-
-  // Equivalent to Emit(port, ...) for every input message in order, in O(1):
-  // the whole input batch becomes the deferred run.  Only valid when nothing
-  // has been emitted yet in this OnBatch call (the pure pass-through case,
-  // e.g. IN once activated).
-  void ForwardAll(int port) {
-    run_port_ = port;
-    run_begin_ = in_begin_;
-    run_end_ = in_end_;
   }
 
  private:
@@ -167,69 +169,35 @@ class Transducer {
   Transducer(const Transducer&) = delete;
   Transducer& operator=(const Transducer&) = delete;
 
-  // Processes one message arriving on input tape `port` (0 unless the
-  // transducer is a join).  Emits output messages through `out`.
-  virtual void OnMessage(int port, Message message, Emitter* out) = 0;
-
-  // Batched delivery (DESIGN.md §11): processes `count` messages arriving on
-  // input tape `port` in sequence order, emitting into pending buffers.  The
-  // default implementation loops OnMessage through an Emitter adapter; hot
-  // transducers override it with a loop over their (inlined) transition
-  // function so the whole batch pays one virtual dispatch and one stats
-  // flush.  Overrides must preserve exactly the per-message semantics: the
-  // output sequence of each port must equal what `count` OnMessage calls
-  // would have produced.
-  virtual void OnBatch(int port, Message* messages, size_t count,
-                       BatchEmitter* out);
+  // Delivery (DESIGN.md §11): processes `count` messages arriving on input
+  // tape `port` (0 unless the transducer is a join or an intersection) in
+  // sequence order, emitting through `out`.  The accounting happens here,
+  // once: a batch add of messages_in, or — with a rule trace attached — one
+  // message at a time, so every document message closes its trace group.
+  void OnBatch(int port, Message* messages, size_t count, BatchEmitter* out);
 
   const std::string& name() const { return name_; }
   const TransducerStats& stats() const { return stats_; }
 
   void set_trace(TransducerTrace* trace) { trace_ = trace; }
-  TransducerTrace* trace() const { return trace_; }
 
  protected:
-  // Bookkeeping helpers used by subclasses.
-  void CountIn(const Message& m) {
-    ++stats_.messages_in;
-    if (m.is_activation()) {
-      stats_.formula_nodes_peak =
-          std::max(stats_.formula_nodes_peak, m.formula.NodeCount());
-    }
-    if (trace_ != nullptr && m.is_document()) pending_group_end_ = true;
-  }
-  // Called after a document message is fully handled, closing a trace group.
-  void FinishMessage() {
-    if (trace_ != nullptr && pending_group_end_) {
-      trace_->EndGroup();
-      pending_group_end_ = false;
-    }
-  }
+  // The transition function over a message sequence.  Implementations must
+  // preserve the per-message semantics exactly: each port's output sequence
+  // must equal what processing the messages one at a time would produce
+  // (OnBatch calls this with count 1 when tracing).
+  virtual void ProcessBatch(int port, Message* messages, size_t count,
+                            BatchEmitter* out) = 0;
+
   void Fire(int rule) {
     if (trace_ != nullptr) trace_->Fire(rule);
   }
-  // Templated over the emitter so the batch path (BatchEmitter) inlines the
-  // pending-buffer append while the per-message path keeps the virtual call.
   // Takes Message&& so an input-buffer element forwarded unchanged reaches
   // BatchEmitter::Emit under its original address (pass-through elision);
   // callers copy explicitly (Message(m)) when they need a duplicate.
-  template <typename Out>
-  void EmitTo(Out* out, int port, Message&& message) {
+  void EmitTo(BatchEmitter* out, int port, Message&& message) {
     ++stats_.messages_out;
     out->Emit(port, std::move(message));
-  }
-  // Batch equivalent of `count` CountIn calls: one messages_in add plus the
-  // per-activation formula peak scan (activations are rare on hot streams).
-  // Only valid with no trace attached — batch overrides fall back to the
-  // default OnBatch (per-message CountIn/FinishMessage) when tracing.
-  void NoteBatchIn(const Message* messages, size_t count) {
-    stats_.messages_in += static_cast<int64_t>(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (messages[i].is_activation()) {
-        stats_.formula_nodes_peak = std::max(stats_.formula_nodes_peak,
-                                             messages[i].formula.NodeCount());
-      }
-    }
   }
   void NoteDepthStack(size_t size) {
     stats_.depth_stack_peak =
@@ -249,7 +217,6 @@ class Transducer {
  private:
   std::string name_;
   TransducerTrace* trace_ = nullptr;
-  bool pending_group_end_ = false;
 };
 
 // Emission policy of the output transducer (§III.8).  With nested results
@@ -323,9 +290,10 @@ struct EngineOptions {
   ObserveLevel observe = ObserveLevel::kOff;
   // Attach a per-node cost profiler: SpexEngine::Profile() then returns a
   // *timed* attribution report (see obs/profile.h).  Orthogonal to
-  // `observe`; costs two clock reads per message delivery (the same hook
-  // observe=full uses for trace spans).  When false and observe != kFull,
-  // deliveries stay on the uninstrumented single-branch path.
+  // `observe`; costs two clock reads per node call of the network's sweep
+  // (the same hook observe=full uses for trace spans) and never changes how
+  // events are delivered.  When false and observe != kFull, node calls pay
+  // one branch.
   bool profile = false;
   // Ring-buffer capacity (in trace events) of the observe=full recorder.
   size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
@@ -340,12 +308,12 @@ struct EngineOptions {
   bool track_open_elements = false;
   // Event-batch granularity of the feeding path (DESIGN.md §11): parsers,
   // the engine pool and the one-shot helpers hand events to the engine in
-  // groups of up to this many via SpexEngine::OnEventBatch.  1 = legacy
-  // per-event feeding.  Batching is a feeding granularity only — the engine
-  // falls back to per-event delivery internally whenever the network is not
-  // provably batch-safe (queries with condition variables) or per-event
-  // governor/observability semantics are required, so results, statuses and
-  // counters are identical at every batch size.
+  // groups of up to this many via SpexEngine::OnEventBatch (1 = OnEvent per
+  // event).  Batching is a feeding granularity only: every event goes
+  // through the network's one sweep, which carries the whole batch where
+  // that is provably equivalent and one event (one round) otherwise
+  // (queries with condition variables, observe=full, byte limits), so
+  // results, statuses and counters are identical at every batch size.
   int batch_size = 64;
   // Pool-worker index stamped into the observe=full trace recorder's tid
   // space (tid = worker * obs::TraceRecorder::kWorkerTidStride + node) so

@@ -4,8 +4,7 @@ namespace spex {
 
 UnionTransducer::UnionTransducer() : Transducer("UN") {}
 
-template <typename Out>
-void UnionTransducer::Process(Message&& message, Out* out) {
+void UnionTransducer::Process(Message&& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       if (state_ == State::kWaiting) {  // (1): store, await a possible second
@@ -37,21 +36,9 @@ void UnionTransducer::Process(Message&& message, Out* out) {
   }
 }
 
-void UnionTransducer::OnMessage(int port, Message message, Emitter* out) {
+void UnionTransducer::ProcessBatch(int port, Message* messages, size_t count,
+                                   BatchEmitter* out) {
   (void)port;
-  CountIn(message);
-  Process(std::move(message), out);
-  FinishMessage();
-}
-
-void UnionTransducer::OnBatch(int port, Message* messages, size_t count,
-                              BatchEmitter* out) {
-  if (trace() != nullptr) {
-    Transducer::OnBatch(port, messages, count, out);
-    return;
-  }
-  (void)port;
-  NoteBatchIn(messages, count);
   for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
 }
 

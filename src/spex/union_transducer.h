@@ -18,16 +18,13 @@ class UnionTransducer : public Transducer {
  public:
   UnionTransducer();
 
-  void OnMessage(int port, Message message, Emitter* out) override;
-  void OnBatch(int port, Message* messages, size_t count,
-               BatchEmitter* out) override;
-
   enum class State : uint8_t { kWaiting, kActivate };
   State state() const { return state_; }
 
  private:
-  template <typename Out>
-  void Process(Message&& message, Out* out);
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override;
+  void Process(Message&& message, BatchEmitter* out);
 
   State state_ = State::kWaiting;
   Formula stored_;  // the one condition-stack entry of Fig. 10

@@ -104,7 +104,7 @@ TEST(CompilerTest, EveryTapeHasProducerAndConsumerExceptSink) {
   CountingResultSink sink;
   SpexEngine engine(*e, &sink);
   // Smoke: the network must be runnable end to end without dangling tapes
-  // (Deliver would assert otherwise).
+  // (the sweep would assert otherwise).
   engine.OnEvent(StreamEvent::StartDocument());
   engine.OnEvent(StreamEvent::StartElement("a"));
   engine.OnEvent(StreamEvent::EndElement("a"));

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "rpeq/parser.h"
 #include "spex/engine.h"
 #include "xml/generators.h"
@@ -155,6 +159,51 @@ TEST(ComplexityTest, EndDocumentLeavesNoResidue) {
   RunStats stats = engine.ComputeStats();
   EXPECT_EQ(stats.output.candidates_created,
             stats.output.candidates_emitted + stats.output.candidates_dropped);
+}
+
+// The end-of-round variable GC is off for order-axis queries and in lazy
+// mode, yet the retired-variable list is cleared every round: only the
+// bindings outlive it.  (It used to grow by one entry per qualifier
+// instance for the whole stream.)
+TEST(ComplexityTest, RetiredVariablesClearedEveryRoundWithoutGc) {
+  const std::vector<StreamEvent> events = GenerateToVector([](EventSink* s) {
+    GenerateDmozLike(42, 0.002, /*content=*/false, s);
+  });
+  int64_t topics = 0;  // one Topic[...] instance, hence one variable, each
+  for (const StreamEvent& e : events) {
+    if (e.kind == EventKind::kStartElement && e.name == "Topic") ++topics;
+  }
+  ASSERT_GT(topics, 0);
+  EngineOptions lazy;
+  lazy.eager_formula_update = false;
+  struct Case {
+    const char* query;
+    EngineOptions options;
+    int64_t live_bindings;
+  };
+  const Case cases[] = {
+      {"_*.Topic[editor].>>newsGroup", EngineOptions{}, topics},
+      {"_*.Topic[editor.<<catid]", EngineOptions{}, topics},
+      {"_*.Topic[editor].newsGroup", lazy, topics},
+      {"_*.Topic[editor].newsGroup", EngineOptions{}, 0},  // GC on
+  };
+  for (const Case& c : cases) {
+    for (size_t batch : {size_t{1}, size_t{64}}) {
+      SCOPED_TRACE(std::string(c.query) + " eager=" +
+                   (c.options.eager_formula_update ? "1" : "0") +
+                   " batch=" + std::to_string(batch));
+      ExprPtr q = MustParseRpeq(c.query);
+      CountingResultSink sink;
+      SpexEngine engine(*q, &sink, c.options);
+      for (size_t i = 0; i < events.size(); i += batch) {
+        engine.OnEventBatch(events.data() + i,
+                            std::min(batch, events.size() - i));
+      }
+      EXPECT_TRUE(engine.context().retired_variables.empty());
+      EXPECT_EQ(static_cast<int64_t>(engine.context().assignment.size()),
+                c.live_bindings);
+    }
+  }
 }
 
 }  // namespace

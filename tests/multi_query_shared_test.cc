@@ -74,6 +74,18 @@ std::vector<DocCase> SectionSixDocs() {
   return docs;
 }
 
+// A seeded population of `population` generated queries over `labels`.
+std::vector<ExprPtr> GeneratePopulation(int population, uint64_t seed,
+                                        const std::vector<std::string>& labels,
+                                        QueryGenKnobs knobs = {}) {
+  knobs.labels = labels;
+  QueryGen gen(seed, knobs);
+  std::vector<ExprPtr> queries;
+  queries.reserve(static_cast<size_t>(population));
+  for (int i = 0; i < population; ++i) queries.push_back(gen.Gen(2 + i % 4));
+  return queries;
+}
+
 // One battery cell: `population` generated queries against one document,
 // evaluated through the merged DAG and checked query-by-query against the
 // independent engine and the DOM oracle.
@@ -82,12 +94,8 @@ void RunSharingCell(int population, uint64_t seed, const DocCase& doc) {
   std::string error;
   ASSERT_TRUE(EventsToDocument(doc.events, &dom, &error)) << error;
 
-  QueryGenKnobs knobs;
-  knobs.labels = doc.labels;
-  QueryGen gen(seed, knobs);
-  std::vector<ExprPtr> queries;
-  queries.reserve(static_cast<size_t>(population));
-  for (int i = 0; i < population; ++i) queries.push_back(gen.Gen(2 + i % 4));
+  const std::vector<ExprPtr> queries =
+      GeneratePopulation(population, seed, doc.labels);
 
   std::vector<std::unique_ptr<SerializingResultSink>> sinks;
   MultiQueryEngine mq;
@@ -149,10 +157,110 @@ TEST_P(MultiQuerySharedBattery, SharedResultsMatchIndependentAndOracle) {
 INSTANTIATE_TEST_SUITE_P(Populations, MultiQuerySharedBattery,
                          ::testing::Values(2, 16, 128, 1000));
 
+// The stream of the paper's Fig. 1.
+constexpr char kPaperDoc[] = "<a><a><c/></a><b/><c/></a>";
+
+// ---------------------------------------------------------------------------
+// Sweep buffers (Network::AssignBuffers): one pending buffer per tape live at
+// once, not one per tape.
+
+// The most tapes live at any sweep position, from the wiring alone: tape t
+// is live over [producer, consumer] (closed) and an injection point — an
+// input port 0 no tape feeds — over [node, node].
+int MaxLiveTapes(const Network& network) {
+  const size_t n = static_cast<size_t>(network.node_count());
+  std::vector<int> delta(n + 1, 0);
+  std::vector<bool> fed(n, false);
+  for (int t = 0; t < network.tape_count(); ++t) {
+    const Network::TapeInfo info = network.tape_info(t);
+    if (info.producer_node == -1 || info.consumer_node == -1) continue;
+    const size_t producer = static_cast<size_t>(info.producer_node);
+    const size_t consumer = static_cast<size_t>(info.consumer_node);
+    ++delta[producer];
+    --delta[consumer + 1];
+    if (info.consumer_port == 0) fed[consumer] = true;
+  }
+  for (size_t id = 0; id < n; ++id) {
+    if (!fed[id]) {
+      ++delta[id];
+      --delta[id + 1];
+    }
+  }
+  int live = 0;
+  int peak = 0;
+  for (size_t id = 0; id < n; ++id) {
+    live += delta[id];
+    peak = std::max(peak, live);
+  }
+  return peak;
+}
+
+TEST(SweepBuffers, Fig12NetworkHoldsOneBufferPerLiveTape) {
+  ExprPtr query = MustParseRpeq("_*.a[b].c");
+  SerializingResultSink sink;
+  SpexEngine engine(*query, &sink);
+  EXPECT_EQ(engine.network().buffer_count(), 0);  // assigned on first sweep
+  for (const StreamEvent& e : MustParseEvents(kPaperDoc)) {
+    engine.OnEvent(e);
+  }
+  EXPECT_EQ(sink.results(), (std::vector<std::string>{"<c></c>"}));
+  EXPECT_EQ(engine.network().buffer_count(),
+            MaxLiveTapes(engine.network()));
+  EXPECT_LT(engine.network().buffer_count(), engine.network().tape_count());
+}
+
+// 1000-query populations, condition-free (whole-batch sweeps) and with
+// qualifiers (one round per sweep), fed in 64-event batches: the coloured
+// buffers stay at the live-tape bound, far below the tape count, and every
+// slot's results equal an independent engine's byte for byte.
+TEST(SweepBuffers, PopulationHoldsOneBufferPerLiveTape) {
+  // A ~200-event DMOZ-like document (a few 64-event batches) keeps 1000
+  // queries swept one round at a time quick, sanitizer builds included.
+  const DocCase doc{"dmoz",
+                    {"RDF", "Topic", "Title", "editor", "newsGroup", "_"},
+                    GenerateToVector([](EventSink* s) {
+                      GenerateDmozLike(5, 0.00003, /*content=*/false, s);
+                    })};
+  ASSERT_GT(doc.events.size(), size_t{128});
+  for (const bool qualifiers : {false, true}) {
+    SCOPED_TRACE(qualifiers ? "qualifiers" : "condition-free");
+    QueryGenKnobs knobs;
+    knobs.qualifiers = qualifiers;
+    const std::vector<ExprPtr> queries =
+        GeneratePopulation(1000, 0xb0ffe5u, doc.labels, knobs);
+    std::vector<std::unique_ptr<SerializingResultSink>> sinks;
+    MultiQueryEngine mq;
+    for (const ExprPtr& q : queries) {
+      sinks.push_back(std::make_unique<SerializingResultSink>());
+      ASSERT_TRUE(mq.AddQuery(*q, sinks.back().get()).ok());
+    }
+    mq.Finalize();
+    for (size_t i = 0; i < doc.events.size(); i += 64) {
+      mq.OnEventBatch(doc.events.data() + i,
+                      std::min<size_t>(64, doc.events.size() - i));
+    }
+    const Network& network = mq.network();
+    EXPECT_EQ(network.buffer_count(), MaxLiveTapes(network));
+    EXPECT_LT(network.buffer_count() * 10, network.tape_count())
+        << network.buffer_count() << " buffers for " << network.tape_count()
+        << " tapes";
+
+    std::map<std::string, std::vector<std::string>> expected;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const std::string text = queries[i]->ToString();
+      auto it = expected.find(text);
+      if (it == expected.end()) {
+        it = expected.emplace(text, EvaluateToStrings(*queries[i], doc.events))
+                 .first;
+      }
+      ASSERT_EQ(sinks[i]->results(), it->second) << "q=" << i << " " << text;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // CSE structural properties.
 
-constexpr char kPaperDoc[] = "<a><a><c/></a><b/><c/></a>";
 
 int DegreeOf(const std::string& query) {
   CountingResultSink sink;

@@ -19,10 +19,13 @@ namespace {
 class ProbeTransducer : public Transducer {
  public:
   ProbeTransducer() : Transducer("PROBE") {}
-  void OnMessage(int port, Message message, Emitter* out) override {
+  void ProcessBatch(int port, Message* messages, size_t count,
+                    BatchEmitter* out) override {
     (void)port;
-    seen.push_back(message.ToString());
-    out->Emit(0, std::move(message));
+    for (size_t i = 0; i < count; ++i) {
+      seen.push_back(messages[i].ToString());
+      out->Emit(0, std::move(messages[i]));
+    }
   }
   std::vector<std::string> seen;
 };
@@ -38,7 +41,7 @@ TEST(NetworkTest, DeliveryFollowsTapes) {
   int t = net.NewTape();
   net.SetProducer(t, n1, 0);
   net.SetConsumer(t, n2, 0);
-  net.Deliver(n1, 0, Open("a"));
+  DeliverOne(&net, n1, 0, Open("a"));
   EXPECT_EQ(p1->seen, (std::vector<std::string>{"<a>"}));
   EXPECT_EQ(p2->seen, (std::vector<std::string>{"<a>"}));
 }
@@ -48,7 +51,7 @@ TEST(NetworkTest, DanglingOutputIsDropped) {
   auto probe = std::make_unique<ProbeTransducer>();
   int n = net.AddNode(std::move(probe));
   // No output tape: emitting must be a safe no-op.
-  net.Deliver(n, 0, Open("a"));
+  DeliverOne(&net, n, 0, Open("a"));
   SUCCEED();
 }
 
@@ -65,7 +68,7 @@ TEST(NetworkTest, NetworkSurvivesMove) {
   net.SetProducer(t, n1, 0);
   net.SetConsumer(t, n2, 0);
   Network moved = std::move(net);
-  moved.Deliver(0, 0, Open("x"));
+  DeliverOne(&moved, 0, 0, Open("x"));
   EXPECT_EQ(p2->seen.size(), 1u);
 }
 
@@ -102,7 +105,7 @@ TEST(NetworkTest, ToDotEscapesLabelCharacters) {
   class HostileName : public Transducer {
    public:
     HostileName() : Transducer("CH(a\"b\\c\nd)") {}
-    void OnMessage(int, Message, Emitter*) override {}
+    void ProcessBatch(int, Message*, size_t, BatchEmitter*) override {}
   };
   Network net;
   int n1 = net.AddNode(std::make_unique<HostileName>());
@@ -120,44 +123,44 @@ TEST(NetworkTest, ToDotEscapesLabelCharacters) {
 TEST(InputTransducerTest, ActivatesOnceOnStartDocument) {
   InputTransducer in;
   TestEmitter e;
-  in.OnMessage(0, OpenDoc(), &e);
+  Feed(&in, 0, OpenDoc(), &e);
   EXPECT_EQ(e.Summary(), "[true];<$>");
   e.Clear();
-  in.OnMessage(0, Open("a"), &e);
+  Feed(&in, 0, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "<a>");  // no further activation
   e.Clear();
-  in.OnMessage(0, CloseDoc(), &e);
+  Feed(&in, 0, CloseDoc(), &e);
   EXPECT_EQ(e.Summary(), "</$>");
 }
 
 TEST(UnionTransducerTest, MergesTwoActivations) {
   UnionTransducer un;
   TestEmitter e;
-  un.OnMessage(0, Activate(Formula::Var(1)), &e);
+  Feed(&un, 0, Activate(Formula::Var(1)), &e);
   EXPECT_EQ(e.Summary(), "");  // stored (Fig. 10 rule 1)
-  un.OnMessage(0, Activate(Formula::Var(2)), &e);
+  Feed(&un, 0, Activate(Formula::Var(2)), &e);
   EXPECT_EQ(e.Summary(), "[co0_1|co0_2]");  // rule 2
   e.Clear();
-  un.OnMessage(0, Open("a"), &e);
+  Feed(&un, 0, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "<a>");  // no pending activation any more
 }
 
 TEST(UnionTransducerTest, ForwardsSingleActivationBeforeItsMessage) {
   UnionTransducer un;
   TestEmitter e;
-  un.OnMessage(0, Activate(Formula::Var(7)), &e);
-  un.OnMessage(0, Open("a"), &e);
+  Feed(&un, 0, Activate(Formula::Var(7)), &e);
+  Feed(&un, 0, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_7];<a>");  // rule 3
 }
 
 TEST(UnionTransducerTest, ForwardsDeterminations) {
   UnionTransducer un;
   TestEmitter e;
-  un.OnMessage(0, Activate(Formula::Var(7)), &e);
-  un.OnMessage(0, Message::Determination(9, true), &e);
+  Feed(&un, 0, Activate(Formula::Var(7)), &e);
+  Feed(&un, 0, Message::Determination(9, true), &e);
   EXPECT_EQ(e.Summary(), "{co0_9,true}");  // rule 4, store intact
   e.Clear();
-  un.OnMessage(0, Open("a"), &e);
+  Feed(&un, 0, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_7];<a>");
 }
 
@@ -165,26 +168,26 @@ TEST(IntersectTransducerTest, EmitsConjunctionOnlyWhenBothActivate) {
   IntersectTransducer is;
   TestEmitter e;
   // Round 1: both sides activate <a>.
-  is.OnMessage(0, Activate(Formula::Var(1)), &e);
-  is.OnMessage(0, Open("a"), &e);
+  Feed(&is, 0, Activate(Formula::Var(1)), &e);
+  Feed(&is, 0, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "");  // waits for the right copy
-  is.OnMessage(1, Activate(Formula::Var(2)), &e);
-  is.OnMessage(1, Open("a"), &e);
+  Feed(&is, 1, Activate(Formula::Var(2)), &e);
+  Feed(&is, 1, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_1&co0_2];<a>");
   e.Clear();
   // Round 2: only the left side activates <b>: plain forward.
-  is.OnMessage(0, Activate(Formula::Var(3)), &e);
-  is.OnMessage(0, Close("a"), &e);
-  is.OnMessage(1, Close("a"), &e);
+  Feed(&is, 0, Activate(Formula::Var(3)), &e);
+  Feed(&is, 0, Close("a"), &e);
+  Feed(&is, 1, Close("a"), &e);
   EXPECT_EQ(e.Summary(), "</a>");
 }
 
 TEST(IntersectTransducerTest, DeterminationsPassThrough) {
   IntersectTransducer is;
   TestEmitter e;
-  is.OnMessage(0, Message::Determination(5, true), &e);
-  is.OnMessage(0, Open("a"), &e);
-  is.OnMessage(1, Open("a"), &e);
+  Feed(&is, 0, Message::Determination(5, true), &e);
+  Feed(&is, 0, Open("a"), &e);
+  Feed(&is, 1, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "{co0_5,true};<a>");
 }
 

@@ -460,7 +460,7 @@ TEST(ObsEngineTest, DecisionDelayHistogramCountsEveryCandidate) {
 // The golden trace round-trip: record a real run at observe=full, export
 // Chrome trace JSON, parse it back and check the spans form a proper
 // nesting — node-track spans must sit inside a stream-track (tid 0) span,
-// because message delivery is synchronous and depth-first.
+// because observe=full sweeps the network one document message at a time.
 TEST(ObsEngineTest, TraceRoundTripsAsNestedChromeJson) {
   ExprPtr query = MustParseRpeq("_*.book[author].title");
   CountingResultSink sink;

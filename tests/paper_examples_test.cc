@@ -6,9 +6,13 @@
 // The traces are grouped per document message: each group lists the rules
 // fired for the control messages preceding the document message plus the
 // rule for the document message itself, comma-joined — the presentation of
-// the figures.
+// the figures.  Every trace is checked per event and fed in batches of 7 and
+// 64 events: the network's one delivery path (the topological sweep) must
+// reproduce the figures at every feeding granularity.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "rpeq/parser.h"
 #include "spex/engine.h"
@@ -22,12 +26,20 @@ constexpr char kPaperDoc[] = "<a><a><c/></a><b/><c/></a>";
 
 class TracedRun {
  public:
-  TracedRun(const std::string& query, const std::string& xml)
+  // Feeds the document through OnEvent (`batch` 1) or OnEventBatch slices.
+  TracedRun(const std::string& query, const std::string& xml, size_t batch = 1)
       : query_(MustParseRpeq(query)), sink_(), engine_(MakeEngine()) {
     std::vector<StreamEvent> events;
     std::string error;
     EXPECT_TRUE(ParseXmlToEvents(xml, &events, &error)) << error;
-    for (const StreamEvent& e : events) engine_->OnEvent(e);
+    for (size_t i = 0; i < events.size(); i += batch) {
+      if (batch == 1) {
+        engine_->OnEvent(events[i]);
+      } else {
+        engine_->OnEventBatch(events.data() + i,
+                              std::min(batch, events.size() - i));
+      }
+    }
   }
 
   std::string Trace(const std::string& name) const {
@@ -52,8 +64,8 @@ class TracedRun {
   std::unique_ptr<SpexEngine> engine_;
 };
 
-TEST(PaperExamplesTest, Fig4ChildTransducersForQueryAC) {
-  TracedRun run("a.c", kPaperDoc);
+void ExpectFig4Traces(size_t batch) {
+  TracedRun run("a.c", kPaperDoc, batch);
   // Fig. 4, row T1 = CH(a):
   EXPECT_EQ(run.Trace("CH(a)"), "1,5 7 2 2 3 3 2 3 2 3 4 9");
   // Fig. 4, row T2 = CH(c):
@@ -61,8 +73,8 @@ TEST(PaperExamplesTest, Fig4ChildTransducersForQueryAC) {
   EXPECT_EQ(run.results(), (std::vector<std::string>{"<c></c>"}));
 }
 
-TEST(PaperExamplesTest, Fig5ClosureTransducersForQueryAPlusCPlus) {
-  TracedRun run("a+.c+", kPaperDoc);
+void ExpectFig5Traces(size_t batch) {
+  TracedRun run("a+.c+", kPaperDoc, batch);
   // Fig. 5, row T1 = CL(a):
   EXPECT_EQ(run.Trace("CL(a)"), "1,5 7 7 8 4 9 8 4 8 4 9 11");
   // Fig. 5, row T2 = CL(c):
@@ -71,8 +83,8 @@ TEST(PaperExamplesTest, Fig5ClosureTransducersForQueryAPlusCPlus) {
             (std::vector<std::string>{"<c></c>", "<c></c>"}));
 }
 
-TEST(PaperExamplesTest, Fig13CompleteExample) {
-  TracedRun run("_*.a[b].c", kPaperDoc);
+void ExpectFig13Traces(size_t batch) {
+  TracedRun run("_*.a[b].c", kPaperDoc, batch);
   // Fig. 13 rows (T1..T5).
   EXPECT_EQ(run.Trace("CL(_)"), "1,5 7 7 7 9 9 7 9 7 9 9 11");
   EXPECT_EQ(run.Trace("CH(a)"), "1,5 6,11 6,11 6,12 10 10 6,12 10 6,12 10 10 9");
@@ -83,6 +95,24 @@ TEST(PaperExamplesTest, Fig13CompleteExample) {
   // {co2,false} arrives; candidate2 (second <c>) is emitted.
   EXPECT_EQ(run.results(), (std::vector<std::string>{"<c></c>"}));
 }
+
+TEST(PaperExamplesTest, Fig4ChildTransducersForQueryAC) { ExpectFig4Traces(1); }
+
+TEST(PaperExamplesTest, Fig5ClosureTransducersForQueryAPlusCPlus) {
+  ExpectFig5Traces(1);
+}
+
+TEST(PaperExamplesTest, Fig13CompleteExample) { ExpectFig13Traces(1); }
+
+// The same figures fed through OnEventBatch.
+class PaperTracesBatched : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PaperTracesBatched, Fig4) { ExpectFig4Traces(GetParam()); }
+TEST_P(PaperTracesBatched, Fig5) { ExpectFig5Traces(GetParam()); }
+TEST_P(PaperTracesBatched, Fig13) { ExpectFig13Traces(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(FeedBatch, PaperTracesBatched,
+                         ::testing::Values(size_t{7}, size_t{64}));
 
 TEST(PaperExamplesTest, Fig13CandidateAccounting) {
   TracedRun run("_*.a[b].c", kPaperDoc);

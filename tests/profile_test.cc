@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -129,7 +130,7 @@ TEST(ProfileTest, TimedReportInvariants) {
   for (const obs::ProfileNode& n : report.nodes) {
     sum_in += n.messages_in;
     share_sum += n.time_share;
-    // One profiler bracket per delivery, one CountIn per delivery.
+    // Every timed node call counts the messages it was handed.
     EXPECT_EQ(n.deliveries, n.messages_in) << n.name;
     EXPECT_GE(n.self_ns, 0) << n.name;
     EXPECT_GE(n.total_ns, n.self_ns) << n.name;
@@ -153,6 +154,38 @@ TEST(ProfileTest, TimedReportInvariants) {
     if (n.name == "IN") continue;  // injected directly, no incoming tape
     EXPECT_EQ(incoming[static_cast<size_t>(n.id)], n.messages_in) << n.name;
   }
+}
+
+// Profiled runs time the same sweep as unprofiled ones: a qualifier query
+// fed in 64-event batches (one round per sweep) attributes every message
+// and partitions its time.
+TEST(ProfileTest, QualifierQueryProfiledInBatches) {
+  ExprPtr query = MustParseRpeq("_*.Topic[editor].Title");
+  const std::vector<StreamEvent> events = DmozEvents();
+  EngineOptions options;
+  options.profile = true;
+  CountingResultSink sink;
+  SpexEngine engine(*query, &sink, options);
+  for (size_t i = 0; i < events.size(); i += 64) {
+    engine.OnEventBatch(events.data() + i,
+                        std::min<size_t>(64, events.size() - i));
+  }
+  CountingResultSink plain_sink;
+  SpexEngine plain(*query, &plain_sink);
+  for (const StreamEvent& e : events) plain.OnEvent(e);
+  EXPECT_EQ(sink.results(), plain_sink.results());
+  ASSERT_GT(sink.results(), 0);
+
+  const obs::ProfileReport report = engine.Profile();
+  EXPECT_TRUE(report.timed);
+  double share_sum = 0;
+  for (const obs::ProfileNode& n : report.nodes) {
+    EXPECT_EQ(n.deliveries, n.messages_in) << n.name;
+    EXPECT_GT(n.deliveries, 0) << n.name;
+    share_sum += n.time_share;
+  }
+  EXPECT_NEAR(share_sum, 1.0, 1e-9);
+  EXPECT_EQ(report.total_messages, plain.ComputeStats().total_messages);
 }
 
 TEST(ProfileTest, RenderingsAreWellFormed) {

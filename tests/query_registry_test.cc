@@ -445,7 +445,7 @@ TEST(SamplingProfilerTest, SampledSharesSumToAtMostOne) {
 }
 
 TEST(SamplingProfilerTest, FullCoverageSamplingMatchesFullProfile) {
-  // At period 1 every batch takes the instrumented path, so the sampled
+  // At period 1 every batch has its sweeps timed, so the sampled
   // delivery counts must equal the full profiler's exactly — the timing
   // estimator's attribution error comes only from batches NOT sampled.
   ExprPtr query = MustParseRpeq("_*.book[author].title");

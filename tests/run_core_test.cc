@@ -3,7 +3,7 @@
 // SpexEngine, a one-query MultiQueryEngine and the one-atom conjunctive query
 // `q(X) :- Root(r) X` behave identically — fragments, governor statuses,
 // certain prefixes, progress watermarks and message counts — at every batch
-// size.
+// size, and every batch size matches per-event feeding.
 
 #include <gtest/gtest.h>
 
@@ -143,11 +143,13 @@ TEST(RunCoreTest, FrontEndParity) {
     tree.text_probability = 0.3;
     const std::vector<StreamEvent> events = GenerateToVector(
         [&](EventSink* s) { GenerateRandomTree(seed, tree, s); });
-    for (const char* text : {"_*.a", "_*.a[c].b", "r._*.b[a]"}) {
+    for (const char* text : {"_*.a", "_*.a[c].b", "r._*.b[a]", "_*.a.>>b",
+                             "_*.b.<<a", "_*.a[b.>>c]"}) {
       ExprPtr query = MustParseRpeq(text);
       auto cq = MustParseConjunctiveQuery(std::string("q(X) :- Root(") +
                                           text + ") X");
       for (Config& config : configs) {
+        RunOutcome per_event;  // the batch-1 outcome of this leg
         for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
           SCOPED_TRACE("seed=" + std::to_string(seed) + " " + text + " " +
                        config.name + " batch=" + std::to_string(batch));
@@ -179,6 +181,14 @@ TEST(RunCoreTest, FrontEndParity) {
           EXPECT_EQ(Drive(&conjunctive, cq_sink, events, batch, &watermarks),
                     expected);
 
+          // Batching is a feeding granularity: everything but the
+          // watermark count (checked once per batch) matches batch 1.
+          if (batch == 1) per_event = expected;
+          EXPECT_EQ(expected.fragments, per_event.fragments);
+          EXPECT_EQ(expected.code, per_event.code);
+          EXPECT_EQ(expected.certain, per_event.certain);
+          EXPECT_EQ(expected.total_messages, per_event.total_messages);
+
           if (expected.code != StatusCode::kOk) ++config.breaches;
           if (expected.watermarks > 0) ++watermark_runs;
         }
@@ -186,7 +196,7 @@ TEST(RunCoreTest, FrontEndParity) {
     }
   }
   // Progress fires on every progress run; every limit leg really breaches.
-  EXPECT_EQ(watermark_runs, 3 * 3 * 3);
+  EXPECT_EQ(watermark_runs, 3 * 6 * 3);
   EXPECT_EQ(configs[0].breaches, 0);
   for (size_t i = 1; i < configs.size(); ++i) {
     EXPECT_GT(configs[i].breaches, 0) << configs[i].name;

@@ -788,7 +788,7 @@ TEST(ThreadAffinityDeathTest, CrossThreadDeliverAborts) {
         // Binds the network's affinity to this thread...
         engine.OnEvent(StreamEvent::StartDocument());
         // ...so a delivery from any other thread must abort.  EndElement
-        // skips symbol interning, reaching Network::Deliver directly.
+        // skips symbol interning, reaching Network::DeliverBatch directly.
         std::thread other(
             [&engine] { engine.OnEvent(StreamEvent::EndElement("a")); });
         other.join();

@@ -12,9 +12,9 @@ namespace {
 TEST(SplitTransducerTest, DuplicatesEveryMessageToBothPorts) {
   SplitTransducer sp;
   TestEmitter e;
-  sp.OnMessage(0, Open("a"), &e);
-  sp.OnMessage(0, Activate(), &e);
-  sp.OnMessage(0, Message::Determination(1, true), &e);
+  Feed(&sp, 0, Open("a"), &e);
+  Feed(&sp, 0, Activate(), &e);
+  Feed(&sp, 0, Message::Determination(1, true), &e);
   EXPECT_EQ(e.Summary(true),
             "0:<a>;1:<a>;0:[true];1:[true];0:{co0_1,true};1:{co0_1,true}");
 }
@@ -23,7 +23,7 @@ class JoinTransducerTest : public ::testing::Test {
  protected:
   std::string Send(int port, Message m) {
     e_.Clear();
-    jo_.OnMessage(port, std::move(m), &e_);
+    Feed(&jo_, port, std::move(m), &e_);
     return e_.Summary();
   }
 

@@ -113,9 +113,9 @@ TEST(SymbolTableTest, EngineInternsUnstampedEventsOnEntry) {
 }
 
 TEST(SymbolTableTest, NetworkSurvivesMoveBetweenDeliveries) {
-  // The network must stay deliverable after being moved (network.h: emitters
-  // are stack-allocated per delivery precisely so that no component holds a
-  // stable back-pointer to the Network object).  Compile, move the network,
+  // The network must stay deliverable after being moved (no component may
+  // hold a stable back-pointer to the Network object, and the sweep's
+  // pending buffers move with it).  Compile, move the network,
   // then run a document through the moved instance — including mid-document:
   // deliver half the events, move again, deliver the rest.
   ExprPtr query = MustParseRpeq("_*.b[c]");
@@ -129,11 +129,12 @@ TEST(SymbolTableTest, NetworkSurvivesMoveBetweenDeliveries) {
       MustParseEvents("<a><b><c/></b><b>no</b><d><b><c/></b></d></a>");
   size_t half = events.size() / 2;
   for (size_t i = 0; i < half; ++i) {
-    moved.Deliver(compiled.input_node, 0, Message::Document(events[i]));
+    DeliverOne(&moved, compiled.input_node, 0, Message::Document(events[i]));
   }
   Network moved_again = std::move(moved);
   for (size_t i = half; i < events.size(); ++i) {
-    moved_again.Deliver(compiled.input_node, 0, Message::Document(events[i]));
+    DeliverOne(&moved_again, compiled.input_node, 0,
+               Message::Document(events[i]));
   }
   EXPECT_EQ(sink.results().size(), 2u);
 }

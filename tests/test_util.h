@@ -12,16 +12,17 @@
 #include <vector>
 
 #include "spex/message.h"
+#include "spex/network.h"
 #include "spex/transducer.h"
 #include "xml/stream_event.h"
 #include "xml/xml_parser.h"
 
 namespace spex {
 
-// Emitter that records everything a transducer emits.
-class TestEmitter : public Emitter {
+// Records everything a transducer emits (see Feed).
+class TestEmitter {
  public:
-  void Emit(int port, Message message) override {
+  void Record(int port, Message message) {
     messages_.emplace_back(port, std::move(message));
   }
 
@@ -46,6 +47,29 @@ class TestEmitter : public Emitter {
  private:
   std::vector<std::pair<int, Message>> messages_;
 };
+
+// Hands `message` to `t` on input `port` as a one-message batch — the
+// transducer's one entry point, exactly as a one-round network sweep calls
+// it — and records the emissions in `out`, port 0's before port 1's (only
+// SP writes both, one message each).
+inline void Feed(Transducer* t, int port, Message message, TestEmitter* out) {
+  std::vector<Message> in;
+  in.push_back(std::move(message));
+  std::vector<Message> emitted[2];
+  BatchEmitter emitter(&emitted[0], &emitted[1], &in);
+  t->OnBatch(port, in.data(), in.size(), &emitter);
+  emitter.Finish();
+  for (int p = 0; p < 2; ++p) {
+    for (Message& m : emitted[p]) out->Record(p, std::move(m));
+  }
+}
+
+// Injects `message` at `node`'s input `port` as a one-message sweep.
+inline void DeliverOne(Network* network, int node, int port, Message message) {
+  std::vector<Message> batch;
+  batch.push_back(std::move(message));
+  network->DeliverBatch(node, port, &batch);
+}
 
 inline Message Open(const std::string& label) {
   return Message::Document(StreamEvent::StartElement(label));

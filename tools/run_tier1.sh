@@ -52,6 +52,49 @@ echo "tier1: metrics smoke OK"
 }
 echo "tier1: explain/profile smoke OK"
 
+# Batch-granularity parity smoke (DESIGN.md §11): every batch size feeds the
+# network's one delivery path, so plain, order-axis and qualifier queries
+# give byte-identical results at 1, 7 and 64 events per batch.
+parity_dir="$(mktemp -d)"
+for query in '_*.book[author].title' '_*.author.>>title' '_*.title.<<author' \
+    '_*.book[title.<<author].price' '_*.book[author.>>price]'; do
+  for batch in 1 7 64; do
+    "$binary_dir/tools/spexquery" --batch-size="$batch" "$query" \
+      examples/data/catalog.xml >"$parity_dir/$batch.out" || {
+      echo "tier1: batch parity smoke: spexquery failed on $query" >&2
+      rm -rf "$parity_dir"
+      exit 1
+    }
+  done
+  if [ ! -s "$parity_dir/1.out" ] ||
+      ! cmp -s "$parity_dir/1.out" "$parity_dir/7.out" ||
+      ! cmp -s "$parity_dir/1.out" "$parity_dir/64.out"; then
+    echo "tier1: batch parity smoke failed on $query" >&2
+    rm -rf "$parity_dir"
+    exit 1
+  fi
+done
+rm -rf "$parity_dir"
+echo "tier1: batch parity smoke OK"
+
+# Profile accounting smoke: the timed report's self-time shares partition
+# the run, and every node's deliveries equal its messages_in.
+profile_json="$("$binary_dir/tools/spexquery" --profile=json \
+  '_*.book[author].title' examples/data/catalog.xml)"
+echo "$profile_json" | python3 -c '
+import json, sys
+nodes = json.load(sys.stdin)["nodes"]
+share = sum(n["time_share"] for n in nodes)
+bad = [n["name"] for n in nodes if n["deliveries"] != n["messages_in"]]
+if abs(share - 1.0) > 0.01 or bad:
+    sys.exit("shares sum to %.4f; deliveries != messages_in on %s"
+             % (share, bad))
+' || {
+  echo "tier1: profile accounting smoke failed" >&2
+  exit 1
+}
+echo "tier1: profile accounting smoke OK"
+
 # Concurrent-runtime smoke: fan the bundled example document across a small
 # engine pool and check the serving summary (under asan/tsan this also puts
 # the worker queues and the shared query cache through sanitized traffic).

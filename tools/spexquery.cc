@@ -18,8 +18,8 @@
 //                                     result fragments are suppressed, use
 //                                     --count for the match count)
 //   spexquery --sampling=N ...        statistical sampling profiler: ~1/N
-//                                     delivery batches take the instrumented
-//                                     path; prints the sampled attribution
+//                                     delivery batches have their sweeps
+//                                     timed; prints the sampled attribution
 //                                     report after the run (cheap alternative
 //                                     to --profile for long streams)
 //   spexquery --observe=LEVEL ...     off|counters|full (default: the

@@ -67,7 +67,7 @@
 //                       /queries?slow_ms=N on the admin plane)
 //   --slow-delay-ms=N   same, keyed on the estimated output-decision delay
 //   --sampling=N        sampling profiler period: ~1/N delivery batches per
-//                       session take the instrumented path and fold node
+//                       session have their sweeps timed and fold node
 //                       self-times into /queries attribution (default 256,
 //                       0 = off)
 //
