@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -331,13 +332,13 @@ struct Record {
   int64_t results = 0;
 };
 
-// Observe level applied to every workload engine (--observe=off|counters|
-// full); BENCH_PR2.json pairs an off run against a full run to price the
-// observability layer.
-ObserveLevel g_observe = ObserveLevel::kOff;
-// --profile: attach the per-node cost profiler instead (observe stays off).
-// Recorded as the pseudo-level "profile" so BENCH_PR3.json prices the
-// EXPLAIN/PROFILE instrumentation alongside off/full.
+// --observe=full: attach a trace recorder to every workload engine
+// (--observe=off, the default, attaches nothing; counters are always on).
+// BENCH_PR2.json pairs an off run against a full run to price tracing.
+bool g_trace = false;
+// --profile: attach the per-node cost profiler instead.  Recorded as the
+// pseudo-level "profile" so BENCH_PR3.json prices the EXPLAIN/PROFILE
+// instrumentation alongside off/full.
 bool g_profile = false;
 // --sampling=N: attach the batch-granular sampling profiler (obs/
 // sampling_profiler.h) at period N.  The observe name stays "off" — the
@@ -347,13 +348,29 @@ int g_sampling = 0;
 
 const char* ObserveName() {
   if (g_profile) return "profile";
-  switch (g_observe) {
-    case ObserveLevel::kOff: return "off";
-    case ObserveLevel::kCounters: return "counters";
-    case ObserveLevel::kFull: return "full";
-  }
-  return "?";
+  return g_trace ? "full" : "off";
 }
+
+// Attaches what --observe=full / --profile ask for to one workload engine,
+// owning the recorder and accumulator for the engine's lifetime.
+class Observation {
+ public:
+  explicit Observation(SpexEngine* engine) {
+    if (g_trace) {
+      recorder_ = std::make_unique<obs::TraceRecorder>();
+      engine->AttachTrace(recorder_.get());
+    }
+    if (g_profile) {
+      profiler_ = std::make_unique<obs::ProfileAccumulator>(
+          engine->network().node_count());
+      engine->AttachProfiler(profiler_.get());
+    }
+  }
+
+ private:
+  std::unique_ptr<obs::TraceRecorder> recorder_;
+  std::unique_ptr<obs::ProfileAccumulator> profiler_;
+};
 
 // Feeds the stream in EngineOptions::batch_size chunks, exactly as XmlParser
 // delivers in production (DESIGN.md §11); the engine sweeps whole batches
@@ -389,8 +406,6 @@ Record RunWorkload(const Workload& w) {
   }
   EngineOptions options;
   options.symbols = &symbols;
-  options.observe = g_observe;
-  options.profile = g_profile;
 
   // One process-wide sampler (as EnginePool holds one) so --sampling prices
   // the production wiring: relaxed-load draw per batch, timed sweeps on the
@@ -403,6 +418,7 @@ Record RunWorkload(const Workload& w) {
   {
     CountingResultSink sink;
     SpexEngine engine(*query, &sink, options);
+    Observation observation(&engine);
     if (g_sampling > 0) engine.SetBatchSampler(&sampler);
     FeedStream(&engine, events, options.batch_size);
     rec.results = sink.results();
@@ -413,6 +429,7 @@ Record RunWorkload(const Workload& w) {
   {
     CountingResultSink sink;
     SpexEngine engine(*query, &sink, options);
+    Observation observation(&engine);
     if (g_sampling > 0) engine.SetBatchSampler(&sampler);
     const int64_t before = g_alloc_count.load(std::memory_order_relaxed);
     FeedStream(&engine, events, options.batch_size);
@@ -428,6 +445,7 @@ Record RunWorkload(const Workload& w) {
   for (int r = 0; r < reps; ++r) {
     CountingResultSink sink;
     SpexEngine engine(*query, &sink, options);
+    Observation observation(&engine);
     if (g_sampling > 0) engine.SetBatchSampler(&sampler);
     auto start = std::chrono::steady_clock::now();
     FeedStream(&engine, events, options.batch_size);
@@ -541,11 +559,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strncmp(argv[i], "--observe=", 10) == 0) {
-      if (!spex::ParseObserveLevel(argv[i] + 10,
-                                   &spex::benchjson::g_observe)) {
-        std::fprintf(stderr, "bad --observe level: %s\n", argv[i] + 10);
+      const std::string level = argv[i] + 10;
+      if (level != "off" && level != "full") {
+        std::fprintf(stderr, "bad --observe level (off|full): %s\n",
+                     level.c_str());
         return 1;
       }
+      spex::benchjson::g_trace = level == "full";
     } else if (std::strcmp(argv[i], "--profile") == 0) {
       spex::benchjson::g_profile = true;
     } else if (std::strncmp(argv[i], "--sampling=", 11) == 0) {

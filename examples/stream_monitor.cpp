@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
   // nodes, ...).  Each line is flat in the number of ticks — the §VI
   // stability claim, now read off the metrics the engine publishes anyway.
   spex::EngineOptions options;
-  options.observe = spex::ObserveLevel::kCounters;
   options.progress.every_events = 400000;
   options.progress.callback = [](const spex::Watermark& w) {
     std::printf("progress: %s rss=%.1fMB\n", w.ToString().c_str(),

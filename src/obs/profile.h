@@ -3,8 +3,9 @@
 //
 // Two pieces:
 //
-//  * ProfileAccumulator — an allocation-free per-node time accumulator fed
-//    by the network's sweep (the same per-node-call clock pair observe=full
+//  * ProfileAccumulator — an allocation-free per-node time accumulator,
+//    attached to a run (RunCore::AttachProfiler) and fed by the network's
+//    sweep (the same per-node-call clock pair an attached trace recorder
 //    uses for Chrome-trace spans).  Node calls of a sweep never nest, so a
 //    call's time is its node's self time; self times partition the
 //    instrumented wall time, which is what makes per-node time shares sum

@@ -2,7 +2,7 @@
 //
 // The full EXPLAIN/PROFILE instrumentation (obs/profile.h) brackets every
 // node call of the network's sweep with clock reads — precise, but a
-// multiple of the observe=off cost, so serving runs leave it off and
+// multiple of the unattached cost, so serving runs leave it off and
 // attribution goes dark.  This controller closes the gap with batch-granular
 // sampling: engines that hold a SamplingProfiler draw once per delivered
 // event batch, and only a sampled batch (1 of every `period`) has the node

@@ -29,13 +29,14 @@ int TraceRecorder::InternName(std::string_view name) {
 
 void TraceRecorder::SetTrackName(int tid, std::string_view name) {
   tid += tid_base_;
+  std::string full = track_prefix_ + std::string(name);
   for (auto& [id, existing] : track_names_) {
     if (id == tid) {
-      existing = std::string(name);
+      existing = std::move(full);
       return;
     }
   }
-  track_names_.emplace_back(tid, std::string(name));
+  track_names_.emplace_back(tid, std::move(full));
 }
 
 size_t TraceRecorder::size() const {

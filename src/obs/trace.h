@@ -7,23 +7,23 @@
 // chrome://tracing and Perfetto.
 //
 // Track model: pid is always 1; each tid is one track.  The SPEX engine maps
-// tid 0 to the document stream (one span per document message, covering the
-// whole sweep of its round) and tid i+1 to network node i (one span per node
-// call of the sweep, inside the enclosing round's span).  Track display
-// names are registered with SetTrackName and exported as thread_name
-// metadata.
+// tid 0 to the document stream (one span per sweep of the network) and tid
+// i+1 to network node i (one span per node call of the sweep, inside the
+// enclosing sweep's span).  Track display names are registered with
+// SetTrackName and exported as thread_name metadata.
 //
 // Multi-worker runs (the engine pool): each worker's recorder stamps its
 // worker index into the tid space via SetTidBase(worker * kWorkerTidStride),
 // so merged traces keep one distinct track group per worker instead of
 // interleaving every worker's node i into a single flame graph; a
-// process_name metadata record (SetProcessName) labels the group.  Merging
+// process_name metadata record (SetProcessName) labels the group and a
+// track-name prefix (SetTrackPrefix, e.g. "w1/") its tracks.  Merging
 // is AppendChromeRecords with a per-recorder timestamp offset that rebases
 // each recorder's private clock origin onto the merger's epoch.
 //
 // Span names are interned once (InternName) so recording a span is a ring
-// store plus two clock reads — cheap enough for observe=full, and entirely
-// absent from the build's hot path when no recorder is attached.
+// store plus two clock reads — cheap enough to trace every sweep, and
+// entirely absent from the engine's hot path when no recorder is attached.
 
 #ifndef SPEX_OBS_TRACE_H_
 #define SPEX_OBS_TRACE_H_
@@ -74,8 +74,12 @@ class TraceRecorder {
   void SetTidBase(int32_t base) { tid_base_ = base; }
   int32_t tid_base() const { return tid_base_; }
 
-  // Display name for track `tid` (thread_name metadata in the export).
+  // Display name for track `tid` (thread_name metadata in the export),
+  // after the track prefix.
   void SetTrackName(int tid, std::string_view name);
+  // Prepended to every subsequently registered track name — the
+  // multi-worker stamp's name half, set alongside SetTidBase.
+  void SetTrackPrefix(std::string_view prefix) { track_prefix_ = prefix; }
   // Display name of this recorder's process group (process_name metadata in
   // the export; empty = no record emitted).
   void SetProcessName(std::string_view name) { process_name_ = name; }
@@ -128,6 +132,7 @@ class TraceRecorder {
   int32_t tid_base_ = 0;
   std::vector<std::string> names_;
   std::vector<std::pair<int, std::string>> track_names_;
+  std::string track_prefix_;
   std::string process_name_;
 };
 

@@ -132,108 +132,12 @@ std::string SessionDirectory::ToJson() const {
 }
 
 // ---------------------------------------------------------------------------
-// CaptureHub
-
-CaptureHub::CaptureHub()
-    : epoch_(std::chrono::steady_clock::now()),
-      trace_until_(epoch_),
-      profile_until_(epoch_) {}
-
-void CaptureHub::ArmTrace(int64_t ms) {
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (until > trace_until_) trace_until_ = until;
-  trace_records_.clear();
-  trace_first_ = true;
-  trace_sessions_ = 0;
-}
-
-void CaptureHub::ArmProfile(int64_t ms) {
-  const auto until =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (until > profile_until_) profile_until_ = until;
-  profile_reports_.clear();
-}
-
-std::string CaptureHub::TraceJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  out += trace_records_;
-  out += "\n]}\n";
-  return out;
-}
-
-std::string CaptureHub::ProfileJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"profiles\": [\n";
-  bool first = true;
-  for (const std::string& report : profile_reports_) {
-    if (!first) out += ",\n";
-    first = false;
-    out += report;
-  }
-  out += "\n]}\n";
-  return out;
-}
-
-int CaptureHub::trace_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return trace_sessions_;
-}
-
-int CaptureHub::profile_sessions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int>(profile_reports_.size());
-}
-
-bool CaptureHub::OnSessionStart(int worker, EngineOptions* options) {
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(mu_);
-  bool captured = false;
-  if (now < trace_until_) {
-    options->observe = ObserveLevel::kFull;
-    options->trace_worker = worker;
-    captured = true;
-  }
-  if (now < profile_until_) {
-    options->profile = true;
-    captured = true;
-  }
-  return captured;
-}
-
-void CaptureHub::OnSessionEnd(int worker, const std::string& query,
-                              RunCore* engine) {
-  (void)worker;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (const obs::TraceRecorder* recorder = engine->trace_recorder()) {
-    // Rebase the recorder's private clock (its 0 is engine construction)
-    // onto the hub epoch so sessions captured in one window share a
-    // timeline.
-    const int64_t offset_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            recorder->origin() - epoch_)
-            .count();
-    recorder->AppendChromeRecords(&trace_records_, &trace_first_, offset_ns);
-    ++trace_sessions_;
-  }
-  obs::ProfileReport report = engine->Profile();
-  if (report.timed) {
-    report.query = query;
-    profile_reports_.push_back(report.ToJson());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // AdminServer
 
 AdminServer::AdminServer(EnginePool* pool, AdminOptions options)
     : pool_(pool),
       options_(options),
       directory_(options.directory_capacity),
-      capture_(),
       sampler_(&pool->metrics(),
                {options.sampler_interval_ms, options.sampler_ring_capacity}),
       queries_(options.queries != nullptr ? options.queries : &own_queries_),
@@ -258,7 +162,6 @@ AdminServer::~AdminServer() { Stop(); }
 
 bool AdminServer::Start(std::string* error) {
   if (!http_.Start(error)) return false;
-  pool_->SetCaptureSink(&capture_);
   // Install the query registry only if the pool has none yet: a serving
   // tier that wired its own (shared) registry keeps it.
   if (pool_->query_registry() == nullptr) {
@@ -274,10 +177,6 @@ void AdminServer::Stop() {
   started_ = false;
   http_.Stop();
   sampler_.Stop();
-  // Workers may still consult the sink while we detach it; the hub outlives
-  // the pool's sessions only because callers stop the admin server before
-  // destroying the pool — enforced here by detaching first.
-  pool_->SetCaptureSink(nullptr);
   if (pool_->query_registry() == queries_) pool_->SetQueryRegistry(nullptr);
 }
 
@@ -370,16 +269,18 @@ obs::HttpResponse AdminServer::Handle(const obs::HttpRequest& request) {
     const bool trace = request.path == "/trace";
     const int64_t ms =
         std::clamp<int64_t>(request.QueryParamInt("ms", 500), 1, kMaxCaptureMs);
+    CaptureHub& capture = pool_->capture();
     if (trace) {
-      capture_.ArmTrace(ms);
+      capture.ArmTrace(ms);
     } else {
-      capture_.ArmProfile(ms);
+      capture.ArmProfile(ms);
     }
-    // The capture window observes sessions born while we sleep; blocking
-    // the (single-connection) exposition thread for it is deliberate.
+    // The capture window observes the sessions streaming while we sleep;
+    // blocking the (single-connection) exposition thread for it is
+    // deliberate.
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    return obs::HttpResponse::Json(trace ? capture_.TraceJson()
-                                         : capture_.ProfileJson());
+    return obs::HttpResponse::Json(trace ? capture.TraceJson()
+                                         : capture.ProfileJson());
   }
   return obs::HttpResponse::Error(404, "unknown endpoint; see /");
 }

@@ -11,18 +11,15 @@
 //                 events/bytes, limits headroom, status), newest first
 //   /stats?window=N  — per-interval rates + latency quantiles over the
 //                 trailing N seconds of sampler history
-//   /trace?ms=N — arms an N-millisecond capture window: sessions *starting*
-//                 inside it run observe=full with worker-stamped trace
-//                 tracks; returns the merged Chrome trace JSON
+//   /trace?ms=N — arms an N-millisecond capture window: live sessions get
+//                 a worker-stamped trace recorder attached while it is
+//                 armed; returns the merged Chrome trace JSON
 //   /profile?ms=N — same window mechanism at profile granularity; returns
 //                 an array of per-session EXPLAIN/PROFILE reports
 //
-// The capture windows piggyback on EnginePool::SetCaptureSink: the pool's
-// workers consult the CaptureHub when a session's engine is built (upgrade
-// its options if a window is armed) and offer the engine back at teardown
-// (merge its trace/profile out).  Capture is therefore *session-granular* —
-// a window observes the sessions born inside it, which is the natural unit
-// here: engines are per-session and short-lived relative to the server.
+// The capture windows are the pool's CaptureHub (runtime/capture_hub.h):
+// the workers attach recorders and accumulators to live sessions while a
+// window is armed and merge them out when it closes or the session ends.
 //
 // The HTTP handler runs on the exposition server's accept thread; /trace
 // and /profile block that thread for the window (bounded by kMaxCaptureMs).
@@ -39,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/http_exposition.h"
 #include "obs/sampler.h"
@@ -84,45 +80,6 @@ class SessionDirectory {
   std::deque<Entry> entries_;  // guarded by mu_
 };
 
-// SessionCaptureSink implementation behind /trace and /profile: an armed
-// window upgrades sessions starting inside it, and their traces/profiles
-// are merged here at engine teardown.  Trace timestamps are rebased from
-// each recorder's private clock origin onto the hub's epoch so merged
-// tracks align on one timeline.
-class CaptureHub : public SessionCaptureSink {
- public:
-  CaptureHub();
-
-  // Arms the respective window for `ms` milliseconds from now (extends, if
-  // already armed) and clears previously drained capture state.
-  void ArmTrace(int64_t ms);
-  void ArmProfile(int64_t ms);
-
-  // Merged Chrome trace JSON / JSON array of profile reports accumulated
-  // since arming.  Draining leaves the data in place (a second scrape of a
-  // window sees the same capture) — the next Arm* clears it.
-  std::string TraceJson() const;
-  std::string ProfileJson() const;
-  int trace_sessions() const;
-  int profile_sessions() const;
-
-  // SessionCaptureSink (worker threads):
-  bool OnSessionStart(int worker, EngineOptions* options) override;
-  void OnSessionEnd(int worker, const std::string& query,
-                    RunCore* engine) override;
-
- private:
-  const std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex mu_;
-  std::chrono::steady_clock::time_point trace_until_;    // guarded by mu_
-  std::chrono::steady_clock::time_point profile_until_;  // guarded by mu_
-  std::string trace_records_;                            // guarded by mu_
-  bool trace_first_ = true;                              // guarded by mu_
-  int trace_sessions_ = 0;                               // guarded by mu_
-  std::vector<std::string> profile_reports_;             // guarded by mu_
-};
-
 struct AdminOptions {
   obs::HttpServerOptions http;
   // Sampler cadence/history backing /stats.
@@ -151,8 +108,9 @@ class AdminServer {
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
-  // Installs the capture sink on the pool, starts the sampler and the HTTP
-  // listener.  False (with *error filled) on socket failure.
+  // Installs the query registry on the pool (unless it has one), starts the
+  // sampler and the HTTP listener.  False (with *error filled) on socket
+  // failure.
   bool Start(std::string* error = nullptr);
   void Stop();
 
@@ -160,7 +118,7 @@ class AdminServer {
   bool running() const { return http_.running(); }
 
   SessionDirectory& directory() { return directory_; }
-  CaptureHub& capture() { return capture_; }
+  CaptureHub& capture() { return pool_->capture(); }
   obs::TelemetrySampler& sampler() { return sampler_; }
   // The registry /queries and /flight serve from (the caller-supplied one,
   // or the server's own fallback).
@@ -174,7 +132,6 @@ class AdminServer {
   EnginePool* pool_;
   AdminOptions options_;
   SessionDirectory directory_;
-  CaptureHub capture_;
   obs::TelemetrySampler sampler_;
   // Fallback registry when AdminOptions::queries is null; queries_ points
   // at whichever one is live.

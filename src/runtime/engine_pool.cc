@@ -145,12 +145,6 @@ void StreamSession::BuildEngine(const EngineOptions& base) {
   // Every pool session is sealable: failure/cancellation must be able
   // to close the stream virtually whether or not limits are set.
   options.track_open_elements = true;
-  // Admin-plane capture window: the sink may upgrade this session to
-  // observe=full / profile and will be offered the engine at teardown.
-  if (SessionCaptureSink* sink =
-          pool_->capture_sink_.load(std::memory_order_acquire)) {
-    captured_ = sink->OnSessionStart(worker_, &options);
-  }
   // Instantiate the shared template — immutable, so a later quarantine
   // tears down only this instance — with one collector per slot.
   std::vector<ResultSink*> sinks;
@@ -162,6 +156,12 @@ void StreamSession::BuildEngine(const EngineOptions& base) {
   // Always-on sampling: the engine draws once per delivered batch from
   // the pool-wide controller (disabled controller = one null-ish check).
   engine_->SetBatchSampler(&pool_->sampler_);
+}
+
+void StreamSession::SyncCapture(bool ending) {
+  CaptureHub& hub = pool_->capture_;
+  if (capture_.empty() && (ending || !hub.armed())) return;
+  hub.Sync(worker_, query(), engine_.get(), &capture_, ending);
 }
 
 void StreamSession::ProcessEvents(const EventBatch& batch,
@@ -182,8 +182,8 @@ void StreamSession::ProcessEvents(const EventBatch& batch,
     }
 #endif
     // Batch-native delivery: hand the pool batch to the engine in
-    // EngineOptions::batch_size chunks (the engine falls back to per-event
-    // internally when the query or observe level requires it).
+    // EngineOptions::batch_size chunks (the engine sweeps one event at a
+    // time internally when the query requires it).
     const size_t step =
         base.batch_size > 1 ? static_cast<size_t>(base.batch_size) : 1;
     const StreamEvent* events = batch->data();
@@ -240,6 +240,7 @@ void StreamSession::RunInput(const EngineOptions& base,
   Status input_status;
   try {
     if (engine_ == nullptr) BuildEngine(base);
+    SyncCapture(/*ending=*/false);
     input_status = input();
   } catch (const std::exception& e) {
     // Exception barrier: a bug in this session must not take down the
@@ -376,15 +377,10 @@ void StreamSession::Finalize(const Status& shutdown_fallback) {
       }
     }
 
-    // Offer a captured session's engine to the admin plane before teardown
-    // (even after an exception barrier: the trace ring and profiler are
-    // per-engine side tables, still safe to read).
-    if (captured_) {
-      if (SessionCaptureSink* sink =
-              pool_->capture_sink_.load(std::memory_order_acquire)) {
-        sink->OnSessionEnd(worker_, query(), engine_.get());
-      }
-    }
+    // Merge a capture out before teardown (even after an exception
+    // barrier: the trace ring and profiler are per-engine side tables,
+    // still safe to read).
+    SyncCapture(/*ending=*/true);
 
     // The engine (its network, formula nodes, symbol table) was built on
     // this worker thread; destroy it here too, before handing results back.

@@ -60,6 +60,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampling_profiler.h"
+#include "runtime/capture_hub.h"
 #include "runtime/query_cache.h"
 #include "spex/engine.h"
 #include "xml/xml_parser.h"
@@ -68,22 +69,6 @@ namespace spex {
 
 class EnginePool;
 class QueryRegistry;
-
-// On-demand capture hook for the admin plane (runtime/admin_server.h): when
-// installed via EnginePool::SetCaptureSink, the workers consult it around
-// every session's engine lifetime.  OnSessionStart may upgrade the engine
-// options of a session whose engine is about to be built (observe=full /
-// profile for a capture window) and returns whether it did; OnSessionEnd is
-// invoked — only for captured sessions — right before that engine is torn
-// down, with the engine still alive, so traces and profiles can be merged
-// out.  Both run on worker threads and must be thread-safe.
-class SessionCaptureSink {
- public:
-  virtual ~SessionCaptureSink() = default;
-  virtual bool OnSessionStart(int worker, EngineOptions* options) = 0;
-  virtual void OnSessionEnd(int worker, const std::string& query,
-                            RunCore* engine) = 0;
-};
 
 // Point-in-time view of one session for the admin plane's /sessions
 // endpoint; published by the worker at batch boundaries through relaxed
@@ -282,6 +267,10 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   void RunInput(const EngineOptions& base,
                 const std::function<Status()>& input);
   void BuildEngine(const EngineOptions& base);
+  // Lets the pool's capture hub attach to or detach from the live engine
+  // (between batches); with nothing attached and no window armed this is
+  // one atomic load.  `ending`: the session is being sealed.
+  void SyncCapture(bool ending);
   // Moves every slot's finished fragment prefix into outbox_ and wakes the
   // drainer when any moved.
   void HandOff();
@@ -313,10 +302,8 @@ class StreamSession : public std::enable_shared_from_this<StreamSession> {
   std::vector<std::unique_ptr<SerializingResultSink>> sinks_;
   std::unique_ptr<RunCore> engine_;
   std::unique_ptr<XmlParser> parser_;
-  // True when the capture sink upgraded this session's engine options
-  // (worker-thread-only); Finalize then offers the engine back to the sink
-  // before teardown.
-  bool captured_ = false;
+  // What the capture hub attached to engine_ (worker-thread-only).
+  CaptureHub::Attachment capture_;
   // Worker-side failure that quarantined the session (engine breach or
   // exception barrier); worker-thread-only until published by Finalize.
   Status run_status_;
@@ -418,11 +405,8 @@ class EnginePool {
   obs::MetricRegistry& metrics() { return metrics_; }
   const obs::MetricRegistry& metrics() const { return metrics_; }
 
-  // Installs (or, with nullptr, removes) the admin plane's capture hook.
-  // The sink must outlive every session that starts while it is installed.
-  void SetCaptureSink(SessionCaptureSink* sink) {
-    capture_sink_.store(sink, std::memory_order_release);
-  }
+  // The capture windows of the admin plane's /trace and /profile.
+  CaptureHub& capture() { return capture_; }
 
   // Installs (or removes) the per-query observability registry: sessions
   // are interned at open and report a QueryRunRecord at finalize.  The
@@ -485,10 +469,10 @@ class EnginePool {
   obs::AtomicCounter* backpressure_waits_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> next_worker_{0};
-  std::atomic<SessionCaptureSink*> capture_sink_{nullptr};
   std::atomic<QueryRegistry*> query_registry_{nullptr};
   std::atomic<int64_t> next_session_id_{1};
   obs::SamplingProfiler sampler_;
+  CaptureHub capture_;
 };
 
 }  // namespace spex

@@ -78,8 +78,8 @@ struct QueryRunRecord {
   int64_t buffered_events_peak = 0;
   EngineLimits limits;  // effective limits (for headroom reporting)
   // OU decision-delay histogram of this run (base-2 buckets, possibly
-  // trimmed), copied from the run registry when observation was on; empty
-  // when the run had no observer.
+  // trimmed), copied from the run's always-on histogram; empty when the
+  // run never built an engine.
   std::vector<int64_t> delay_buckets;
   int64_t delay_count = 0;
   int64_t delay_sum = 0;

@@ -337,11 +337,13 @@ bool AnyBoundRec(const FormulaNode* n, const Assignment& assignment,
 // capacity retained) after each rewrite, so steady-state simplification
 // never touches the global allocator; the stored Formula copies only bump
 // pool refcounts and are dropped by Clear(), keeping the pool leak guard
-// (Formula::LiveNodeCount) exact between calls.
+// (Formula::LiveNodeCount) exact between calls.  The capacity never shrinks,
+// so Clear resets only the slots filled since the last Clear: one large
+// formula must not make every later call on the thread pay for its table.
 class SimplifyMemo {
  public:
   Formula* Find(const FormulaNode* key) {
-    if (size_ == 0) return nullptr;
+    if (filled_.empty()) return nullptr;
     const size_t mask = slots_.size() - 1;
     for (size_t i = HashVarId(reinterpret_cast<uintptr_t>(key)) & mask;;
          i = (i + 1) & mask) {
@@ -351,44 +353,48 @@ class SimplifyMemo {
     }
   }
   void Insert(const FormulaNode* key, const Formula& value) {
-    if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
-    const size_t mask = slots_.size() - 1;
-    size_t i = HashVarId(reinterpret_cast<uintptr_t>(key)) & mask;
-    while (slots_[i].key != nullptr) i = (i + 1) & mask;
-    slots_[i].key = key;
+    if ((filled_.size() + 1) * 4 > slots_.size() * 3) Grow();
+    const size_t i = Place(key);
     slots_[i].value = value;
-    ++size_;
   }
   void Clear() {
-    if (size_ == 0) return;
-    for (Slot& s : slots_) {
-      s.key = nullptr;
-      s.value = Formula();  // drop the pool reference
+    for (size_t i : filled_) {
+      slots_[i].key = nullptr;
+      slots_[i].value = Formula();  // drop the pool reference
     }
-    size_ = 0;
+    slots_cleared_ += static_cast<int64_t>(filled_.size());
+    filled_.clear();
   }
+  int64_t slots_cleared() const { return slots_cleared_; }
 
  private:
   struct Slot {
     const FormulaNode* key = nullptr;
     Formula value;
   };
+  // Claims the empty slot `key` probes to and records it as filled.
+  size_t Place(const FormulaNode* key) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = HashVarId(reinterpret_cast<uintptr_t>(key)) & mask;
+    while (slots_[i].key != nullptr) i = (i + 1) & mask;
+    slots_[i].key = key;
+    filled_.push_back(i);
+    return i;
+  }
   void Grow() {
     const size_t new_cap = slots_.empty() ? 16 : slots_.size() * 2;
     std::vector<Slot> old;
     old.swap(slots_);
     slots_.resize(new_cap);
-    const size_t mask = new_cap - 1;
-    for (Slot& s : old) {
-      if (s.key == nullptr) continue;
-      size_t i = HashVarId(reinterpret_cast<uintptr_t>(s.key)) & mask;
-      while (slots_[i].key != nullptr) i = (i + 1) & mask;
-      slots_[i].key = s.key;
-      slots_[i].value = std::move(s.value);
+    std::vector<size_t> old_filled;
+    old_filled.swap(filled_);
+    for (size_t i : old_filled) {
+      slots_[Place(old[i].key)].value = std::move(old[i].value);
     }
   }
   std::vector<Slot> slots_;
-  size_t size_ = 0;
+  std::vector<size_t> filled_;  // slot indices in use, insertion order
+  int64_t slots_cleared_ = 0;
 };
 
 // Clears the memo when the rewrite unwinds (including early returns), so no
@@ -537,6 +543,10 @@ void ToStringRec(const FormulaNode* n, FormulaNode::Op parent,
 Truth Formula::Evaluate(const Assignment& assignment) const {
   if (node_ == nullptr) return const_value_ ? Truth::kTrue : Truth::kFalse;
   return EvaluateRec(node_, assignment, Pool().NextEpoch());
+}
+
+int64_t Formula::SimplifyMemoSlotsCleared() {
+  return ThreadSimplifyMemo()->slots_cleared();
 }
 
 Formula Formula::Simplify(const Assignment& assignment) const {

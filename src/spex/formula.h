@@ -222,6 +222,11 @@ class Formula {
   // tests: after every engine on the thread is destroyed this returns 0.
   static int64_t LiveNodeCount();
 
+  // Memo slots this thread's Simplify/PruneFalse rewrites have reset so far
+  // — a work counter for tests: each rewrite resets the slots it filled,
+  // never the memo's retained capacity.
+  static int64_t SimplifyMemoSlotsCleared();
+
   // Accounting over this thread's formula pool (shared by all engines on
   // the thread): pool occupancy, its high-water mark, and total node
   // allocations ever made (the churn rate the observability registry

@@ -78,15 +78,16 @@ class Network {
   // returns.
   void DeliverBatch(int node, int in_port, std::vector<Message>* batch);
 
-  // Attaches a span recorder (observe=full): every node call of the sweep
-  // records one span on track node+1.  Null detaches; with neither a
+  // Attaches a span recorder (RunCore::AttachTrace): every node call of the
+  // sweep records one span on track node+1.  Null detaches; with neither a
   // recorder nor a profiler attached the sweep pays one branch per node
   // call.
   void SetTraceRecorder(obs::TraceRecorder* recorder);
 
-  // Attaches a per-node cost accumulator (--profile, sampled batches): every
-  // node call of the sweep is timed with the same clock pair the trace span
-  // uses and recorded as that node's self time.  Null detaches.
+  // Attaches a per-node cost accumulator (RunCore::AttachProfiler, sampled
+  // batches): every node call of the sweep is timed with the same clock
+  // pair the trace span uses and recorded as that node's self time.  Null
+  // detaches.
   void SetProfiler(obs::ProfileAccumulator* profiler);
 
   // Records the query provenance of `node` (see NodeProvenance).

@@ -9,19 +9,6 @@
 
 namespace spex {
 
-bool ParseObserveLevel(std::string_view text, ObserveLevel* out) {
-  if (text == "off") {
-    *out = ObserveLevel::kOff;
-  } else if (text == "counters") {
-    *out = ObserveLevel::kCounters;
-  } else if (text == "full") {
-    *out = ObserveLevel::kFull;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::string Watermark::ToString() const {
   // A degenerate rate window (first tick polled immediately, or a clock
   // with coarse resolution) can leave events_per_sec inf/nan; print 0
@@ -42,45 +29,6 @@ std::string Watermark::ToString() const {
       static_cast<long long>(live_condition_vars));
   return buf;
 }
-
-EngineObservability::EngineObservability(RunContext* context, Network* network,
-                                         size_t trace_capacity)
-    : context_(context) {
-  obs::MetricRegistry* registry = &context->metrics;
-  observer_.events_total = registry->AddCounter("spex_events_total");
-  observer_.output_decision_delay =
-      registry->AddHistogram("spex_output_decision_delay_events");
-  if (context->options.observe == ObserveLevel::kFull) {
-    trace_ = std::make_unique<obs::TraceRecorder>(trace_capacity);
-    observer_.event_latency_ns =
-        registry->AddHistogram("spex_event_latency_ns");
-    observer_.trace = trace_.get();
-    observer_.trace_buffered_name =
-        trace_->InternName("output_buffered_events");
-    for (int k = 0; k < 5; ++k) {
-      event_name_ids_[k] =
-          trace_->InternName(EventKindName(static_cast<EventKind>(k)));
-    }
-    const int worker = context->options.trace_worker;
-    std::string prefix;
-    if (worker >= 0) {
-      // Stamp the worker index into the tid space before any track names or
-      // events are recorded, so every tid this recorder emits lands in the
-      // worker's reserved range and merged pool traces stay separable.
-      trace_->SetTidBase(worker * obs::TraceRecorder::kWorkerTidStride);
-      trace_->SetProcessName("spex worker " + std::to_string(worker));
-      prefix = "w" + std::to_string(worker) + "/";
-    }
-    trace_->SetTrackName(0, prefix + "stream");
-    for (int i = 0; i < network->node_count(); ++i) {
-      trace_->SetTrackName(i + 1, prefix + network->node(i)->name());
-    }
-    network->SetTraceRecorder(trace_.get());
-  }
-  context->observer = &observer_;
-}
-
-EngineObservability::~EngineObservability() { context_->observer = nullptr; }
 
 void RegisterNetworkCollectors(obs::MetricRegistry* registry,
                                Network* network) {
@@ -137,7 +85,7 @@ void RegisterOutputCollectors(obs::MetricRegistry* registry,
 }
 
 void RegisterContextCollectors(obs::MetricRegistry* registry,
-                               RunContext* context) {
+                               RunContext* context, int64_t allocs_baseline) {
   registry->AddCallbackGauge("spex_assignment_live_vars", {}, [context] {
     return static_cast<int64_t>(context->assignment.size());
   });
@@ -146,12 +94,12 @@ void RegisterContextCollectors(obs::MetricRegistry* registry,
   registry->AddCallbackGauge(
       "spex_formula_pool_high_water", {},
       [] { return Formula::GetPoolStats().live_high_water; });
-  // Churn since registration: the pool is thread-local and shared by every
-  // engine on the thread, so expose a per-run delta.
-  const int64_t baseline = Formula::GetPoolStats().allocated_total;
-  registry->AddCallbackGauge("spex_formula_pool_allocs", {}, [baseline] {
-    return Formula::GetPoolStats().allocated_total - baseline;
-  });
+  // The pool is thread-local and shared by every engine on the thread, so
+  // expose a per-run delta.
+  registry->AddCallbackGauge(
+      "spex_formula_pool_allocs", {}, [allocs_baseline] {
+        return Formula::GetPoolStats().allocated_total - allocs_baseline;
+      });
 }
 
 std::string PredictCostClass(std::string_view transducer_name) {

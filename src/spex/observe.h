@@ -1,47 +1,39 @@
-// Observability glue between the SPEX engines and src/obs: observe levels,
-// progress watermarks, the per-run push-metric bundle and the pull-collector
-// registration helpers.
+// Observability glue between the SPEX engines and src/obs: progress
+// watermarks, the pull-collector registration helpers and the
+// EXPLAIN/PROFILE report builder.
 //
-// Cost contract (validated by BENCH_PR2.json):
-//  * ObserveLevel::kOff      — the engine's per-event path pays exactly one
-//    branch (a null observer check); nothing is registered or published.
-//  * ObserveLevel::kCounters — per-event counter increments and the output
-//    decision-delay histogram; no clock reads, no allocation.
-//  * ObserveLevel::kFull     — additionally one document message per sweep
-//    and two clock reads per sweep and per node call of the sweep, for the
-//    latency histogram and Chrome-trace spans.
+// Cost contract (DESIGN.md §7): observation is attached to a live run, never
+// a mode it is built in.
+//  * Counters are always on: the run's event count (a pull counter) and the
+//    output decision-delay histogram, fed from an event index the engine
+//    stamps once per sweep — no clock reads, no allocation.
+//  * A trace recorder (RunCore::AttachTrace) or profile accumulator
+//    (RunCore::AttachProfiler) adds two clock reads per sweep and per node
+//    call of the sweep while attached; either attaches and detaches between
+//    any two batches and never changes how events are delivered.
 //
 // The pull collectors (Register*Collectors) expose state the components
 // maintain unconditionally anyway (TransducerStats, OutputStats, the formula
-// pool); they are evaluated only when the registry is scraped and are
-// registered at every level.
+// pool); the run core registers them on the first RunCore::metrics() call,
+// and they are evaluated only when the registry is scraped.
 
 #ifndef SPEX_SPEX_OBSERVE_H_
 #define SPEX_SPEX_OBSERVE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "obs/metrics.h"
 #include "obs/observer.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
-#include "xml/stream_event.h"
 
 namespace spex {
 
 class Network;
 class OutputTransducer;
 struct RunContext;
-
-// How much the run publishes into RunContext::metrics (see the cost
-// contract above).
-enum class ObserveLevel : uint8_t { kOff, kCounters, kFull };
-
-// Parses "off" / "counters" / "full"; returns false on anything else.
-bool ParseObserveLevel(std::string_view text, ObserveLevel* out);
 
 // A progress report, published through ProgressOptions::callback every N
 // events / M bytes and available on demand via RunCore::CurrentWatermark.
@@ -79,56 +71,6 @@ struct ProgressOptions {
   }
 };
 
-// Owns the push-metric handles and the optional trace recorder of one run.
-// Constructed by the engines only when observe != kOff; RunContext::observer
-// points at the embedded RunObserver for downstream publishers.
-class EngineObservability {
- public:
-  // Registers the push metrics into context->metrics according to
-  // context->options.observe and, at kFull, attaches a TraceRecorder of
-  // `trace_capacity` spans to `network` (tid 0 = stream, tid i+1 = node i).
-  EngineObservability(RunContext* context, Network* network,
-                      size_t trace_capacity);
-  ~EngineObservability();
-
-  EngineObservability(const EngineObservability&) = delete;
-  EngineObservability& operator=(const EngineObservability&) = delete;
-
-  obs::TraceRecorder* trace_recorder() { return trace_.get(); }
-  const obs::TraceRecorder* trace_recorder() const { return trace_.get(); }
-
-  // Publishes the per-event metrics around one sweep of `count` document
-  // messages (DESIGN.md §11), the last of which is the run's
-  // `event_index`-th; `deliver` performs the sweep.  Increment(count) keeps
-  // spex_events_total exact at any sweep size.  The observer's event index
-  // (decision delay) advances per sweep, so it is exact wherever sweeps are
-  // one round and quantized to batch boundaries elsewhere.  At kFull the
-  // engine sweeps one message at a time, and each sweep gets a stream-track
-  // span named after its event `kind` plus a latency observation.
-  template <typename Fn>
-  void ObserveSweep(EventKind kind, int64_t event_index, int64_t count,
-                    Fn&& deliver) {
-    observer_.event_index = event_index;
-    observer_.events_total->Increment(count);
-    if (trace_ == nullptr) {
-      deliver();
-      return;
-    }
-    const int64_t start = trace_->NowNs();
-    deliver();
-    const int64_t end = trace_->NowNs();
-    trace_->RecordSpan(/*tid=*/0, event_name_ids_[static_cast<int>(kind)],
-                       start, end);
-    observer_.event_latency_ns->Observe(end - start);
-  }
-
- private:
-  RunContext* context_;
-  obs::RunObserver observer_;
-  std::unique_ptr<obs::TraceRecorder> trace_;
-  int event_name_ids_[5] = {};
-};
-
 // Pull collectors: callback gauges over state the components already
 // maintain.  All of them capture raw pointers — the pointees must outlive
 // the registry scrapes (true for the engines, which own registry and
@@ -143,9 +85,10 @@ void RegisterNetworkCollectors(obs::MetricRegistry* registry,
 void RegisterOutputCollectors(obs::MetricRegistry* registry,
                               OutputTransducer* output, obs::Labels labels);
 // Run-wide state: assignment size and the formula pool (live nodes, pool
-// high-water, allocation churn since registration).
+// high-water, allocations since the pool's allocated_total was
+// `allocs_baseline`).
 void RegisterContextCollectors(obs::MetricRegistry* registry,
-                               RunContext* context);
+                               RunContext* context, int64_t allocs_baseline);
 
 // Predicted §V cost class of a transducer, from its notation name (e.g.
 // "CH(a)" -> per-message constant with an O(d) depth stack).  Static — the

@@ -154,9 +154,7 @@ void OutputTransducer::StartCandidate(Formula formula) {
   c.id = output_stats_.candidates_created;
   c.formula = formula.Simplify(context_->assignment);
   c.decided = c.formula.Evaluate(context_->assignment);
-  if (context_->observer != nullptr) {
-    c.created_at_event = context_->observer->event_index;
-  }
+  c.created_at_event = context_->observer.event_index;
   queue_.push_back(std::move(c));
   CandidateIt it = std::prev(queue_.end());
   open_.push_back(it);
@@ -351,22 +349,21 @@ void OutputTransducer::Flush() {
 void OutputTransducer::NoteBuffered() {
   output_stats_.buffered_events_peak =
       std::max(output_stats_.buffered_events_peak, buffered_events_);
-  obs::RunObserver* observer = context_->observer;
-  if (observer != nullptr && observer->trace != nullptr &&
-      buffered_events_ != last_traced_buffered_) {
-    // Occupancy counter track (observe=full): sampled only on change so the
-    // ring holds the interesting transitions, not one sample per event.
-    observer->trace->RecordCounter(observer->trace_buffered_name,
-                                   observer->trace->NowNs(), buffered_events_);
+  const obs::RunObserver& observer = context_->observer;
+  if (observer.trace != nullptr && buffered_events_ != last_traced_buffered_) {
+    // Occupancy counter track (recorder attached): sampled only on change so
+    // the ring holds the interesting transitions, not one sample per event.
+    observer.trace->RecordCounter(observer.trace_buffered_name,
+                                  observer.trace->NowNs(), buffered_events_);
     last_traced_buffered_ = buffered_events_;
   }
 }
 
 void OutputTransducer::NoteDecision(const Candidate& candidate) {
-  obs::RunObserver* observer = context_->observer;
-  if (observer != nullptr && observer->output_decision_delay != nullptr) {
-    observer->output_decision_delay->Observe(observer->event_index -
-                                             candidate.created_at_event);
+  const obs::RunObserver& observer = context_->observer;
+  if (observer.output_decision_delay != nullptr) {
+    observer.output_decision_delay->Observe(observer.event_index -
+                                            candidate.created_at_event);
   }
 }
 

@@ -166,8 +166,8 @@ class OutputTransducer : public Transducer {
     int open_depth = 0;      // >0 while the fragment's subtree is open
     bool complete = false;
     bool streaming = false;  // Begin sent; events go straight to the sink
-    // Document message index at creation (observe != off only): the
-    // decision-delay histogram measures fragment buffering delay from here.
+    // Document message index at creation: the decision-delay histogram
+    // measures fragment buffering delay from here.
     int64_t created_at_event = 0;
   };
   using CandidateIt = std::list<Candidate>::iterator;
@@ -190,7 +190,7 @@ class OutputTransducer : public Transducer {
   void ForgetOpen(const Candidate* candidate);
   void NoteBuffered();
   // Publishes the buffering delay of a just-decided candidate into the
-  // run's decision-delay histogram (no-op when observation is off).
+  // run's decision-delay histogram.
   void NoteDecision(const Candidate& candidate);
 
   ResultSink* sink_;
@@ -207,7 +207,7 @@ class OutputTransducer : public Transducer {
   OutputStats output_stats_;
   int64_t buffered_events_ = 0;
   int64_t buffered_bytes_ = 0;
-  // Last occupancy written to the trace counter track (observe=full).
+  // Last occupancy written to the trace counter track (recorder attached).
   int64_t last_traced_buffered_ = 0;
 };
 

@@ -37,50 +37,24 @@ void RunCore::Start(Network network, int input_node,
   outputs_ = std::move(outputs);
   query_text_ = std::move(query_text);
   const EngineOptions& options = context_->options;
-  if (options.profile) {
-    profiler_ =
-        std::make_unique<obs::ProfileAccumulator>(network_.node_count());
-    network_.SetProfiler(profiler_.get());
-  }
-  if (options.record_traces) {
-    traces_.reserve(network_.node_count());
-    for (int i = 0; i < network_.node_count(); ++i) {
-      traces_.push_back(std::make_unique<TransducerTrace>());
-      network_.node(i)->set_trace(traces_.back().get());
-    }
-  }
-  if (options.observe != ObserveLevel::kOff) {
-    obs_ = std::make_unique<EngineObservability>(context_.get(), &network_,
-                                                 options.trace_capacity);
-  }
-  // Pull collectors over state the components maintain unconditionally —
-  // registered at every observe level so the registry always reflects the
-  // §V bounds.
-  RegisterNetworkCollectors(&context_->metrics, &network_);
-  for (size_t slot = 0; slot < outputs_.size(); ++slot) {
-    obs::Labels labels;
-    if (outputs_.size() > 1) labels = {{"query", std::to_string(slot)}};
-    RegisterOutputCollectors(&context_->metrics, outputs_[slot],
-                             std::move(labels));
-  }
-  formula_allocs_baseline_ = Formula::GetPoolStats().allocated_total;
-  RegisterContextCollectors(&context_->metrics, context_.get());
-  context_->metrics.AddCallbackGauge(
-      "spex_engine_events", {},
+  // Always-on counters: the event count is a pull counter over
+  // events_processed_, and OU feeds the decision-delay histogram.
+  context_->metrics.AddCallbackCounter(
+      "spex_events_total", {},
       [counter = &events_processed_] { return *counter; });
+  context_->observer.output_decision_delay =
+      context_->metrics.AddHistogram("spex_output_decision_delay_events");
+  formula_allocs_baseline_ = Formula::GetPoolStats().allocated_total;
   progress_enabled_ = options.progress.enabled();
   if (progress_enabled_) {
     next_progress_events_ = options.progress.every_events;
     next_progress_bytes_ = options.progress.every_bytes;
   }
-  observed_path_ = obs_ != nullptr || progress_enabled_;
   guarded_ = options.limits.enabled() || options.track_open_elements;
   // Sweep size (DESIGN.md §11).  Networks with condition variables read and
-  // write the assignment mid-round, so they sweep one round at a time.
-  // observe=full keeps one stream span and latency sample per event, and
-  // the byte post-limits sample occupancy after every event.
-  whole_batch_sweeps_ = batchable && options.observe != ObserveLevel::kFull &&
-                        options.limits.max_buffered_bytes <= 0 &&
+  // write the assignment mid-round, so they sweep one round at a time; the
+  // byte post-limits sample occupancy after every event.
+  whole_batch_sweeps_ = batchable && options.limits.max_buffered_bytes <= 0 &&
                         options.limits.max_formula_bytes <= 0;
   if (guarded_) open_path_.reserve(64);
   run_start_ = std::chrono::steady_clock::now();
@@ -89,6 +63,49 @@ void RunCore::Start(Network network, int input_node,
         run_start_ + std::chrono::milliseconds(options.limits.deadline_ms);
   }
   last_watermark_time_ = run_start_;
+}
+
+obs::MetricRegistry& RunCore::metrics() {
+  if (!collectors_registered_ && input_node_ >= 0) {
+    collectors_registered_ = true;
+    obs::MetricRegistry* registry = &context_->metrics;
+    RegisterNetworkCollectors(registry, &network_);
+    for (size_t slot = 0; slot < outputs_.size(); ++slot) {
+      obs::Labels labels;
+      if (outputs_.size() > 1) labels = {{"query", std::to_string(slot)}};
+      RegisterOutputCollectors(registry, outputs_[slot], std::move(labels));
+    }
+    RegisterContextCollectors(registry, context_.get(),
+                              formula_allocs_baseline_);
+    registry->AddCallbackGauge(
+        "spex_engine_events", {},
+        [counter = &events_processed_] { return *counter; });
+  }
+  return context_->metrics;
+}
+
+void RunCore::AttachTrace(obs::TraceRecorder* recorder) {
+  context_->observer.trace = recorder;
+  network_.SetTraceRecorder(recorder);
+  if (recorder == nullptr) return;
+  for (int k = 0; k < 5; ++k) {
+    stream_span_names_[k] =
+        recorder->InternName(EventKindName(static_cast<EventKind>(k)));
+  }
+  context_->observer.trace_buffered_name =
+      recorder->InternName("output_buffered_events");
+  recorder->SetTrackName(0, "stream");
+  for (int i = 0; i < network_.node_count(); ++i) {
+    recorder->SetTrackName(i + 1, network_.node(i)->name());
+  }
+}
+
+void RunCore::AttachProfiler(obs::ProfileAccumulator* profiler) {
+  assert(profiler == nullptr ||
+         profiler->nodes().size() ==
+             static_cast<size_t>(network_.node_count()));
+  profiler_ = profiler;
+  network_.SetProfiler(profiler);
 }
 
 void RunCore::Reject(Status status) {
@@ -111,8 +128,8 @@ void RunCore::OnEventBatch(const StreamEvent* events, size_t count) {
 
 void RunCore::SampleBatch(const StreamEvent* events, size_t count) {
   if (profiler_ != nullptr) {
-    // options.profile already times every sweep; sampling on top would only
-    // steal its attributions.
+    // The attached profiler already times every sweep; sampling on top
+    // would only steal its attributions.
     OnEventBatchUnsampled(events, count);
     return;
   }
@@ -167,14 +184,21 @@ size_t RunCore::Sweep(const StreamEvent* events, size_t count) {
     message_batch_.push_back(std::move(m));
   }
   events_processed_ += static_cast<int64_t>(swept);
-  // Observability costs this one branch when disabled (DESIGN.md §7).
-  if (!observed_path_) [[likely]] {
+  // The decision-delay clock: exact wherever sweeps are one round, quantized
+  // to batch boundaries elsewhere.
+  context_->observer.event_index = events_processed_;
+  // A trace recorder and progress cost this one branch when neither is on
+  // (DESIGN.md §7).
+  obs::TraceRecorder* trace = context_->observer.trace;
+  if (trace == nullptr && !progress_enabled_) [[likely]] {
     network_.DeliverBatch(input_node_, 0, &message_batch_);
   } else {
-    if (obs_ != nullptr) {
-      obs_->ObserveSweep(
-          events[0].kind, events_processed_, static_cast<int64_t>(swept),
-          [&] { network_.DeliverBatch(input_node_, 0, &message_batch_); });
+    if (trace != nullptr) {
+      const int64_t start = trace->NowNs();
+      network_.DeliverBatch(input_node_, 0, &message_batch_);
+      trace->RecordSpan(
+          /*tid=*/0, stream_span_names_[static_cast<int>(events[0].kind)],
+          start, trace->NowNs());
     } else {
       network_.DeliverBatch(input_node_, 0, &message_batch_);
     }
@@ -460,32 +484,10 @@ obs::ProfileReport RunCore::BuildReport(
                             pool.allocated_total - formula_allocs_baseline_);
 }
 
-obs::ProfileReport RunCore::Profile() const {
-  return BuildReport(profiler_.get());
-}
+obs::ProfileReport RunCore::Profile() const { return BuildReport(profiler_); }
 
 obs::ProfileReport RunCore::SampledProfile() const {
   return BuildReport(sample_profiler_.get());
-}
-
-const obs::Histogram* RunCore::decision_delay() const {
-  return context_->observer != nullptr
-             ? context_->observer->output_decision_delay
-             : nullptr;
-}
-
-const TransducerTrace* RunCore::trace(int node_id) const {
-  if (node_id < 0 || node_id >= static_cast<int>(traces_.size())) {
-    return nullptr;
-  }
-  return traces_[node_id].get();
-}
-
-const TransducerTrace* RunCore::trace(const std::string& name) const {
-  for (int i = 0; i < network_.node_count(); ++i) {
-    if (network_.node(i)->name() == name) return trace(i);
-  }
-  return nullptr;
 }
 
 }  // namespace spex

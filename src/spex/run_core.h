@@ -76,11 +76,12 @@ class RunCore : public EventSink {
   // candidates decided.  Every event reaches the network through its one
   // delivery path, the topological sweep (Network::DeliverBatch).  A sweep
   // carries the whole batch when the network creates no condition variables
-  // (CompiledNetwork::batchable), observe != kFull and neither byte limit
-  // is set; otherwise one event — one round, with the end-of-round variable
-  // GC between sweeps.  Results, statuses and counters are identical at
-  // every batch size; the difference is cost.  The events must outlive the
-  // call (zero-copy borrowing at batch scope).
+  // (CompiledNetwork::batchable) and neither byte limit is set; otherwise
+  // one event — one round, with the end-of-round variable GC between
+  // sweeps.  Attached observation never changes the sweep size.  Results,
+  // statuses and counters are identical at every batch size; the difference
+  // is cost.  The events must outlive the call (zero-copy borrowing at batch
+  // scope).
   //
   // Resource governance (DESIGN.md §10): when EngineOptions::limits is set,
   // every event passes the governor first; a breached limit poisons the run
@@ -142,21 +143,22 @@ class RunCore : public EventSink {
   RunStats ComputeStats() const;
 
   // EXPLAIN/PROFILE: per-node cost attribution with query provenance (see
-  // obs/profile.h).  Timed (self-time shares, deliveries) when
-  // options.profile was set; otherwise a static plan — provenance, predicted
-  // cost classes, and whatever message counts have accrued.  Callable at any
-  // point of the stream.  report.query defaults to the compiled expression's
-  // round-trip syntax; callers holding the original query text (whose byte
-  // offsets the spans index) may overwrite it.
+  // obs/profile.h).  Timed (self-time shares, deliveries over the batches
+  // swept while it was attached) iff a profiler is attached; otherwise a
+  // static plan — provenance, predicted cost classes, and whatever message
+  // counts have accrued.  Callable at any point of the stream.
+  // report.query defaults to the compiled expression's round-trip syntax;
+  // callers holding the original query text (whose byte offsets the spans
+  // index) may overwrite it.
   obs::ProfileReport Profile() const;
 
   // Always-on statistical sampling (DESIGN.md §13): with a controller
   // attached, each OnEventBatch call (OnEvent is a batch of one) draws once,
   // and the ~1/period batches that win have their sweeps' node calls timed
   // into a private ProfileAccumulator — continuous attribution at a
-  // fraction of options.profile's cost.  The controller is shared
-  // (typically pool-wide) and must outlive the run; a full profiler
-  // (options.profile) takes precedence, since every batch is already timed
+  // fraction of a full profiler's cost.  The controller is shared
+  // (typically pool-wide) and must outlive the run; an attached profiler
+  // (AttachProfiler) takes precedence, since every batch is already timed
   // then.
   void SetBatchSampler(obs::SamplingProfiler* sampler) {
     sampler_ctl_ = sampler;
@@ -168,22 +170,35 @@ class RunCore : public EventSink {
   obs::ProfileReport SampledProfile() const;
 
   // Output decision delay (events between a candidate's creation and its
-  // determination) of an observed run; null when options.observe == kOff.
-  const obs::Histogram* decision_delay() const;
-
-  // The run's live metrics registry (see obs/metrics.h).  Pull collectors
-  // over the network/output/formula-pool state are registered at every
-  // observe level (outputs labelled query=<slot> when there is more than
-  // one slot); push instruments (spex_events_total, histograms) exist only
-  // when options.observe != kOff.
-  obs::MetricRegistry& metrics() { return context_->metrics; }
-  const obs::MetricRegistry& metrics() const { return context_->metrics; }
-
-  // Span recorder of an observe=full run; null otherwise.  Export with
-  // trace_recorder()->ToChromeJson() (chrome://tracing / Perfetto).
-  const obs::TraceRecorder* trace_recorder() const {
-    return obs_ != nullptr ? obs_->trace_recorder() : nullptr;
+  // determination), recorded by every run; null only before the network
+  // was handed over (a rejected run).
+  const obs::Histogram* decision_delay() const {
+    return context_->observer.output_decision_delay;
   }
+
+  // The run's live metrics registry (see obs/metrics.h).  It always holds
+  // spex_events_total and the decision-delay histogram; the first call
+  // registers the pull collectors over the network/output/formula-pool
+  // state (outputs labelled query=<slot> when there is more than one slot)
+  // and spex_engine_events.  Runs nobody scrapes — pool sessions — never
+  // build them.
+  obs::MetricRegistry& metrics();
+
+  // Observation hooks (DESIGN.md §7).  Both may be called on the run's
+  // thread between any two OnEventBatch calls; null detaches.  The caller
+  // owns the object, which must stay alive while attached.
+  //
+  // A trace recorder (sized by the caller) gets one span per sweep on the
+  // stream track (tid 0, named after the sweep's first event kind), one
+  // span per node call of the sweep on track node+1 nested inside it, and
+  // the output-buffer occupancy as a counter track; the tracks are named
+  // "stream" and after the transducers (see TraceRecorder::SetTrackPrefix).
+  // Export with ToChromeJson() (chrome://tracing / Perfetto).
+  void AttachTrace(obs::TraceRecorder* recorder);
+  // A profile accumulator, sized network().node_count(), times every node
+  // call of the sweep into per-node self times; Profile() is timed while
+  // one is attached.
+  void AttachProfiler(obs::ProfileAccumulator* profiler);
 
   // Progress watermarks.  Configured callbacks (EngineOptions::progress)
   // fire from OnEvent every N events / M bytes; CurrentWatermark() computes
@@ -206,17 +221,11 @@ class RunCore : public EventSink {
   // arriving unstamped are interned on entry.
   SymbolTable* symbol_table() { return context_->symbol_table(); }
 
-  // Test hook: the rule trace of node `node_id` (only populated when
-  // options.record_traces was set).
-  const TransducerTrace* trace(int node_id) const;
-  // Trace of the first transducer named `name` (e.g. "CH(a)"), or nullptr.
-  const TransducerTrace* trace(const std::string& name) const;
-
  protected:
   explicit RunCore(EngineOptions options);
 
   // Hands the front-end's compiled network to the core and finishes the
-  // set-up: traces, observability, collectors, governor and progress state.
+  // set-up: counters, governor and progress state.
   // `network` was compiled against context(); `outputs` holds one collector
   // per slot (owned by the network); `query_text` names the run in profile
   // reports.
@@ -269,16 +278,21 @@ class RunCore : public EventSink {
   int input_node_ = -1;
   std::vector<OutputTransducer*> outputs_;  // one per slot, owned by network_
   std::string query_text_;  // for ProfileReport::query
-  std::vector<std::unique_ptr<TransducerTrace>> traces_;
-  std::unique_ptr<EngineObservability> obs_;  // non-null iff observe != kOff
-  std::unique_ptr<obs::ProfileAccumulator> profiler_;  // iff options.profile
+  // Attached profiler (AttachProfiler), caller-owned; the attached trace
+  // recorder lives in RunContext::observer.
+  obs::ProfileAccumulator* profiler_ = nullptr;
+  // Stream-track span names in the attached recorder, by EventKind.
+  int stream_span_names_[5] = {};
+  // True once metrics() registered the pull collectors.
+  bool collectors_registered_ = false;
   // Batch sampling (SetBatchSampler): shared controller, lazily-built
   // private accumulator for the sampled batches.
   obs::SamplingProfiler* sampler_ctl_ = nullptr;
   std::unique_ptr<obs::ProfileAccumulator> sample_profiler_;
   int64_t sampled_batches_ = 0;
   // Formula-pool allocation count at Start (the pool is thread-local and
-  // shared by every run on the thread; reports show the per-run delta).
+  // shared by every run on the thread; reports and spex_formula_pool_allocs
+  // show the per-run delta).
   int64_t formula_allocs_baseline_ = 0;
   int64_t events_processed_ = 0;
   // True when delivery must take the governed path (limits configured or
@@ -302,9 +316,6 @@ class RunCore : public EventSink {
   bool certain_frozen_ = false;
   // Wall-clock breach point when limits.deadline_ms is set.
   std::chrono::steady_clock::time_point deadline_{};
-  // True when a sweep must take the observed path (observe != kOff or
-  // progress enabled): the disabled hot path tests exactly this one flag.
-  bool observed_path_ = false;
   bool progress_enabled_ = false;
   std::function<int64_t()> progress_bytes_source_;
   int64_t next_progress_events_ = 0;

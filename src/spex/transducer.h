@@ -281,22 +281,8 @@ struct EngineOptions {
   // e.g. Fig. 2 rule 13); if false they evaluate lazily at the output
   // transducer only.  Eager updating keeps stack entries small (§V bounds).
   bool eager_formula_update = true;
-  // Attach a TransducerTrace to every transducer (tests & debugging).
-  bool record_traces = false;
   // Output transducer emission policy, see OutputOrder.
   OutputOrder output_order = OutputOrder::kDocumentStart;
-  // How much the run publishes into RunContext::metrics (see observe.h for
-  // the per-level cost contract).  kOff costs one branch per event.
-  ObserveLevel observe = ObserveLevel::kOff;
-  // Attach a per-node cost profiler: SpexEngine::Profile() then returns a
-  // *timed* attribution report (see obs/profile.h).  Orthogonal to
-  // `observe`; costs two clock reads per node call of the network's sweep
-  // (the same hook observe=full uses for trace spans) and never changes how
-  // events are delivered.  When false and observe != kFull, node calls pay
-  // one branch.
-  bool profile = false;
-  // Ring-buffer capacity (in trace events) of the observe=full recorder.
-  size_t trace_capacity = obs::TraceRecorder::kDefaultCapacity;
   // Progress watermark publication (every front-end; see observe.h).
   ProgressOptions progress;
   // Resource limits (see EngineLimits).  Unset costs one branch per event.
@@ -312,14 +298,9 @@ struct EngineOptions {
   // event).  Batching is a feeding granularity only: every event goes
   // through the network's one sweep, which carries the whole batch where
   // that is provably equivalent and one event (one round) otherwise
-  // (queries with condition variables, observe=full, byte limits), so
-  // results, statuses and counters are identical at every batch size.
+  // (queries with condition variables, byte limits), so results, statuses
+  // and counters are identical at every batch size.
   int batch_size = 64;
-  // Pool-worker index stamped into the observe=full trace recorder's tid
-  // space (tid = worker * obs::TraceRecorder::kWorkerTidStride + node) so
-  // merged multi-worker traces keep one track group per worker.  -1 = not a
-  // pool run: tids start at 0 and no process_name metadata is emitted.
-  int trace_worker = -1;
 };
 
 // State shared by the transducers of one network instance.
@@ -339,14 +320,14 @@ struct RunContext {
   // conditions), so retired bindings may still be referenced and must not
   // be erased.
   bool allow_variable_gc = true;
-  // Live metrics registry of this run (see obs/metrics.h).  The engines
-  // register pull collectors over the per-transducer stats at every observe
-  // level; push instruments are added only when options.observe != kOff.
+  // Live metrics registry of this run (see obs/metrics.h).  The run core
+  // registers its counters at Start and the pull collectors over the
+  // per-transducer stats on the first RunCore::metrics() call.
   obs::MetricRegistry metrics;
-  // Per-run push-metric handles, owned by the engine's EngineObservability.
-  // Null when options.observe == kOff: hot-path publishers (the output
-  // transducer) test this single pointer and otherwise do nothing.
-  obs::RunObserver* observer = nullptr;
+  // Hot-path publication handles (decision delay, the attached trace
+  // recorder) and the index of the document message in the network;
+  // filled in by the run core (see obs/observer.h).
+  obs::RunObserver observer;
   // Interned label symbols for this run.  Label-testing transducers resolve
   // their predicate to a Symbol at construction time through this table, so
   // the per-event test is one integer compare.

@@ -307,7 +307,7 @@ TEST(AdminServerTest, EndpointsServeOverHttp) {
   EXPECT_NE(body.find("\"rates\""), std::string::npos);
   EXPECT_NE(body.find("\"quantiles\""), std::string::npos);
 
-  // Tiny capture windows: no sessions start inside them, so the captures
+  // Tiny capture windows: no session streams inside them, so the captures
   // are valid-but-empty.
   ASSERT_TRUE(HttpGet(admin.port(), "/trace?ms=10", &status, &body));
   EXPECT_EQ(status, 200);
@@ -380,8 +380,8 @@ TEST(AdminServerTest, TraceCaptureWindowObservesSessions) {
   (*open)->Feed(DocEvents());
   (*open)->Close();
   (*open)->Wait();
-  // The engine is offered to the hub at finalization, which Wait() ordered
-  // before our read.
+  // The hub merges the session's recorder out at finalization, which
+  // Wait() ordered before our read.
   EXPECT_EQ(admin.capture().trace_sessions(), 1);
   const std::string trace = admin.capture().TraceJson();
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
@@ -415,6 +415,63 @@ TEST(AdminServerTest, ProfileCaptureWindowCollectsReports) {
   const std::string profile = admin.capture().ProfileJson();
   EXPECT_NE(profile.find("\"profiles\": ["), std::string::npos);
   EXPECT_NE(profile.find("\"query\""), std::string::npos);
+
+  admin.Stop();
+}
+
+// Capture attaches to live runs: trace and profile windows armed after half
+// a document has been swept capture the rest of that session, and the
+// captured session's results are byte-identical to an uncaptured run's.
+TEST(AdminServerTest, CaptureWindowsArmedMidDocumentAttachLive) {
+  PoolOptions pool_options;
+  pool_options.threads = 1;
+  EnginePool pool(pool_options);
+  AdminServer admin(&pool);
+  ASSERT_TRUE(admin.Start());
+  CompiledQueryCache cache(8);
+  const std::vector<StreamEvent> events = DocEvents();
+  const size_t half = events.size() / 2;
+
+  auto run = [&](bool arm_halfway) {
+    auto open = pool.OpenSession("_*.book[author].title", &cache);
+    EXPECT_TRUE(open.ok());
+    std::shared_ptr<StreamSession> session = *open;
+    session->Feed(
+        std::vector<StreamEvent>(events.begin(), events.begin() + half));
+    if (arm_halfway) {
+      while (session->Live().events < static_cast<int64_t>(half)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      admin.capture().ArmTrace(AdminServer::kMaxCaptureMs);
+      admin.capture().ArmProfile(AdminServer::kMaxCaptureMs);
+    }
+    session->Feed(
+        std::vector<StreamEvent>(events.begin() + half, events.end()));
+    session->Close();
+    return std::vector<std::string>(session->Wait());
+  };
+  const std::vector<std::string> uncaptured = run(false);
+  ASSERT_FALSE(uncaptured.empty());
+  EXPECT_EQ(admin.capture().trace_sessions(), 0);
+  EXPECT_EQ(run(true), uncaptured);
+
+  EXPECT_EQ(admin.capture().trace_sessions(), 1);
+  const std::string trace = admin.capture().TraceJson();
+  EXPECT_NE(trace.find("w0/stream"), std::string::npos);
+  // The qualifier query sweeps one event at a time, so the stream track
+  // holds one span per event of the second half, and nothing before it.
+  const std::string stream_span = "\"ph\": \"X\", \"pid\": 1, \"tid\": 0,";
+  size_t spans = 0;
+  for (size_t at = trace.find(stream_span); at != std::string::npos;
+       at = trace.find(stream_span, at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, events.size() - half);
+
+  EXPECT_EQ(admin.capture().profile_sessions(), 1);
+  const std::string profile = admin.capture().ProfileJson();
+  EXPECT_NE(profile.find("\"timed\": true"), std::string::npos);
+  EXPECT_NE(profile.find("_*.book[author].title"), std::string::npos);
 
   admin.Stop();
 }

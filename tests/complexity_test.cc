@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rpeq/parser.h"
@@ -165,6 +166,38 @@ TEST(ComplexityTest, EndDocumentLeavesNoResidue) {
 // mode, yet the retired-variable list is cleared every round: only the
 // bindings outlive it.  (It used to grow by one entry per qualifier
 // instance for the whole stream.)
+// Thread-local state outlives its session: the Simplify memo keeps the
+// capacity a large formula grew it to.  A small session's memo work must
+// not depend on what ran on the thread before it — the slots its rewrites
+// reset are the same after a large-formula session as on a fresh thread.
+int64_t MemoSlotsClearedBy(const char* query,
+                           const std::vector<StreamEvent>& events) {
+  const int64_t before = Formula::SimplifyMemoSlotsCleared();
+  CountMatches(*MustParseRpeq(query), events);
+  return Formula::SimplifyMemoSlotsCleared() - before;
+}
+
+TEST(ComplexityTest, SimplifyMemoWorkIndependentOfEarlierSessions) {
+  const std::vector<StreamEvent> events = GenerateToVector([](EventSink* s) {
+    GenerateDmozLike(42, 0.002, /*content=*/false, s);
+  });
+  const char kSmall[] = "_*.Topic[editor].newsGroup";
+  // `>>` keeps a disjunction over every closed Topic: formulas of ~1.4k
+  // nodes on this stream.
+  const char kLarge[] = "_*.Topic[editor].>>newsGroup";
+  int64_t fresh = 0;
+  int64_t large = 0;
+  int64_t after_large = 0;
+  std::thread([&] { fresh = MemoSlotsClearedBy(kSmall, events); }).join();
+  std::thread([&] {
+    large = MemoSlotsClearedBy(kLarge, events);
+    after_large = MemoSlotsClearedBy(kSmall, events);
+  }).join();
+  EXPECT_GT(fresh, 0);
+  EXPECT_GT(large, fresh);
+  EXPECT_EQ(after_large, fresh);
+}
+
 TEST(ComplexityTest, RetiredVariablesClearedEveryRoundWithoutGc) {
   const std::vector<StreamEvent> events = GenerateToVector([](EventSink* s) {
     GenerateDmozLike(42, 0.002, /*content=*/false, s);

@@ -253,27 +253,32 @@ TEST(EngineTest, DeterminationOrderInterleavedBracketsAreConsistent) {
   EXPECT_EQ(strict[0], "<i><y></y><k></k></i>");
 }
 
-TEST(EngineTest, ObserveOffLeavesRegistryCountersUntouched) {
-  // The default (observe=off) run registers only pull collectors over state
-  // the engine maintains anyway: no push counter or histogram may exist in
-  // the registry, and no trace recorder is attached — the per-event cost of
-  // the subsystem is the single observed-path branch.
+TEST(EngineTest, RegistryBuildsCollectorsOnDemand) {
+  // Counters are always on: a run registers spex_events_total (a pull
+  // counter) and the decision-delay histogram when it starts, and nothing
+  // else until someone asks for the registry — the pull collectors over
+  // state the engine maintains anyway are built by the first metrics()
+  // call, and no trace recorder is attached unless the caller attaches one.
   ExprPtr q = MustParseRpeq("_*.a[c].c");
   CountingResultSink sink;
   SpexEngine engine(*q, &sink);
   for (const StreamEvent& e : Events(kPaperDoc)) engine.OnEvent(e);
-  EXPECT_EQ(engine.trace_recorder(), nullptr);
-  obs::MetricsSnapshot snap = engine.metrics().Collect();
-  for (const obs::MetricSample& s : snap.samples) {
-    EXPECT_NE(s.type, obs::MetricType::kCounter) << s.name;
-    EXPECT_NE(s.type, obs::MetricType::kHistogram) << s.name;
-  }
-  // ComputeStats still works: it reads the pull collectors.
+  EXPECT_EQ(engine.context().metrics.size(), 2u);
+  EXPECT_EQ(engine.context().observer.trace, nullptr);
+  // ComputeStats reads the same state directly, registry or not.
   RunStats stats = engine.ComputeStats();
   EXPECT_GT(stats.total_messages, 0);
   EXPECT_EQ(stats.events_processed,
             static_cast<int64_t>(Events(kPaperDoc).size()));
+  obs::MetricsSnapshot snap = engine.metrics().Collect();
+  EXPECT_GT(engine.context().metrics.size(), 2u);
   EXPECT_EQ(snap.SumAll("spex_transducer_messages_in"), stats.total_messages);
+  EXPECT_EQ(snap.Value("spex_events_total"), stats.events_processed);
+  EXPECT_EQ(snap.Value("spex_engine_events"), stats.events_processed);
+  const obs::MetricSample* delay =
+      snap.Find("spex_output_decision_delay_events");
+  ASSERT_NE(delay, nullptr);
+  EXPECT_EQ(delay->count, stats.output.candidates_created);
 }
 
 }  // namespace

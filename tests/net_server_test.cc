@@ -824,7 +824,7 @@ TEST(NetServer, SessionDirectoryReapsDeadEntriesUnderChurn) {
   SessionDirectory directory(8);
 
   // Churn far past capacity: every session is dead by the next insert.
-  std::weak_ptr<StreamSession> last;
+  std::vector<std::weak_ptr<StreamSession>> sessions;
   for (int i = 0; i < 100; ++i) {
     auto open = pool.OpenSession("_*.b", &cache);
     ASSERT_TRUE(open.ok()) << open.status().ToString();
@@ -833,14 +833,21 @@ TEST(NetServer, SessionDirectoryReapsDeadEntriesUnderChurn) {
       directory.Register(session, EngineLimits{});
       session->Close();
       session->Wait();
-      last = session;
+      sessions.push_back(session);
     }
     ASSERT_LE(directory.size(), 8u) << "insert " << i;
   }
-  // Wait() returning does not mean the worker dropped its reference yet;
-  // wait for the final session to truly expire so the reap is observable.
-  for (int spin = 0; spin < 200 && !last.expired(); ++spin) SleepMs(10);
-  ASSERT_TRUE(last.expired());
+  // Wait() returning does not mean the worker dropped its reference yet,
+  // and each of the two workers drops its own in its own time; wait for
+  // every session to truly expire so the reap is observable.
+  auto all_expired = [&sessions] {
+    for (const auto& session : sessions) {
+      if (!session.expired()) return false;
+    }
+    return true;
+  };
+  for (int spin = 0; spin < 200 && !all_expired(); ++spin) SleepMs(10);
+  ASSERT_TRUE(all_expired());
 
   // One live registration: every expired entry is reaped on the insert, so
   // the directory holds exactly the live session (pre-fix it would hold

@@ -392,9 +392,7 @@ constexpr char kDoc[] =
 TEST(ObsEngineTest, MidStreamSnapshotIsConsistent) {
   ExprPtr query = MustParseRpeq("_*.book[author].title");
   CountingResultSink sink;
-  EngineOptions options;
-  options.observe = ObserveLevel::kCounters;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);  // counters are always on
   std::vector<StreamEvent> events = Events(kDoc);
   const size_t half = events.size() / 2;
   for (size_t i = 0; i < half; ++i) engine.OnEvent(events[i]);
@@ -419,11 +417,12 @@ TEST(ObsEngineTest, MidStreamSnapshotIsConsistent) {
 TEST(ObsEngineTest, PerTransducerMessagesSumToTotal) {
   // The acceptance criterion behind `spexquery --metrics=json`: the
   // per-transducer message counts must sum to RunStats::total_messages.
+  // A trace recorder attached for the whole run changes none of it.
   ExprPtr query = MustParseRpeq("_*.book[author].title");
   CountingResultSink sink;
-  EngineOptions options;
-  options.observe = ObserveLevel::kFull;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
+  TraceRecorder recorder;
+  engine.AttachTrace(&recorder);
   for (const StreamEvent& e : Events(kDoc)) engine.OnEvent(e);
   MetricsSnapshot snap = engine.metrics().Collect();
   RunStats stats = engine.ComputeStats();
@@ -443,9 +442,7 @@ TEST(ObsEngineTest, PerTransducerMessagesSumToTotal) {
 TEST(ObsEngineTest, DecisionDelayHistogramCountsEveryCandidate) {
   ExprPtr query = MustParseRpeq("_*.book[author].title");
   CountingResultSink sink;
-  EngineOptions options;
-  options.observe = ObserveLevel::kCounters;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
   for (const StreamEvent& e : Events(kDoc)) engine.OnEvent(e);
   MetricsSnapshot snap = engine.metrics().Collect();
   const MetricSample* delay = snap.Find("spex_output_decision_delay_events");
@@ -457,24 +454,23 @@ TEST(ObsEngineTest, DecisionDelayHistogramCountsEveryCandidate) {
   EXPECT_GT(delay->count, 0);
 }
 
-// The golden trace round-trip: record a real run at observe=full, export
-// Chrome trace JSON, parse it back and check the spans form a proper
+// The golden trace round-trip: record a real run with a recorder attached,
+// export Chrome trace JSON, parse it back and check the spans form a proper
 // nesting — node-track spans must sit inside a stream-track (tid 0) span,
-// because observe=full sweeps the network one document message at a time.
+// one per sweep (here one per document message: OnEvent feeds batches of
+// one).
 TEST(ObsEngineTest, TraceRoundTripsAsNestedChromeJson) {
   ExprPtr query = MustParseRpeq("_*.book[author].title");
   CountingResultSink sink;
-  EngineOptions options;
-  options.observe = ObserveLevel::kFull;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
+  TraceRecorder recorder;
+  engine.AttachTrace(&recorder);
   for (const StreamEvent& e : Events(kDoc)) engine.OnEvent(e);
 
-  const TraceRecorder* recorder = engine.trace_recorder();
-  ASSERT_NE(recorder, nullptr);
-  EXPECT_GT(recorder->recorded(), 0);
-  EXPECT_EQ(recorder->dropped(), 0);  // small doc, nothing overwritten
+  EXPECT_GT(recorder.recorded(), 0);
+  EXPECT_EQ(recorder.dropped(), 0);  // small doc, nothing overwritten
 
-  JsonValue root = MustParseJson(recorder->ToChromeJson());
+  JsonValue root = MustParseJson(recorder.ToChromeJson());
   const JsonValue* events = root.Get("traceEvents");
   ASSERT_NE(events, nullptr);
 
@@ -523,10 +519,9 @@ TEST(ObsEngineTest, TraceRoundTripsAsNestedChromeJson) {
 TEST(ObsEngineTest, TraceRingStaysBoundedOnLongStreams) {
   ExprPtr query = MustParseRpeq("a.b");
   CountingResultSink sink;
-  EngineOptions options;
-  options.observe = ObserveLevel::kFull;
-  options.trace_capacity = 64;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
+  TraceRecorder recorder(/*capacity=*/64);  // the caller sizes the ring
+  engine.AttachTrace(&recorder);
   engine.OnEvent(StreamEvent::StartDocument());
   engine.OnEvent(StreamEvent::StartElement("a"));
   for (int i = 0; i < 500; ++i) {
@@ -535,17 +530,15 @@ TEST(ObsEngineTest, TraceRingStaysBoundedOnLongStreams) {
   }
   engine.OnEvent(StreamEvent::EndElement("a"));
   engine.OnEvent(StreamEvent::EndDocument());
-  const TraceRecorder* recorder = engine.trace_recorder();
-  ASSERT_NE(recorder, nullptr);
-  EXPECT_EQ(recorder->size(), 64u);
-  EXPECT_GT(recorder->dropped(), 0);
+  EXPECT_EQ(recorder.size(), 64u);
+  EXPECT_GT(recorder.dropped(), 0);
   EXPECT_EQ(sink.results(), 500);
 }
 
 TEST(ObsEngineTest, ParserPublishesIntoEngineRegistry) {
   ExprPtr query = MustParseRpeq("_*.title");
   CountingResultSink sink;
-  SpexEngine engine(*query, &sink);  // observe off: pull gauges still work
+  SpexEngine engine(*query, &sink);
   XmlParserOptions parser_options;
   parser_options.symbols = engine.symbol_table();
   parser_options.metrics = &engine.metrics();
@@ -563,7 +556,6 @@ TEST(ObsEngineTest, WatermarkReportsProgress) {
   ExprPtr query = MustParseRpeq("_*.book[author].title");
   CountingResultSink sink;
   EngineOptions options;
-  options.observe = ObserveLevel::kCounters;
   std::vector<Watermark> seen;
   options.progress.every_events = 5;
   options.progress.callback = [&seen](const Watermark& w) {
@@ -597,7 +589,6 @@ TEST(ObsEngineTest, WatermarkBatchGranularity) {
 
   CountingResultSink ref_sink;
   EngineOptions ref_options;
-  ref_options.observe = ObserveLevel::kCounters;
   ref_options.progress.every_events = kEvery;
   ref_options.progress.callback = [](const Watermark&) {};
   SpexEngine ref(*query, &ref_sink, ref_options);
@@ -606,7 +597,6 @@ TEST(ObsEngineTest, WatermarkBatchGranularity) {
 
   CountingResultSink sink;
   EngineOptions options;
-  options.observe = ObserveLevel::kCounters;
   std::vector<int64_t> fired;
   options.progress.every_events = kEvery;
   options.progress.callback = [&fired](const Watermark& w) {
@@ -643,7 +633,6 @@ TEST(ObsEngineTest, WatermarkBatchGranularity) {
   // One batch spanning several thresholds → one collapsed callback.
   std::vector<int64_t> jump_fired;
   EngineOptions jump;
-  jump.observe = ObserveLevel::kCounters;
   jump.progress.every_events = 3;
   jump.progress.callback = [&jump_fired](const Watermark& w) {
     jump_fired.push_back(w.events);
@@ -955,18 +944,20 @@ TEST(TraceTest, AppendChromeRecordsMergesWithOffset) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine capture knob: trace_worker stamps tracks into the worker's range.
+// Worker-stamped recorders (the capture hub's): the tid base, process name
+// and track prefix put every track of an attached run in the worker's range.
 
-TEST(ObsEngineTest, TraceWorkerOptionPrefixesTracks) {
+TEST(ObsEngineTest, WorkerStampedRecorderPrefixesTracks) {
   ExprPtr query = MustParseRpeq("_*.title");
-  EngineOptions options;
-  options.observe = ObserveLevel::kFull;
-  options.trace_worker = 1;
   CountingResultSink sink;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
+  TraceRecorder recorder;
+  recorder.SetTidBase(1 * TraceRecorder::kWorkerTidStride);
+  recorder.SetProcessName("spex worker 1");
+  recorder.SetTrackPrefix("w1/");
+  engine.AttachTrace(&recorder);
   for (const StreamEvent& e : Events(kDoc)) engine.OnEvent(e);
-  ASSERT_NE(engine.trace_recorder(), nullptr);
-  std::string json = engine.trace_recorder()->ToChromeJson();
+  std::string json = recorder.ToChromeJson();
   EXPECT_NE(json.find("spex worker 1"), std::string::npos);
   EXPECT_NE(json.find("w1/stream"), std::string::npos);
   // Every event lives in worker 1's tid range.

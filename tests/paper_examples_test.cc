@@ -16,6 +16,7 @@
 
 #include "rpeq/parser.h"
 #include "spex/engine.h"
+#include "test_util.h"
 #include "xml/xml_parser.h"
 
 namespace spex {
@@ -28,7 +29,10 @@ class TracedRun {
  public:
   // Feeds the document through OnEvent (`batch` 1) or OnEventBatch slices.
   TracedRun(const std::string& query, const std::string& xml, size_t batch = 1)
-      : query_(MustParseRpeq(query)), sink_(), engine_(MakeEngine()) {
+      : query_(MustParseRpeq(query)),
+        sink_(),
+        engine_(std::make_unique<SpexEngine>(*query_, &sink_)),
+        traces_(&engine_->network()) {
     std::vector<StreamEvent> events;
     std::string error;
     EXPECT_TRUE(ParseXmlToEvents(xml, &events, &error)) << error;
@@ -43,7 +47,7 @@ class TracedRun {
   }
 
   std::string Trace(const std::string& name) const {
-    const TransducerTrace* t = engine_->trace(name);
+    const TransducerTrace* t = traces_.Find(name);
     EXPECT_NE(t, nullptr) << "no transducer named " << name << "\n"
                           << engine_->network().Describe();
     return t == nullptr ? "" : t->ToString();
@@ -53,15 +57,10 @@ class TracedRun {
   const std::vector<std::string>& results() const { return sink_.results(); }
 
  private:
-  std::unique_ptr<SpexEngine> MakeEngine() {
-    EngineOptions options;
-    options.record_traces = true;
-    return std::make_unique<SpexEngine>(*query_, &sink_, options);
-  }
-
   ExprPtr query_;
   SerializingResultSink sink_;
   std::unique_ptr<SpexEngine> engine_;
+  NetworkTraces traces_;
 };
 
 void ExpectFig4Traces(size_t batch) {

@@ -110,10 +110,10 @@ std::vector<StreamEvent> DmozEvents() {
 
 TEST(ProfileTest, TimedReportInvariants) {
   ExprPtr query = MustParseRpeq("_*.Topic[editor].Title");
-  EngineOptions options;
-  options.profile = true;
   CountingResultSink sink;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
+  obs::ProfileAccumulator profiler(engine.network().node_count());
+  engine.AttachProfiler(&profiler);
   for (const StreamEvent& e : DmozEvents()) engine.OnEvent(e);
   ASSERT_GT(sink.results(), 0);
 
@@ -162,10 +162,10 @@ TEST(ProfileTest, TimedReportInvariants) {
 TEST(ProfileTest, QualifierQueryProfiledInBatches) {
   ExprPtr query = MustParseRpeq("_*.Topic[editor].Title");
   const std::vector<StreamEvent> events = DmozEvents();
-  EngineOptions options;
-  options.profile = true;
   CountingResultSink sink;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
+  obs::ProfileAccumulator profiler(engine.network().node_count());
+  engine.AttachProfiler(&profiler);
   for (size_t i = 0; i < events.size(); i += 64) {
     engine.OnEventBatch(events.data() + i,
                         std::min<size_t>(64, events.size() - i));
@@ -190,10 +190,10 @@ TEST(ProfileTest, QualifierQueryProfiledInBatches) {
 
 TEST(ProfileTest, RenderingsAreWellFormed) {
   ExprPtr query = MustParseRpeq("_*.Topic[editor].Title");
-  EngineOptions options;
-  options.profile = true;
   CountingResultSink sink;
-  SpexEngine engine(*query, &sink, options);
+  SpexEngine engine(*query, &sink);
+  obs::ProfileAccumulator profiler(engine.network().node_count());
+  engine.AttachProfiler(&profiler);
   for (const StreamEvent& e : DmozEvents()) engine.OnEvent(e);
   const obs::ProfileReport report = engine.Profile();
 
@@ -220,7 +220,7 @@ TEST(ProfileTest, RenderingsAreWellFormed) {
 TEST(ProfileTest, StaticExplainWithoutRun) {
   ExprPtr query = MustParseRpeq("_*.country[province].name");
   CountingResultSink sink;
-  SpexEngine engine(*query, &sink);  // no profile option, no events
+  SpexEngine engine(*query, &sink);  // no profiler attached, no events
   const obs::ProfileReport report = engine.Profile();
   EXPECT_FALSE(report.timed);
   EXPECT_EQ(report.events, 0);

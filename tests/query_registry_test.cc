@@ -396,6 +396,38 @@ TEST(QueryRegistryTest, PoolBreachProducesSlowRecordAndFlightDump) {
       << prom;
 }
 
+// Serving records the paper's progressiveness metric: with default pool
+// options every candidate's decision delay lands in its query's row.
+TEST(QueryRegistryTest, ServingRecordsDecisionDelay) {
+  EnginePool pool;
+  QueryRegistry registry;
+  pool.SetQueryRegistry(&registry);
+  CompiledQueryCache cache(8);
+  auto open = pool.OpenSession("_*.book[author].title", &cache);
+  ASSERT_TRUE(open.ok());
+  // The first title is a candidate before its book's author resolves it.
+  (*open)->Feed(DocEvents(
+      "<lib><book><title>T1</title><author>A</author></book>"
+      "<book><title>T2</title></book></lib>"));
+  (*open)->Close();
+  ASSERT_EQ((*open)->Wait().size(), 1u);
+  const int64_t candidates = (*open)->stats().output.candidates_created;
+  ASSERT_EQ(candidates, 2);
+
+  const std::string json = registry.ToJson();
+  const size_t row = json.find("\"decision_delay_events\": {");
+  ASSERT_NE(row, std::string::npos) << json;
+  auto field = [&](const std::string& key) {
+    const size_t at = json.find("\"" + key + "\": ", row);
+    EXPECT_NE(at, std::string::npos) << key << " in " << json;
+    return at == std::string::npos
+               ? int64_t{-1}
+               : std::stoll(json.substr(at + key.size() + 4));
+  };
+  EXPECT_EQ(field("count"), candidates);
+  EXPECT_GT(field("max"), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Sampling profiler.
 
@@ -456,10 +488,10 @@ TEST(SamplingProfilerTest, FullCoverageSamplingMatchesFullProfile) {
   obs::SamplingProfiler sampler(obs::SamplingProfiler::Options{1});
   sampled_engine.SetBatchSampler(&sampler);
 
-  EngineOptions profile_options;
-  profile_options.profile = true;
   CountingResultSink full_sink;
-  SpexEngine full_engine(*query, &full_sink, profile_options);
+  SpexEngine full_engine(*query, &full_sink);
+  obs::ProfileAccumulator profiler(full_engine.network().node_count());
+  full_engine.AttachProfiler(&profiler);
 
   for (size_t i = 0; i < events.size(); i += 4) {
     const size_t n = std::min<size_t>(4, events.size() - i);

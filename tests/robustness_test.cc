@@ -185,7 +185,9 @@ TEST(RobustnessTest, PathologicalTagSoup) {
     RecordingEventSink sink;
     XmlParser parser(&sink);
     bool ok = parser.Parse(c);
-    if (!ok) EXPECT_FALSE(parser.error().empty()) << c;
+    if (!ok) {
+      EXPECT_FALSE(parser.error().empty()) << c;
+    }
   }
 }
 

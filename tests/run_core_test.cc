@@ -96,11 +96,22 @@ void PrintTo(const RunOutcome& o, std::ostream* os) {
 }
 
 // Feeds `events` in `batch`-sized slices, seals a breached run, and reads
-// back what every front-end must agree on.
+// back what every front-end must agree on.  With `attach_halfway`, a trace
+// recorder and a profiler are attached at the first batch boundary at or
+// past the middle of the stream (and must have observed the rest).
 RunOutcome Drive(RunCore* engine, const SerializingResultSink& sink,
                  const std::vector<StreamEvent>& events, size_t batch,
-                 const int64_t* watermarks) {
+                 const int64_t* watermarks, bool attach_halfway = false) {
+  std::unique_ptr<obs::TraceRecorder> recorder;
+  std::unique_ptr<obs::ProfileAccumulator> profiler;
   for (size_t i = 0; i < events.size(); i += batch) {
+    if (attach_halfway && recorder == nullptr && i >= events.size() / 2) {
+      recorder = std::make_unique<obs::TraceRecorder>();
+      profiler = std::make_unique<obs::ProfileAccumulator>(
+          engine->network().node_count());
+      engine->AttachTrace(recorder.get());
+      engine->AttachProfiler(profiler.get());
+    }
     if (batch == 1) {
       engine->OnEvent(events[i]);
     } else {
@@ -115,26 +126,45 @@ RunOutcome Drive(RunCore* engine, const SerializingResultSink& sink,
   out.certain = engine->certain_result_count(0);
   out.watermarks = *watermarks;
   out.total_messages = engine->ComputeStats().total_messages;
+  if (attach_halfway) {
+    EXPECT_GT(recorder->recorded(), 0);
+    EXPECT_GT(profiler->total_self_ns(), 0);
+    engine->AttachTrace(nullptr);
+    engine->AttachProfiler(nullptr);
+  }
   return out;
 }
 
 TEST(RunCoreTest, FrontEndParity) {
+  // Every EngineOptions knob that changes evaluation gets a leg, and so does
+  // attaching observation mid-stream.
   struct Config {
     std::string name;
     std::function<void(EngineOptions*, size_t events)> apply;
+    bool limit = false;          // the leg sets a governor limit
+    bool attach_halfway = false;  // recorder + profiler attached mid-stream
     int breaches = 0;
   };
   std::vector<Config> configs = {
       {"progress",
        [](EngineOptions* o, size_t) { o->progress.every_events = 17; }},
+      {"lazy_formulas",
+       [](EngineOptions* o, size_t) { o->eager_formula_update = false; }},
+      {"determination_order",
+       [](EngineOptions* o, size_t) {
+         o->output_order = OutputOrder::kDetermination;
+       }},
+      {"attached_halfway", [](EngineOptions*, size_t) {}, false, true},
       {"max_events",
        [](EngineOptions* o, size_t events) {
          o->limits.max_events = static_cast<int64_t>(events / 2);
-       }},
-      {"max_depth",
-       [](EngineOptions* o, size_t) { o->limits.max_depth = 4; }},
+       },
+       true},
+      {"max_depth", [](EngineOptions* o, size_t) { o->limits.max_depth = 4; },
+       true},
       {"max_buffered_bytes",
-       [](EngineOptions* o, size_t) { o->limits.max_buffered_bytes = 24; }},
+       [](EngineOptions* o, size_t) { o->limits.max_buffered_bytes = 24; },
+       true},
   };
   int watermark_runs = 0;
   for (uint64_t seed : {2, 6, 14}) {
@@ -148,6 +178,12 @@ TEST(RunCoreTest, FrontEndParity) {
       ExprPtr query = MustParseRpeq(text);
       auto cq = MustParseConjunctiveQuery(std::string("q(X) :- Root(") +
                                           text + ") X");
+      // The unattached batch-1 run of the default options.
+      int64_t no_watermarks = 0;
+      SerializingResultSink plain_sink;
+      SpexEngine plain(*query, &plain_sink);
+      const RunOutcome unattached =
+          Drive(&plain, plain_sink, events, 1, &no_watermarks);
       for (Config& config : configs) {
         RunOutcome per_event;  // the batch-1 outcome of this leg
         for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
@@ -160,25 +196,27 @@ TEST(RunCoreTest, FrontEndParity) {
           options.progress.callback = [&watermarks](const Watermark&) {
             ++watermarks;
           };
+          const bool attach = config.attach_halfway;
 
           SerializingResultSink single_sink;
           SpexEngine single(*query, &single_sink, options);
-          const RunOutcome expected =
-              Drive(&single, single_sink, events, batch, &watermarks);
+          const RunOutcome expected = Drive(&single, single_sink, events,
+                                            batch, &watermarks, attach);
 
           watermarks = 0;
           SerializingResultSink mq_sink;
           MultiQueryEngine mq(options);
           ASSERT_TRUE(mq.AddQuery(*query, &mq_sink).ok());
           mq.Finalize();
-          EXPECT_EQ(Drive(&mq, mq_sink, events, batch, &watermarks),
+          EXPECT_EQ(Drive(&mq, mq_sink, events, batch, &watermarks, attach),
                     expected);
 
           watermarks = 0;
           SerializingResultSink cq_sink;
           ConjunctiveEngine conjunctive(*cq, {&cq_sink}, options);
           ASSERT_TRUE(conjunctive.ok()) << conjunctive.error();
-          EXPECT_EQ(Drive(&conjunctive, cq_sink, events, batch, &watermarks),
+          EXPECT_EQ(Drive(&conjunctive, cq_sink, events, batch, &watermarks,
+                          attach),
                     expected);
 
           // Batching is a feeding granularity: everything but the
@@ -188,6 +226,13 @@ TEST(RunCoreTest, FrontEndParity) {
           EXPECT_EQ(expected.code, per_event.code);
           EXPECT_EQ(expected.certain, per_event.certain);
           EXPECT_EQ(expected.total_messages, per_event.total_messages);
+          // Attached observation changes nothing the run computes.
+          if (attach) {
+            EXPECT_EQ(expected.fragments, unattached.fragments);
+            EXPECT_EQ(expected.code, unattached.code);
+            EXPECT_EQ(expected.certain, unattached.certain);
+            EXPECT_EQ(expected.total_messages, unattached.total_messages);
+          }
 
           if (expected.code != StatusCode::kOk) ++config.breaches;
           if (expected.watermarks > 0) ++watermark_runs;
@@ -195,11 +240,15 @@ TEST(RunCoreTest, FrontEndParity) {
       }
     }
   }
-  // Progress fires on every progress run; every limit leg really breaches.
+  // Progress fires on every progress run; every limit leg really breaches,
+  // and no other leg does.
   EXPECT_EQ(watermark_runs, 3 * 6 * 3);
-  EXPECT_EQ(configs[0].breaches, 0);
-  for (size_t i = 1; i < configs.size(); ++i) {
-    EXPECT_GT(configs[i].breaches, 0) << configs[i].name;
+  for (const Config& config : configs) {
+    if (config.limit) {
+      EXPECT_GT(config.breaches, 0) << config.name;
+    } else {
+      EXPECT_EQ(config.breaches, 0) << config.name;
+    }
   }
 }
 

@@ -161,6 +161,75 @@ TEST(EnginePoolTest, SingleSessionMatchesSingleThreadedRun) {
             static_cast<int64_t>(events.size()));
 }
 
+// Pool sessions never scrape their engine's registry, so they never build
+// its pull collectors (tens of thousands on a large population DAG): after
+// a full document it holds only the always-on counters, and a later scrape
+// still sees every family.
+struct RegistryReport {
+  size_t entries = 0;
+  int64_t scraped_messages = -1;
+  int64_t total_messages = -2;
+};
+
+// A session engine that reports at teardown — on its worker, once the pool
+// is done with it, before Wait() returns.
+class RegistryProbeEngine : public SpexEngine {
+ public:
+  RegistryProbeEngine(std::shared_ptr<const QueryTemplate> query_template,
+                      ResultSink* sink, EngineOptions options,
+                      RegistryReport* report)
+      : SpexEngine(std::move(query_template), sink, std::move(options)),
+        report_(report) {}
+  ~RegistryProbeEngine() override {
+    report_->entries = context().metrics.size();
+    report_->scraped_messages =
+        metrics().Collect().SumAll("spex_transducer_messages_in");
+    report_->total_messages = ComputeStats().total_messages;
+  }
+
+ private:
+  RegistryReport* report_;
+};
+
+class RegistryProbeTemplate : public SlotTemplate {
+ public:
+  RegistryProbeTemplate(std::shared_ptr<const QueryTemplate> inner,
+                        RegistryReport* report)
+      : inner_(std::move(inner)), report_(report) {}
+  int slot_count() const override { return 1; }
+  const std::string& slot_text(int) const override { return inner_->label(); }
+  const std::string& label() const override { return inner_->label(); }
+  std::unique_ptr<RunCore> Instantiate(
+      const std::vector<ResultSink*>& slot_sinks,
+      EngineOptions options) const override {
+    return std::make_unique<RegistryProbeEngine>(inner_, slot_sinks[0],
+                                                 std::move(options), report_);
+  }
+
+ private:
+  std::shared_ptr<const QueryTemplate> inner_;
+  RegistryReport* report_;
+};
+
+TEST(EnginePoolTest, SessionsBuildNoRegistryCollectors) {
+  const std::vector<StreamEvent> events = Doc(5);
+  std::string error;
+  auto query = QueryTemplate::Build(*MustParseRpeq("_*.a[b].c"), &error);
+  ASSERT_NE(query, nullptr) << error;
+  RegistryReport report;
+  EnginePool pool;
+  auto session = pool.OpenSession(
+      std::make_shared<RegistryProbeTemplate>(query, &report));
+  session->Feed(events);
+  session->Close();
+  session->Wait();
+  ASSERT_TRUE(session->status().ok());
+  EXPECT_LE(report.entries, 2u);
+  EXPECT_GT(report.total_messages, 0);
+  EXPECT_EQ(report.scraped_messages, report.total_messages);
+  EXPECT_EQ(report.total_messages, session->stats().total_messages);
+}
+
 // The PR-4 concurrency stress: 12 sessions (4 documents x 3 queries)
 // through one shared CompiledQueryCache on 4 workers, each document split
 // into small interleaved batches — every session's output must be

@@ -71,6 +71,33 @@ inline void DeliverOne(Network* network, int node, int port, Message message) {
   network->DeliverBatch(node, port, &batch);
 }
 
+// Rule traces of every node of `network`, attached before the first event:
+// the per-transducer view the paper's Figs. 4, 5 and 13 present.  The
+// network must outlive this object's use, and this object the run.
+class NetworkTraces {
+ public:
+  explicit NetworkTraces(Network* network)
+      : network_(network), traces_(static_cast<size_t>(network->node_count())) {
+    for (int i = 0; i < network->node_count(); ++i) {
+      network->node(i)->set_trace(&traces_[static_cast<size_t>(i)]);
+    }
+  }
+
+  // Trace of the first transducer named `name` (e.g. "CH(a)"), or nullptr.
+  const TransducerTrace* Find(const std::string& name) const {
+    for (int i = 0; i < network_->node_count(); ++i) {
+      if (network_->node(i)->name() == name) {
+        return &traces_[static_cast<size_t>(i)];
+      }
+    }
+    return nullptr;
+  }
+
+ private:
+  const Network* network_;
+  std::vector<TransducerTrace> traces_;
+};
+
 inline Message Open(const std::string& label) {
   return Message::Document(StreamEvent::StartElement(label));
 }

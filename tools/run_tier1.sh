@@ -32,7 +32,7 @@ binary_dir="build"
 if [ "$preset" != "default" ]; then binary_dir="build-$preset"; fi
 metrics_out="$("$binary_dir/tools/spexquery" --count --metrics=json \
   '_*.book[author].title' examples/data/catalog.xml 2>&1 >/dev/null)"
-echo "$metrics_out" | grep -q '"spex_transducer_messages_in"' || {
+grep -q '"spex_transducer_messages_in"' <<<"$metrics_out" || {
   echo "tier1: spexquery --metrics=json smoke failed:" >&2
   echo "$metrics_out" >&2
   exit 1
@@ -113,13 +113,13 @@ serve_out="$("$binary_dir/tools/spexserve" --queries="$serve_dir/queries.txt" \
 }
 # The serving summary is a structured logfmt line now:
 #   ts=... level=info msg="run complete" documents=1 queries=2 sessions=2 threads=2
-echo "$serve_out" | grep -q 'msg="run complete".*sessions=2 threads=2' || {
+grep -q 'msg="run complete".*sessions=2 threads=2' <<<"$serve_out" || {
   echo "tier1: spexserve smoke failed:" >&2
   echo "$serve_out" >&2
   rm -rf "$serve_dir"
   exit 1
 }
-echo "$serve_out" | grep -q 'msg=latency feed_to_result_p50_us=' || {
+grep -q 'msg=latency feed_to_result_p50_us=' <<<"$serve_out" || {
   echo "tier1: spexserve smoke missing latency summary:" >&2
   echo "$serve_out" >&2
   rm -rf "$serve_dir"
@@ -160,7 +160,7 @@ scrape() {
   exec 3<&- 3>&-
 }
 metrics_scrape="$(scrape /metrics)"
-echo "$metrics_scrape" | grep -q '# TYPE spex_pool_events_processed counter' || {
+grep -q '# TYPE spex_pool_events_processed counter' <<<"$metrics_scrape" || {
   echo "tier1: admin smoke: /metrics scrape missing pool counters" >&2
   echo "$metrics_scrape" | head -20 >&2
   kill "$admin_pid" 2>/dev/null || true
@@ -168,14 +168,14 @@ echo "$metrics_scrape" | grep -q '# TYPE spex_pool_events_processed counter' || 
   exit 1
 }
 healthz_scrape="$(scrape /healthz)"
-echo "$healthz_scrape" | grep -q '"status": "ok"' || {
+grep -q '"status": "ok"' <<<"$healthz_scrape" || {
   echo "tier1: admin smoke: /healthz scrape unhealthy" >&2
   echo "$healthz_scrape" >&2
   kill "$admin_pid" 2>/dev/null || true
   rm -rf "$serve_dir"
   exit 1
 }
-echo "$healthz_scrape" | grep -q '"simd_backend"' || {
+grep -q '"simd_backend"' <<<"$healthz_scrape" || {
   echo "tier1: admin smoke: /healthz missing simd_backend" >&2
   echo "$healthz_scrape" >&2
   kill "$admin_pid" 2>/dev/null || true
@@ -183,7 +183,7 @@ echo "$healthz_scrape" | grep -q '"simd_backend"' || {
   exit 1
 }
 queries_scrape="$(scrape '/queries?sort=events&k=5')"
-echo "$queries_scrape" | grep -q 'QUERIES (sort=events' || {
+grep -q 'QUERIES (sort=events' <<<"$queries_scrape" || {
   echo "tier1: admin smoke: /queries scrape missing table" >&2
   echo "$queries_scrape" | head -20 >&2
   kill "$admin_pid" 2>/dev/null || true
@@ -191,7 +191,7 @@ echo "$queries_scrape" | grep -q 'QUERIES (sort=events' || {
   exit 1
 }
 flight_scrape="$(scrape /flight)"
-echo "$flight_scrape" | grep -q '"flights"' || {
+grep -q '"flights"' <<<"$flight_scrape" || {
   echo "tier1: admin smoke: /flight scrape missing flights array" >&2
   echo "$flight_scrape" | head -20 >&2
   kill "$admin_pid" 2>/dev/null || true
@@ -226,7 +226,7 @@ chaos_out="$("$binary_dir/tools/spexserve" --queries="$serve_dir/queries.txt" \
   rm -rf "$serve_dir"
   exit 1
 }
-echo "$chaos_out" | grep -q 'msg="chaos injection on" seed=7' || {
+grep -q 'msg="chaos injection on" seed=7' <<<"$chaos_out" || {
   echo "tier1: spexserve chaos smoke missing chaos banner:" >&2
   echo "$chaos_out" >&2
   rm -rf "$serve_dir"
@@ -246,13 +246,13 @@ throttled_out="$("$binary_dir/tools/spexserve" \
   rm -rf "$serve_dir"
   exit 1
 }
-echo "$throttled_out" | grep -q 'msg="slow query"' || {
+grep -q 'msg="slow query"' <<<"$throttled_out" || {
   echo "tier1: throttled smoke missing slow-query record:" >&2
   echo "$throttled_out" >&2
   rm -rf "$serve_dir"
   exit 1
 }
-echo "$throttled_out" | grep -q 'msg="flight dump"' || {
+grep -q 'msg="flight dump"' <<<"$throttled_out" || {
   echo "tier1: throttled smoke missing flight dump:" >&2
   echo "$throttled_out" >&2
   rm -rf "$serve_dir"
@@ -272,19 +272,19 @@ subs_out="$("$binary_dir/tools/spexserve" --subscription-count=50 \
   rm -rf "$serve_dir"
   exit 1
 }
-echo "$subs_out" | grep -q 'msg="subscription population admitted"' || {
+grep -q 'msg="subscription population admitted"' <<<"$subs_out" || {
   echo "tier1: subscription smoke missing population banner:" >&2
   echo "$subs_out" >&2
   rm -rf "$serve_dir"
   exit 1
 }
-echo "$subs_out" | grep -qE $'catalog.xml\t(sub#[0-9]+\t[0-9]+|-\t0)' || {
+grep -qE $'catalog.xml\t(sub#[0-9]+\t[0-9]+|-\t0)' <<<"$subs_out" || {
   echo "tier1: subscription smoke missing routing line:" >&2
   echo "$subs_out" >&2
   rm -rf "$serve_dir"
   exit 1
 }
-if echo "$subs_out" | grep -q 'ERROR('; then
+if grep -q 'ERROR(' <<<"$subs_out"; then
   echo "tier1: subscription smoke routed with ERROR lines:" >&2
   echo "$subs_out" >&2
   rm -rf "$serve_dir"
@@ -324,7 +324,7 @@ net_out="$("$binary_dir/tools/spexclient" --port="$net_port" \
   rm -rf "$net_dir"
   exit 1
 }
-echo "$net_out" | grep -q $'\tOK\tcertain=' || {
+grep -q $'\tOK\tcertain=' <<<"$net_out" || {
   echo "tier1: net smoke: no OK terminal:" >&2
   echo "$net_out" >&2
   kill "$net_pid" 2>/dev/null || true

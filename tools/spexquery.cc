@@ -22,13 +22,11 @@
 //                                     timed; prints the sampled attribution
 //                                     report after the run (cheap alternative
 //                                     to --profile for long streams)
-//   spexquery --observe=LEVEL ...     off|counters|full (default: the
-//                                     weakest level the other flags need)
 //   spexquery --metrics=json|prom ... dump the metrics registry to stderr
 //                                     after the run
-//   spexquery --trace-out=FILE ...    write a Chrome trace-event JSON of the
-//                                     run (implies --observe=full); load in
-//                                     chrome://tracing or Perfetto
+//   spexquery --trace-out=FILE ...    attach a trace recorder and write a
+//                                     Chrome trace-event JSON of the run;
+//                                     load in chrome://tracing or Perfetto
 //   spexquery --progress[=N] ...      print a progress watermark to stderr
 //                                     every N events (default 100000)
 //   spexquery --max-depth=N ...       parser element-depth bound
@@ -48,6 +46,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -71,8 +70,6 @@ struct Options {
   bool explain = false;
   std::string profile_format;  // "", "text", "json" or "dot"
   spex::OutputOrder order = spex::OutputOrder::kDocumentStart;
-  spex::ObserveLevel observe = spex::ObserveLevel::kOff;
-  bool observe_set = false;        // explicit --observe=...
   std::string metrics_format;      // "", "json" or "prom"
   std::string trace_out;           // empty = no trace
   int64_t progress_every = 0;      // 0 = no progress reports
@@ -93,7 +90,6 @@ int Usage() {
                "[--order=doc|det]\n"
                "                 [--network] [--dot] [--explain] "
                "[--profile[=text|json|dot]]\n"
-               "                 [--observe=off|counters|full]\n"
                "                 [--metrics=json|prom] [--trace-out=FILE] "
                "[--progress[=N]]\n"
                "                 [--max-depth=N] [--max-text=BYTES] "
@@ -166,12 +162,6 @@ int main(int argc, char** argv) {
       opts.order = spex::OutputOrder::kDetermination;
     } else if (arg == "--order=doc") {
       opts.order = spex::OutputOrder::kDocumentStart;
-    } else if (arg.rfind("--observe=", 0) == 0) {
-      if (!spex::ParseObserveLevel(arg.substr(10), &opts.observe)) {
-        LogError("bad observe level", {{"arg", arg}});
-        return Usage();
-      }
-      opts.observe_set = true;
     } else if (arg == "--metrics=json" || arg == "--metrics=prom") {
       opts.metrics_format = arg.substr(10);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -223,21 +213,6 @@ int main(int argc, char** argv) {
   spex::EngineOptions engine_options;
   engine_options.output_order = opts.order;
   engine_options.batch_size = opts.batch_size;
-  // --trace-out needs full observation; --metrics/--progress only counters.
-  // An explicit --observe wins (but tracing is unavailable below full).
-  if (!opts.observe_set) {
-    if (!opts.trace_out.empty()) {
-      opts.observe = spex::ObserveLevel::kFull;
-    } else if (!opts.metrics_format.empty() || opts.progress_every > 0) {
-      opts.observe = spex::ObserveLevel::kCounters;
-    }
-  }
-  if (!opts.trace_out.empty() && opts.observe != spex::ObserveLevel::kFull) {
-    LogError("--trace-out requires --observe=full", {});
-    return 2;
-  }
-  engine_options.observe = opts.observe;
-  engine_options.profile = !opts.profile_format.empty();
   if (opts.progress_every > 0) {
     engine_options.progress.every_events = opts.progress_every;
     engine_options.progress.callback = [](const spex::Watermark& w) {
@@ -284,9 +259,18 @@ int main(int argc, char** argv) {
   spex::obs::SamplingProfiler sampler(
       spex::obs::SamplingProfiler::Options{opts.sampling_period});
   if (opts.sampling_period > 0) engine.SetBatchSampler(&sampler);
+  // Observation attaches to the run: a recorder for --trace-out, a per-node
+  // accumulator for --profile; the counters are always on.
+  std::unique_ptr<spex::obs::TraceRecorder> recorder;
+  if (!opts.trace_out.empty()) {
+    recorder = std::make_unique<spex::obs::TraceRecorder>();
+    engine.AttachTrace(recorder.get());
+  }
+  spex::obs::ProfileAccumulator profiler(engine.network().node_count());
+  if (!opts.profile_format.empty()) engine.AttachProfiler(&profiler);
   spex::XmlParserOptions parser_options;
   parser_options.symbols = engine.symbol_table();
-  parser_options.metrics = &engine.metrics();
+  if (!opts.metrics_format.empty()) parser_options.metrics = &engine.metrics();
   parser_options.max_depth = opts.max_depth;
   parser_options.max_text_bytes = opts.max_text_bytes;
   parser_options.event_batch_size = opts.batch_size;
@@ -362,9 +346,8 @@ int main(int argc, char** argv) {
     std::fputs(text.c_str(), stderr);
   }
   if (!opts.trace_out.empty()) {
-    const spex::obs::TraceRecorder* recorder = engine.trace_recorder();
     std::ofstream trace_file(opts.trace_out, std::ios::binary);
-    if (!trace_file || recorder == nullptr) {
+    if (!trace_file) {
       LogError("cannot write trace file", {{"file", opts.trace_out}});
       return 1;
     }
