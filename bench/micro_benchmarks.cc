@@ -373,8 +373,8 @@ class Observation {
 };
 
 // Feeds the stream in EngineOptions::batch_size chunks, exactly as XmlParser
-// delivers in production (DESIGN.md §11); the engine sweeps whole batches
-// through condition-free networks and one event per sweep otherwise.
+// delivers in production (DESIGN.md §11); the engine sweeps whole batches,
+// cut only at qualifier-scope exits.
 void FeedStream(SpexEngine* engine, const std::vector<StreamEvent>& events,
                 int batch_size) {
   const size_t step = batch_size > 1 ? static_cast<size_t>(batch_size) : 1;

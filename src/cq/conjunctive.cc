@@ -392,7 +392,7 @@ void ConjunctiveEngine::Compile(const ConjunctiveQuery& raw_query,
     }
   }
   Start(std::move(network), builder.input_node(), std::move(outputs),
-        builder.batchable(), raw_query.ToString());
+        raw_query.ToString());
 }
 
 std::vector<std::vector<std::string>> EvaluateConjunctive(

@@ -29,9 +29,6 @@ struct RunObserver {
   TraceRecorder* trace = nullptr;
   // Interned trace name for the output-buffer occupancy counter track.
   int trace_buffered_name = -1;
-  // Index of the document message currently in the network; stamped by the
-  // engine before every sweep so downstream publishers can compute delays.
-  int64_t event_index = 0;
 };
 
 }  // namespace obs

@@ -182,8 +182,8 @@ void StreamSession::ProcessEvents(const EventBatch& batch,
     }
 #endif
     // Batch-native delivery: hand the pool batch to the engine in
-    // EngineOptions::batch_size chunks (the engine sweeps one event at a
-    // time internally when the query requires it).
+    // EngineOptions::batch_size chunks (the engine cuts its sweeps where
+    // the query requires it).
     const size_t step =
         base.batch_size > 1 ? static_cast<size_t>(base.batch_size) : 1;
     const StreamEvent* events = batch->data();

@@ -27,7 +27,7 @@ class ChildTransducer : public Transducer {
   size_t condition_stack_size() const { return cond_.size(); }
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   bool Matches(const Message& m) const;
   void Process(Message&& message, BatchEmitter* out);

@@ -50,7 +50,9 @@ void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
     case MessageKind::kDetermination:  // (14)
       Fire(14);
       if (context_->options.eager_formula_update) {
-        for (Formula& f : cond_) f = f.PruneFalse(context_->assignment);
+        for (Formula& f : cond_) {
+          f = f.PruneFalse(context_->assignment, round_);
+        }
       }
       EmitTo(out, 0, std::move(message));
       return;
@@ -158,10 +160,13 @@ void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
   EmitTo(out, 0, std::move(message));
 }
 
-void ClosureTransducer::ProcessBatch(int port, Message* messages, size_t count,
+void ClosureTransducer::ProcessBatch(Message* messages, size_t count,
                                      BatchEmitter* out) {
-  (void)port;
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+  for (size_t i = 0; i < count; ++i) {
+    const bool document = messages[i].is_document();
+    Process(std::move(messages[i]), out);
+    if (document) ++round_;
+  }
 }
 
 }  // namespace spex

@@ -1,5 +1,7 @@
 #include "spex/compiler.h"
 
+#include <algorithm>
+
 #include "spex/child_transducer.h"
 #include "spex/closure_transducer.h"
 #include "spex/input_transducer.h"
@@ -12,7 +14,10 @@
 namespace spex {
 
 NetworkBuilder::NetworkBuilder(Network* network, RunContext* context)
-    : network_(network), context_(context) {}
+    : network_(network),
+      context_(context),
+      sets_{LabelSet(), LabelSet::Element("", /*wildcard=*/true),
+            LabelSet::Document()} {}
 
 void NetworkBuilder::NoteProvenance(int node, const Expr* prov) {
   if (prov != nullptr) {
@@ -20,21 +25,53 @@ void NetworkBuilder::NoteProvenance(int node, const Expr* prov) {
   }
 }
 
+int NetworkBuilder::ElementSet(const std::string& label, bool wildcard) {
+  if (wildcard) return kAnyElement;
+  const Symbol symbol = context_->symbol_table()->Intern(label);
+  if (symbol >= element_sets_.size()) element_sets_.resize(symbol + 1, -1);
+  int& set = element_sets_[symbol];
+  if (set == -1) {
+    set = static_cast<int>(sets_.size());
+    sets_.push_back(LabelSet::Element(label, /*wildcard=*/false));
+  }
+  return set;
+}
+
+int NetworkBuilder::UnionSet(int a, int b) {
+  if (a == b || b == kNoLabels) return a;
+  if (a == kNoLabels) return b;
+  LabelSet merged = sets_[static_cast<size_t>(a)];
+  merged.Merge(sets_[static_cast<size_t>(b)]);
+  auto it = std::find(sets_.begin(), sets_.end(), merged);
+  if (it != sets_.end()) return static_cast<int>(it - sets_.begin());
+  sets_.push_back(std::move(merged));
+  return static_cast<int>(sets_.size()) - 1;
+}
+
+void NetworkBuilder::SetActivates(int tape, int set) {
+  if (static_cast<size_t>(tape) >= activates_.size()) {
+    activates_.resize(static_cast<size_t>(tape) + 1, kNoLabels);
+  }
+  activates_[static_cast<size_t>(tape)] = set;
+}
+
 int NetworkBuilder::AddInput(const Expr* prov) {
   input_node_ = network_->AddNode(std::make_unique<InputTransducer>());
   NoteProvenance(input_node_, prov);
   int t0 = network_->NewTape();
   network_->SetProducer(t0, input_node_, 0);
+  SetActivates(t0, kDocumentRoot);  // IN activates <$>
   return t0;
 }
 
 int NetworkBuilder::AddUnary(std::unique_ptr<Transducer> t, int in_tape,
-                             const Expr* prov) {
+                             int activates, const Expr* prov) {
   int node = network_->AddNode(std::move(t));
   NoteProvenance(node, prov);
   network_->SetConsumer(in_tape, node, 0);
   int out = network_->NewTape();
   network_->SetProducer(out, node, 0);
+  SetActivates(out, activates);
   return out;
 }
 
@@ -46,6 +83,8 @@ std::pair<int, int> NetworkBuilder::AddSplit(int in_tape, const Expr* prov) {
   int t2 = network_->NewTape();
   network_->SetProducer(t1, node, 0);
   network_->SetProducer(t2, node, 1);
+  SetActivates(t1, Activates(in_tape));
+  SetActivates(t2, Activates(in_tape));
   return {t1, t2};
 }
 
@@ -56,6 +95,7 @@ int NetworkBuilder::AddJoin(int left, int right, const Expr* prov) {
   network_->SetConsumer(right, node, 1);
   int out = network_->NewTape();
   network_->SetProducer(out, node, 0);
+  SetActivates(out, UnionSet(Activates(left), Activates(right)));
   return out;
 }
 
@@ -79,20 +119,21 @@ int NetworkBuilder::CompileExpr(const Expr& e, int in_tape) {
       // C[label] = CH(label)
       return AddUnary(
           std::make_unique<ChildTransducer>(e.label, e.is_wildcard, context_),
-          in_tape, &e);
+          in_tape, ElementSet(e.label, e.is_wildcard), &e);
 
     case ExprKind::kClosure: {
       if (e.is_positive) {
         // C[label+] = CL(label)
         return AddUnary(std::make_unique<ClosureTransducer>(
                             e.label, e.is_wildcard, context_),
-                        in_tape, &e);
+                        in_tape, ElementSet(e.label, e.is_wildcard),
+                        &e);
       }
       // C[label*] = SP ; C[label+] ; JO   (label* == (label+ | eps))
       auto [t1, t2] = AddSplit(in_tape, &e);
       int body = AddUnary(std::make_unique<ClosureTransducer>(
                               e.label, e.is_wildcard, context_),
-                          t1, &e);
+                          t1, ElementSet(e.label, e.is_wildcard), &e);
       return AddJoin(t2, body, &e);
     }
 
@@ -109,7 +150,8 @@ int NetworkBuilder::CompileExpr(const Expr& e, int in_tape) {
       int left = CompileExpr(*e.left, t1);
       int right = CompileExpr(*e.right, t2);
       int joined = AddJoin(left, right, &e);
-      return AddUnary(std::make_unique<UnionTransducer>(), joined, &e);
+      return AddUnary(std::make_unique<UnionTransducer>(), joined,
+                      Activates(joined), &e);
     }
 
     case ExprKind::kIntersect: {
@@ -123,6 +165,8 @@ int NetworkBuilder::CompileExpr(const Expr& e, int in_tape) {
       network_->SetConsumer(right, node, 1);
       int out = network_->NewTape();
       network_->SetProducer(out, node, 0);
+      // IS activates only what both branches do; their union bounds that.
+      SetActivates(out, UnionSet(Activates(left), Activates(right)));
       return out;
     }
 
@@ -140,19 +184,25 @@ int NetworkBuilder::CompileExpr(const Expr& e, int in_tape) {
       // >>label : FO(label) — streamed directly (paper §I extension).
       context_->allow_variable_gc = false;
       return AddUnary(std::make_unique<FollowingTransducer>(
-                          e.label, e.is_wildcard, context_),
-                      in_tape, &e);
+                          e.label, e.is_wildcard, context_,
+                          /*in_qualifier_body=*/qualifier_body_depth_ > 0),
+                      in_tape, ElementSet(e.label, e.is_wildcard), &e);
 
-    case ExprKind::kPreceding:
+    case ExprKind::kPreceding: {
       // <<label : PR(label) — speculative matching with future-condition
       // variables (own qualifier-id namespace); evidence mode inside
-      // qualifier bodies (see ValidateQuery).
+      // qualifier bodies (see ValidateQuery), where PR re-emits the
+      // context's activation instead.
       context_->allow_variable_gc = false;
-      return AddUnary(std::make_unique<PrecedingTransducer>(
-                          e.label, e.is_wildcard, next_qualifier_id_++,
-                          context_,
-                          /*evidence_mode=*/qualifier_body_depth_ > 0),
-                      in_tape, &e);
+      const bool evidence = qualifier_body_depth_ > 0;
+      int activates = ElementSet(e.label, e.is_wildcard);
+      if (evidence) activates = UnionSet(activates, Activates(in_tape));
+      return AddUnary(
+          std::make_unique<PrecedingTransducer>(e.label, e.is_wildcard,
+                                                next_qualifier_id_++, context_,
+                                                evidence),
+          in_tape, activates, &e);
+    }
   }
   return in_tape;  // unreachable
 }
@@ -165,9 +215,15 @@ int NetworkBuilder::CompileQualifier(const Expr& q, int in_tape) {
   // A body containing a following axis can be satisfied after the
   // instance's scope closed: defer the scope-exit invalidation to </$>.
   const bool defer = q.ContainsKind(ExprKind::kFollowing);
-  int after_vc = AddUnary(
-      std::make_unique<VariableCreatorTransducer>(qid, context_, defer),
-      in_tape, &q);
+  // VC reads its variables where it invalidates them: at the end tags of
+  // the elements the base selects, or at </$> when deferred.  No sweep may
+  // carry a start tag and such an end tag after it (DESIGN.md §11).
+  const LabelSet& scope_exits =
+      sets_[static_cast<size_t>(defer ? kDocumentRoot : Activates(in_tape))];
+  network_->AddSweepCuts(scope_exits);
+  int after_vc = AddUnary(std::make_unique<VariableCreatorTransducer>(
+                              qid, context_, defer, scope_exits),
+                          in_tape, Activates(in_tape), &q);
   auto [t1, t2] = AddSplit(after_vc, &q);
   ++qualifier_body_depth_;
   int body = CompileExpr(q, t2);
@@ -176,10 +232,11 @@ int NetworkBuilder::CompileQualifier(const Expr& q, int in_tape) {
       AddUnary(std::make_unique<VariableFilterTransducer>(qid,
                                                           /*positive=*/true,
                                                           context_),
-               body, &q);
+               body, Activates(body), &q);
+  // VD consumes the body's activations: it activates nothing.
   int determined = AddUnary(
       std::make_unique<VariableDeterminantTransducer>(qid, context_),
-      filtered, &q);
+      filtered, kNoLabels, &q);
   return AddJoin(t1, determined, &q);
 }
 
@@ -255,7 +312,6 @@ CompiledNetwork CompileToNetwork(const Expr& expr, ResultSink* sink,
   out.input_node = builder.input_node();
   int body_out = builder.CompileExpr(expr, t0);
   out.output = builder.AddOutput(body_out, sink, &expr);
-  out.batchable = builder.batchable();
   return out;
 }
 

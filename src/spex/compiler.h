@@ -45,25 +45,37 @@ class NetworkBuilder {
   OutputTransducer* AddOutput(int in_tape, ResultSink* sink,
                               const Expr* prov = nullptr);
 
-  // True while everything built so far is safe for whole-batch sweeps: no
-  // qualifier sandwich (VC/VD) or preceding-axis transducer (PR) — the only
-  // creators of condition variables, and exactly the nodes that draw a
-  // qualifier id — was added, so no transducer reads or writes the global
-  // assignment mid-round (see CompiledNetwork::batchable).
-  bool batchable() const { return next_qualifier_id_ == 0; }
-
  private:
-  int AddUnary(std::unique_ptr<Transducer> t, int in_tape, const Expr* prov);
+  // Adds `t` reading `in_tape`; its output tape can activate the label set
+  // `activates` (an index into sets_).
+  int AddUnary(std::unique_ptr<Transducer> t, int in_tape, int activates,
+               const Expr* prov);
   int AddJoin(int left, int right, const Expr* prov);
   // Stamps `prov`'s span and concrete syntax on the most recently added
   // node (no-op when prov is null, e.g. hand-built multi-query plumbing).
   void NoteProvenance(int node, const Expr* prov);
+
+  // The start tags an activation on a tape can precede — every producer
+  // activates only elements its step selects, right before their start
+  // tags — are tracked per tape as an index into sets_, where equal sets
+  // share an entry: the base selection a qualifier compiled on the tape
+  // opens its instance scopes at.
+  enum : int { kNoLabels = 0, kAnyElement = 1, kDocumentRoot = 2 };
+  int ElementSet(const std::string& label, bool wildcard);
+  int UnionSet(int a, int b);
+  void SetActivates(int tape, int set);
+  int Activates(int tape) const {
+    return activates_[static_cast<size_t>(tape)];
+  }
 
   Network* network_;
   RunContext* context_;
   int input_node_ = -1;
   uint32_t next_qualifier_id_ = 0;
   int qualifier_body_depth_ = 0;
+  std::vector<LabelSet> sets_;
+  std::vector<int> element_sets_;  // by label Symbol, -1 = none yet
+  std::vector<int> activates_;     // by tape id
 };
 
 // A compiled query: the network plus handles to its source and sink.
@@ -71,13 +83,6 @@ struct CompiledNetwork {
   Network network;
   int input_node = -1;                 // the IN transducer (inject here)
   OutputTransducer* output = nullptr;  // owned by `network`
-  // True when the network may sweep a whole event batch at once: it creates
-  // no condition variables (no VC/VD/PR nodes), so no transducer reads or
-  // writes the global assignment mid-round and every node's output is a
-  // function of its per-tape input sequences alone (DESIGN.md §11).
-  // Qualifier and preceding-axis queries sweep one event (one round) at a
-  // time.
-  bool batchable = false;
 };
 
 // ---------------------------------------------------------------------------

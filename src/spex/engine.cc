@@ -14,7 +14,7 @@ SpexEngine::SpexEngine(const Expr& query, ResultSink* sink,
     : RunCore(std::move(options)) {
   CompiledNetwork compiled = CompileToNetwork(query, sink, &context());
   Start(std::move(compiled.network), compiled.input_node, {compiled.output},
-        compiled.batchable, query.ToString());
+        query.ToString());
 }
 
 SpexEngine::SpexEngine(std::shared_ptr<const QueryTemplate> query_template,
@@ -31,7 +31,7 @@ namespace {
 
 // Shared body of the one-shot helpers: evaluates into a `Sink`, feeding at
 // the configured granularity (1 = per event), which also sweeps whole
-// batches through batchable queries in every helper-driven test.
+// batches in every helper-driven test.
 template <typename Sink>
 auto Evaluate(const Expr& query, const std::vector<StreamEvent>& events,
               EngineOptions options) {

@@ -143,7 +143,7 @@ inline uint64_t HashVarId(uint64_t x) {
 
 }  // namespace
 
-bool Assignment::Set(VarId var, bool value) {
+bool Assignment::Set(VarId var, bool value, int64_t round) {
   if ((used_ + 1) * 8 > slots_.size() * 7) Rehash();
   const size_t mask = slots_.size() - 1;
   size_t insert_at = slots_.size();  // sentinel: not found yet
@@ -163,19 +163,21 @@ bool Assignment::Set(VarId var, bool value) {
   }
   Slot& s = slots_[insert_at];
   s.key = var;
+  s.round = round;
   s.state = kFull;
   s.value = value;
   ++size_;
   return true;
 }
 
-Truth Assignment::Get(VarId var) const {
+Truth Assignment::Get(VarId var, int64_t as_of) const {
   if (size_ == 0) return Truth::kUnknown;
   const size_t mask = slots_.size() - 1;
   for (size_t i = HashVarId(var) & mask;; i = (i + 1) & mask) {
     const Slot& s = slots_[i];
     if (s.state == kEmpty) return Truth::kUnknown;
     if (s.state == kFull && s.key == var) {
+      if (s.round > as_of) return Truth::kUnknown;  // bound in a later round
       return s.value ? Truth::kTrue : Truth::kFalse;
     }
   }
@@ -271,19 +273,19 @@ Formula::PoolStats Formula::GetPoolStats() {
 namespace {
 
 Truth EvaluateRec(const FormulaNode* n, const Assignment& assignment,
-                  uint64_t epoch) {
+                  int64_t as_of, uint64_t epoch) {
   if (n->mark == epoch) return n->cached;
   Truth result = Truth::kUnknown;
   switch (n->op) {
     case FormulaNode::Op::kVar:
-      result = assignment.Get(n->var);
+      result = assignment.Get(n->var, as_of);
       break;
     case FormulaNode::Op::kAnd: {
-      Truth l = EvaluateRec(n->left, assignment, epoch);
+      Truth l = EvaluateRec(n->left, assignment, as_of, epoch);
       if (l == Truth::kFalse) {
         result = Truth::kFalse;
       } else {
-        Truth r = EvaluateRec(n->right, assignment, epoch);
+        Truth r = EvaluateRec(n->right, assignment, as_of, epoch);
         if (r == Truth::kFalse) {
           result = Truth::kFalse;
         } else if (l == Truth::kTrue && r == Truth::kTrue) {
@@ -295,11 +297,11 @@ Truth EvaluateRec(const FormulaNode* n, const Assignment& assignment,
       break;
     }
     case FormulaNode::Op::kOr: {
-      Truth l = EvaluateRec(n->left, assignment, epoch);
+      Truth l = EvaluateRec(n->left, assignment, as_of, epoch);
       if (l == Truth::kTrue) {
         result = Truth::kTrue;
       } else {
-        Truth r = EvaluateRec(n->right, assignment, epoch);
+        Truth r = EvaluateRec(n->right, assignment, as_of, epoch);
         if (r == Truth::kTrue) {
           result = Truth::kTrue;
         } else if (l == Truth::kFalse && r == Truth::kFalse) {
@@ -320,15 +322,15 @@ Truth EvaluateRec(const FormulaNode* n, const Assignment& assignment,
 // reachable variable is bound false (prune_false_only) or bound at all.
 // Marks visited nodes so shared subtrees are checked once.
 bool AnyBoundRec(const FormulaNode* n, const Assignment& assignment,
-                 bool prune_false_only, uint64_t epoch) {
+                 int64_t as_of, bool prune_false_only, uint64_t epoch) {
   if (n->mark == epoch) return false;
   n->mark = epoch;
   if (n->op == FormulaNode::Op::kVar) {
-    Truth t = assignment.Get(n->var);
+    Truth t = assignment.Get(n->var, as_of);
     return prune_false_only ? t == Truth::kFalse : t != Truth::kUnknown;
   }
-  return AnyBoundRec(n->left, assignment, prune_false_only, epoch) ||
-         AnyBoundRec(n->right, assignment, prune_false_only, epoch);
+  return AnyBoundRec(n->left, assignment, as_of, prune_false_only, epoch) ||
+         AnyBoundRec(n->right, assignment, as_of, prune_false_only, epoch);
 }
 
 // Reusable pointer-keyed memo for SimplifyRec.  A fresh unordered_map per
@@ -410,12 +412,12 @@ SimplifyMemo* ThreadSimplifyMemo() {
 }
 
 Formula SimplifyRec(const FormulaNode* n, const Assignment& assignment,
-                    bool prune_false_only, SimplifyMemo* memo) {
+                    int64_t as_of, bool prune_false_only, SimplifyMemo* memo) {
   if (Formula* hit = memo->Find(n)) return *hit;
   Formula result;
   switch (n->op) {
     case FormulaNode::Op::kVar:
-      switch (assignment.Get(n->var)) {
+      switch (assignment.Get(n->var, as_of)) {
         case Truth::kTrue:
           result =
               prune_false_only ? Formula::Var(n->var) : Formula::True();
@@ -430,13 +432,13 @@ Formula SimplifyRec(const FormulaNode* n, const Assignment& assignment,
       break;
     case FormulaNode::Op::kAnd:
       result = Formula::And(
-          SimplifyRec(n->left, assignment, prune_false_only, memo),
-          SimplifyRec(n->right, assignment, prune_false_only, memo));
+          SimplifyRec(n->left, assignment, as_of, prune_false_only, memo),
+          SimplifyRec(n->right, assignment, as_of, prune_false_only, memo));
       break;
     case FormulaNode::Op::kOr:
       result = Formula::Or(
-          SimplifyRec(n->left, assignment, prune_false_only, memo),
-          SimplifyRec(n->right, assignment, prune_false_only, memo));
+          SimplifyRec(n->left, assignment, as_of, prune_false_only, memo),
+          SimplifyRec(n->right, assignment, as_of, prune_false_only, memo));
       break;
   }
   memo->Insert(n, result);
@@ -540,37 +542,40 @@ void ToStringRec(const FormulaNode* n, FormulaNode::Op parent,
 
 }  // namespace
 
-Truth Formula::Evaluate(const Assignment& assignment) const {
+Truth Formula::Evaluate(const Assignment& assignment, int64_t as_of) const {
   if (node_ == nullptr) return const_value_ ? Truth::kTrue : Truth::kFalse;
-  return EvaluateRec(node_, assignment, Pool().NextEpoch());
+  return EvaluateRec(node_, assignment, as_of, Pool().NextEpoch());
 }
 
 int64_t Formula::SimplifyMemoSlotsCleared() {
   return ThreadSimplifyMemo()->slots_cleared();
 }
 
-Formula Formula::Simplify(const Assignment& assignment) const {
+Formula Formula::Simplify(const Assignment& assignment, int64_t as_of) const {
   if (node_ == nullptr) return *this;
   if (assignment.empty() ||
-      !AnyBoundRec(node_, assignment, /*prune_false_only=*/false,
+      !AnyBoundRec(node_, assignment, as_of, /*prune_false_only=*/false,
                    Pool().NextEpoch())) {
     return *this;  // nothing to fold: share the existing DAG
   }
   SimplifyMemo* memo = ThreadSimplifyMemo();
   MemoScope scope{memo};
-  return SimplifyRec(node_, assignment, /*prune_false_only=*/false, memo);
+  return SimplifyRec(node_, assignment, as_of, /*prune_false_only=*/false,
+                     memo);
 }
 
-Formula Formula::PruneFalse(const Assignment& assignment) const {
+Formula Formula::PruneFalse(const Assignment& assignment,
+                            int64_t as_of) const {
   if (node_ == nullptr) return *this;
   if (assignment.empty() ||
-      !AnyBoundRec(node_, assignment, /*prune_false_only=*/true,
+      !AnyBoundRec(node_, assignment, as_of, /*prune_false_only=*/true,
                    Pool().NextEpoch())) {
     return *this;  // no false variable reachable: share the existing DAG
   }
   SimplifyMemo* memo = ThreadSimplifyMemo();
   MemoScope scope{memo};
-  return SimplifyRec(node_, assignment, /*prune_false_only=*/true, memo);
+  return SimplifyRec(node_, assignment, as_of, /*prune_false_only=*/true,
+                     memo);
 }
 
 void Formula::AppendVariables(std::vector<VarId>* out) const {

@@ -58,6 +58,15 @@ enum class Truth : uint8_t { kFalse, kTrue, kUnknown };
 // determination of a variable binds it; later ones are ignored (this
 // resolves the VD {c,true} vs. VC-scope-exit {c,false} ordering, §III.10).
 //
+// Round stamps (DESIGN.md §11): a sweep may carry several rounds, so a
+// transducer can run ahead of the ones downstream of it.  Every binding a
+// transducer makes is stamped with its round (the 1-based index of the
+// document message it is processing), and every read names the reader's
+// round: a binding stamped later is invisible, so each reader sees the
+// assignment one-round delivery would show it.  Bindings made outside a
+// run (scratch assignments, stand-alone tests) carry kAnyRound and reads
+// default to kLatest, i.e. plain monotone-assignment semantics.
+//
 // Implemented as a linear-probing flat table rather than unordered_map: the
 // qualifier transducers bind/erase a variable per instance and build scratch
 // assignments per activation, and a node-based map costs an allocation per
@@ -66,9 +75,15 @@ enum class Truth : uint8_t { kFalse, kTrue, kUnknown };
 // never touch the global allocator.
 class Assignment {
  public:
+  // Stamp visible to every read.
+  static constexpr int64_t kAnyRound = 0;
+  // Read round that sees every binding.
+  static constexpr int64_t kLatest = INT64_MAX;
+
   // Returns true if the variable was newly bound, false if already bound.
-  bool Set(VarId var, bool value);
-  Truth Get(VarId var) const;
+  bool Set(VarId var, bool value, int64_t round = kAnyRound);
+  // The binding as of round `as_of`: kUnknown when unbound or stamped later.
+  Truth Get(VarId var, int64_t as_of = kLatest) const;
   // Drops a variable's binding.  Used by the engine's end-of-round garbage
   // collection once an instance's scope has closed and no formula can
   // reference it any more (unbounded streams would otherwise leak).
@@ -81,6 +96,7 @@ class Assignment {
   enum : uint8_t { kEmpty = 0, kFull = 1, kTombstone = 2 };
   struct Slot {
     VarId key = 0;
+    int64_t round = kAnyRound;
     uint8_t state = kEmpty;
     bool value = false;
   };
@@ -177,19 +193,23 @@ class Formula {
   bool is_true() const { return node_ == nullptr && const_value_; }
   bool is_false() const { return node_ == nullptr && !const_value_; }
 
-  // Three-valued evaluation under a partial assignment.
-  Truth Evaluate(const Assignment& assignment) const;
+  // Three-valued evaluation under a partial assignment, as of round `as_of`
+  // (see Assignment).
+  Truth Evaluate(const Assignment& assignment,
+                 int64_t as_of = Assignment::kLatest) const;
 
   // Rewrites the formula under the assignment, folding determined variables
   // away (the paper's update(c, v, beta) applied to the whole stack entry).
-  Formula Simplify(const Assignment& assignment) const;
+  Formula Simplify(const Assignment& assignment,
+                   int64_t as_of = Assignment::kLatest) const;
 
   // Like Simplify, but substitutes only variables determined *false* (prunes
   // dead disjuncts).  Variables determined true are kept symbolic: network
   // transducers must preserve them, because the variable filter / variable
   // determinant pair uses their presence to attribute a qualifier-body match
   // to the right instances (see qualifier_transducers.h).
-  Formula PruneFalse(const Assignment& assignment) const;
+  Formula PruneFalse(const Assignment& assignment,
+                     int64_t as_of = Assignment::kLatest) const;
 
   // All distinct variables, in first-occurrence order.
   std::vector<VarId> Variables() const;

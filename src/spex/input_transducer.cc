@@ -14,9 +14,8 @@ void InputTransducer::Process(Message&& message, BatchEmitter* out) {
   EmitTo(out, 0, std::move(message));
 }
 
-void InputTransducer::ProcessBatch(int port, Message* messages, size_t count,
+void InputTransducer::ProcessBatch(Message* messages, size_t count,
                                    BatchEmitter* out) {
-  (void)port;
   if (activated_) [[likely]] {
     // Steady state: IN forwards everything unchanged.  O(1) per batch — the
     // input range becomes the deferred run (swapped downstream whole).

@@ -15,7 +15,7 @@ class InputTransducer : public Transducer {
   InputTransducer();
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   void Process(Message&& message, BatchEmitter* out);
 

@@ -6,37 +6,27 @@ namespace spex {
 
 IntersectTransducer::IntersectTransducer() : Transducer("IS") {}
 
-void IntersectTransducer::ProcessBatch(int port, Message* messages,
-                                       size_t count, BatchEmitter* out) {
-  assert(port == 0 || port == 1);
-  for (size_t i = 0; i < count; ++i) {
-    if (messages[i].is_document()) ++buffered_docs_[port];
-    queues_[port].push_back(std::move(messages[i]));
-  }
-  Drain(out);
-}
-
-void IntersectTransducer::Drain(BatchEmitter* out) {
-  // A round completes when the document message is present on both inputs
-  // (splits upstream guarantee it eventually is).
-  for (;;) {
-    if (buffered_docs_[0] == 0 || buffered_docs_[1] == 0) return;
-
+void IntersectTransducer::ProcessPair(Message* left, size_t left_count,
+                                      Message* right, size_t right_count,
+                                      BatchEmitter* out) {
+  Message* const sides[2] = {left, right};
+  const size_t counts[2] = {left_count, right_count};
+  size_t next[2] = {0, 0};
+  while (next[0] < counts[0]) {
     // Collect the round: per side, at most one (merged) activation plus any
     // determinations, then the document message.
     bool has_formula[2] = {false, false};
     Formula formulas[2];
-    Message document;  // overwritten by side 0's document message below
+    Message* document = nullptr;  // side 0's copy
     for (int side = 0; side < 2; ++side) {
       for (;;) {
-        Message m = std::move(queues_[side].front());
-        queues_[side].pop_front();
+        assert(next[side] < counts[side]);
+        Message& m = sides[side][next[side]++];
         if (m.is_document()) {
-          --buffered_docs_[side];
           if (side == 0) {
-            document = std::move(m);
+            document = &m;
           } else {
-            assert(document.SameDocumentAs(m));
+            assert(document->SameDocumentAs(m));
           }
           break;
         }
@@ -59,8 +49,10 @@ void IntersectTransducer::Drain(BatchEmitter* out) {
     } else {
       Fire(3);
     }
-    EmitTo(out, 0, std::move(document));
+    EmitTo(out, 0, std::move(*document));
+    EndRound();
   }
+  assert(next[1] == counts[1]);
 }
 
 }  // namespace spex

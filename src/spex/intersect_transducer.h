@@ -12,8 +12,6 @@
 #ifndef SPEX_SPEX_INTERSECT_TRANSDUCER_H_
 #define SPEX_SPEX_INTERSECT_TRANSDUCER_H_
 
-#include <deque>
-
 #include "spex/transducer.h"
 
 namespace spex {
@@ -23,21 +21,13 @@ class IntersectTransducer : public Transducer {
   IntersectTransducer();
 
  private:
-  // Bulk enqueue followed by a single drain; Drain processes whole rounds,
-  // so its output depends only on the two input sequences (DESIGN.md §11).
-  void ProcessBatch(int port, Message* messages, size_t count,
-                    BatchEmitter* out) override;
-
-  // Buffers one round's messages per input until the document message
-  // arrived on both sides, then emits [f1 AND f2] (if both activated)
-  // followed by the document message.
-  void Drain(BatchEmitter* out);
-
-  std::deque<Message> queues_[2];
-  // Document messages currently buffered per side: Drain makes progress iff
-  // both are nonzero.  Counters, not queue scans, so a whole batch queued on
-  // one side before the other arrives stays O(total messages).
-  int64_t buffered_docs_[2] = {0, 0};
+  // Walks both pending input sequences of a sweep round by round: per
+  // round, forwards the determinations, then emits [f1 AND f2] if both
+  // sides activated the document message, then the document message once.
+  // Both sequences hold the same rounds, so nothing is kept across sweeps
+  // (DESIGN.md §11).
+  void ProcessPair(Message* left, size_t left_count, Message* right,
+                   size_t right_count, BatchEmitter* out) override;
 };
 
 }  // namespace spex

@@ -181,7 +181,7 @@ void MultiQueryEngine::Finalize() {
     }
   }
   Start(std::move(network), builder.input_node(), std::move(outputs),
-        builder.batchable(), "multi[" + std::to_string(queries_.size()) + "]");
+        "multi[" + std::to_string(queries_.size()) + "]");
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,49 @@
 
 namespace spex {
 
+LabelSet LabelSet::Document() {
+  LabelSet set;
+  set.document = true;
+  return set;
+}
+
+LabelSet LabelSet::All() {
+  LabelSet set;
+  set.any_element = true;
+  set.document = true;
+  return set;
+}
+
+LabelSet LabelSet::Element(const std::string& label, bool wildcard) {
+  LabelSet set;
+  if (wildcard) {
+    set.any_element = true;
+  } else {
+    set.labels.push_back(label);
+  }
+  return set;
+}
+
+void LabelSet::Merge(const LabelSet& other) {
+  document = document || other.document;
+  any_element = any_element || other.any_element;
+  if (any_element) {
+    labels.clear();
+    return;
+  }
+  for (const std::string& label : other.labels) {
+    auto it = std::lower_bound(labels.begin(), labels.end(), label);
+    if (it == labels.end() || *it != label) labels.insert(it, label);
+  }
+}
+
+bool LabelSet::ContainsEnd(EventKind kind, std::string_view name) const {
+  if (kind == EventKind::kEndDocument) return document;
+  if (kind != EventKind::kEndElement) return false;
+  return any_element ||
+         std::binary_search(labels.begin(), labels.end(), name);
+}
+
 int Network::AddNode(std::unique_ptr<Transducer> transducer) {
   int id = static_cast<int>(nodes_.size());
   Node node;
@@ -50,6 +93,11 @@ void Network::SetTraceRecorder(obs::TraceRecorder* recorder) {
 void Network::SetProfiler(obs::ProfileAccumulator* profiler) {
   profiler_ = profiler;
   instrumented_ = trace_recorder_ != nullptr || profiler_ != nullptr;
+}
+
+int64_t Network::ClockNs() const {
+  return trace_recorder_ != nullptr ? trace_recorder_->NowNs()
+                                    : profiler_->NowNs();
 }
 
 void Network::SetProvenance(int node, SourceSpan span, std::string fragment) {
@@ -100,35 +148,39 @@ void Network::DeliverBatch(int node, int in_port, std::vector<Message>* batch) {
   const int n = node_count();
   for (int id = node; id < n; ++id) {
     Node& current = nodes_[id];
-    for (int port = 0; port < 2; ++port) {
-      std::vector<Message>* q = Buffer(current.in_buffers[port]);
-      if (q == nullptr || q->empty()) continue;
-      BatchEmitter emitter(Buffer(current.out_buffers[0]),
-                           Buffer(current.out_buffers[1]), q);
-      // Emissions only target higher node ids, through buffers no input of
-      // this node uses, so `q` is never reallocated while OnBatch runs.
-      if (!instrumented_) [[likely]] {
-        current.transducer->OnBatch(port, q->data(), q->size(), &emitter);
-      } else {
-        // One clock pair per node call, shared by the trace span and the
-        // profiler (which only uses differences, so either origin works).
-        const int64_t start = trace_recorder_ != nullptr
-                                  ? trace_recorder_->NowNs()
-                                  : profiler_->NowNs();
-        current.transducer->OnBatch(port, q->data(), q->size(), &emitter);
-        const int64_t end = trace_recorder_ != nullptr
-                                ? trace_recorder_->NowNs()
-                                : profiler_->NowNs();
-        if (trace_recorder_ != nullptr) {
-          trace_recorder_->RecordSpan(id + 1, span_name_id_, start, end);
-        }
-        if (profiler_ != nullptr) {
-          profiler_->Record(id, static_cast<int64_t>(q->size()), end - start);
-        }
-      }
-      emitter.Finish();  // May swap q wholesale into the consumer's queue.
-      q->clear();
+    std::vector<Message>* q = Buffer(current.in_buffers[0]);
+    std::vector<Message>* q1 = Buffer(current.in_buffers[1]);
+    if (q->empty() && (q1 == nullptr || q1->empty())) continue;
+    // Every tape carries every document message, so a two-input node (JO,
+    // IS) finds the same rounds pending on both ports.
+    assert(q1 == nullptr || (!q->empty() && !q1->empty()));
+    BatchEmitter emitter(Buffer(current.out_buffers[0]),
+                         Buffer(current.out_buffers[1]), q);
+    // One clock pair per node call when instrumented, shared by the trace
+    // span and the profiler (which only uses differences, so either origin
+    // works).
+    const int64_t start = instrumented_ ? ClockNs() : 0;
+    // Emissions only target higher node ids, through buffers no input of
+    // this node uses, so neither input is reallocated while the call runs.
+    if (q1 == nullptr) {
+      current.transducer->OnBatch(q->data(), q->size(), &emitter);
+    } else {
+      current.transducer->OnPair(q->data(), q->size(), q1->data(),
+                                 q1->size(), &emitter);
     }
+    if (instrumented_) [[unlikely]] {
+      const int64_t end = ClockNs();
+      if (trace_recorder_ != nullptr) {
+        trace_recorder_->RecordSpan(id + 1, span_name_id_, start, end);
+      }
+      if (profiler_ != nullptr) {
+        const size_t messages = q->size() + (q1 == nullptr ? 0 : q1->size());
+        profiler_->Record(id, static_cast<int64_t>(messages), end - start);
+      }
+    }
+    emitter.Finish();  // May swap q wholesale into the consumer's queue.
+    q->clear();
+    if (q1 != nullptr) q1->clear();
   }
 }
 

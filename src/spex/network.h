@@ -5,17 +5,19 @@
 //
 // Message delivery is one topological sweep (DESIGN.md §11): messages
 // injected at the source are handed to every node in ascending id order, one
-// Transducer::OnBatch call per node input port, and each emission lands in
-// the consumer's pending buffer until the sweep reaches it.  A sweep of one
-// document message is one round of the paper's "only one message in the
-// network at a time"; the engine (run_core.h) chooses how many document
-// messages a sweep carries.
+// Transducer::OnBatch call per node (OnPair, with both input sequences, for
+// the two-input JO and IS), and each emission lands in the consumer's
+// pending buffer until the sweep reaches it.  A sweep of one document
+// message is one round of the paper's "only one message in the network at a
+// time"; the engine (run_core.h) chooses how many rounds a sweep carries,
+// cutting sweeps only at the network's scope exits (sweep_cuts()).
 
 #ifndef SPEX_SPEX_NETWORK_H_
 #define SPEX_SPEX_NETWORK_H_
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/thread_check.h"
@@ -29,6 +31,25 @@ class ProfileAccumulator;
 class TraceRecorder;
 struct ProfileReport;
 }
+
+// A set of element labels, for compile-time facts about a network: which
+// start tags an activation on a tape can precede, and where the network's
+// sweeps are cut (Network::sweep_cuts).
+struct LabelSet {
+  bool any_element = false;  // every element label (a wildcard step)
+  bool document = false;     // the document root, <$> / </$>
+  std::vector<std::string> labels;  // sorted, unique; unused if any_element
+
+  static LabelSet Document();
+  // Every end tag: <$> and every element.
+  static LabelSet All();
+  // {label}, or every element for a wildcard step.
+  static LabelSet Element(const std::string& label, bool wildcard);
+  void Merge(const LabelSet& other);
+  bool operator==(const LabelSet&) const = default;
+  // True if the end tag `kind`/`name` closes an element of the set.
+  bool ContainsEnd(EventKind kind, std::string_view name) const;
+};
 
 // Query provenance of one network node: the byte range of the rpeq
 // sub-expression this transducer implements (into the original query text)
@@ -61,22 +82,28 @@ class Network {
 
   // The one delivery entry (DESIGN.md §11): injects `batch` at node `node`
   // input port `in_port` and sweeps the network once in ascending node id
-  // order, handing each node its pending input sequence in one
-  // Transducer::OnBatch call per port.  On return every message has been
-  // fully processed (all pending buffers are drained) and *batch holds an
-  // empty vector whose capacity is recycled.  `in_port` must be an
-  // injection point: an input port no earlier node writes (IN's port 0).
+  // order, handing each node its pending input in one call (OnBatch, or
+  // OnPair for a two-input node).  On return every message has been fully
+  // processed (all pending buffers are drained) and *batch holds an empty
+  // vector whose capacity is recycled.  `in_port` must be an injection
+  // point: an input port no earlier node writes (IN's port 0).
   //
-  // Correctness precondition (the engine enforces it): the per-tape message
-  // sequences must determine every node's output.  Across a sweep of several
-  // document messages that holds only for networks without condition
-  // variables (no VC/VD/PR nodes, CompiledNetwork::batchable); networks with
-  // them read and write RunContext::assignment mid-round and are swept one
-  // document message (one round) at a time.  Nodes are added in topological
-  // order, so a single ascending sweep sees every pending message; document
-  // payload borrows (Message::DocumentRef) must stay valid until the call
-  // returns.
+  // Correctness precondition (the engine enforces it): every node must
+  // produce the tape one-round delivery would.  The transducers that share
+  // RunContext::assignment read it as of their own round (round-stamped
+  // bindings), which covers every read but VC's scope-exit check; the
+  // engine therefore never sweeps a start tag and a later end tag in
+  // sweep_cuts() together.  Nodes are added in topological order, so a
+  // single ascending sweep sees every pending message; document payload
+  // borrows (Message::DocumentRef) must stay valid until the call returns.
   void DeliverBatch(int node, int in_port, std::vector<Message>* batch);
+
+  // The end tags at which some VC of the network may close an instance
+  // scope and read its variable (DESIGN.md §11): the labels the
+  // qualifiers' bases select, </$> for root and deferred scopes.  Recorded
+  // by the compiler; empty for a network without qualifiers.
+  void AddSweepCuts(const LabelSet& labels) { sweep_cuts_.Merge(labels); }
+  const LabelSet& sweep_cuts() const { return sweep_cuts_; }
 
   // Attaches a span recorder (RunCore::AttachTrace): every node call of the
   // sweep records one span on track node+1.  Null detaches; with neither a
@@ -169,6 +196,9 @@ class Network {
   // BatchEmitter may swap an input vector into an output buffer.
   void AssignBuffers();
 
+  // The attached recorder's clock, else the profiler's (instrumented_).
+  int64_t ClockNs() const;
+
   // Pending buffer `index`, or null for -1 (a dangling output).
   std::vector<Message>* Buffer(int index) {
     return index == -1 ? nullptr : &buffers_[static_cast<size_t>(index)];
@@ -191,6 +221,7 @@ class Network {
   bool instrumented_ = false;
   // Interned name of the node-call spans.
   int span_name_id_ = 0;
+  LabelSet sweep_cuts_;
 };
 
 }  // namespace spex

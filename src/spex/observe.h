@@ -5,8 +5,8 @@
 // Cost contract (DESIGN.md §7): observation is attached to a live run, never
 // a mode it is built in.
 //  * Counters are always on: the run's event count (a pull counter) and the
-//    output decision-delay histogram, fed from an event index the engine
-//    stamps once per sweep — no clock reads, no allocation.
+//    output decision-delay histogram, fed from each OU's own round counter
+//    — no clock reads, no allocation.
 //  * A trace recorder (RunCore::AttachTrace) or profile accumulator
 //    (RunCore::AttachProfiler) adds two clock reads per sweep and per node
 //    call of the sweep while attached; either attaches and detaches between

@@ -5,12 +5,14 @@
 namespace spex {
 
 FollowingTransducer::FollowingTransducer(std::string label, bool wildcard,
-                                         RunContext* context)
+                                         RunContext* context,
+                                         bool in_qualifier_body)
     : Transducer("FO(" + (wildcard ? std::string("_") : label) + ")"),
       label_(std::move(label)),
       wildcard_(wildcard),
       symbol_(wildcard ? kNoSymbol : context->symbol_table()->Intern(label_)),
-      context_(context) {}
+      context_(context),
+      in_qualifier_body_(in_qualifier_body) {}
 
 bool FollowingTransducer::Matches(const Message& m) const {
   if (!m.is_document() || m.event_kind != EventKind::kStartElement) {
@@ -21,10 +23,20 @@ bool FollowingTransducer::Matches(const Message& m) const {
                                : m.event().name == label_;
 }
 
-void FollowingTransducer::ProcessBatch(int port, Message* messages,
-                                       size_t count, BatchEmitter* out) {
-  (void)port;
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+void FollowingTransducer::ProcessBatch(Message* messages, size_t count,
+                                       BatchEmitter* out) {
+  for (size_t i = 0; i < count; ++i) {
+    const bool document = messages[i].is_document();
+    Process(std::move(messages[i]), out);
+    if (document) ++round_;
+  }
+}
+
+void FollowingTransducer::CollapseArmed() {
+  if (!in_qualifier_body_ && !armed_.is_constant() &&
+      armed_.Evaluate(context_->assignment, round_) == Truth::kTrue) {
+    armed_ = Formula::True();
+  }
 }
 
 void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
@@ -41,13 +53,15 @@ void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
     case MessageKind::kDetermination:
       Fire(5);
       if (context_->options.eager_formula_update) {
-        armed_ = armed_.PruneFalse(context_->assignment);
+        armed_ = armed_.PruneFalse(context_->assignment, round_);
         for (Level& level : depth_) {
           if (level.has_formula) {
-            level.formula = level.formula.PruneFalse(context_->assignment);
+            level.formula =
+                level.formula.PruneFalse(context_->assignment, round_);
           }
         }
       }
+      CollapseArmed();
       EmitTo(out, 0, std::move(message));
       return;
     case MessageKind::kDocument:
@@ -90,6 +104,7 @@ void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
   if (level.has_formula) {
     armed_ = Formula::Or(armed_, level.formula);
     NoteFormula(armed_);
+    CollapseArmed();
   }
   if (depth_.empty()) {
     // End of the document: nothing follows </$>.
@@ -124,14 +139,15 @@ void PrecedingTransducer::SatisfyClosed(const Formula& formula,
   // A context arriving NOW can only satisfy candidates that are already
   // fully closed.  The candidate's condition becomes the disjunction over
   // all later contexts' formulas.
+  const Assignment& assignment = context_->assignment;
   size_t kept = 0;
   for (size_t i = 0; i < closed_.size(); ++i) {
     VarId v = closed_[i];
-    if (context_->assignment.Get(v) != Truth::kUnknown) continue;
+    if (assignment.Get(v, round_) != Truth::kUnknown) continue;
     conditions_[v] = Formula::Or(conditions_[v], formula);
-    switch (conditions_[v].Evaluate(context_->assignment)) {
+    switch (conditions_[v].Evaluate(assignment, round_)) {
       case Truth::kTrue:
-        if (context_->assignment.Set(v, true)) {
+        if (context_->assignment.Set(v, true, round_)) {
           EmitTo(out, 0, Message::Determination(v, true));
         }
         // The candidate element is closed and its OU entry resolves this
@@ -141,7 +157,7 @@ void PrecedingTransducer::SatisfyClosed(const Formula& formula,
         break;
       case Truth::kFalse:
       case Truth::kUnknown:
-        conditions_[v] = conditions_[v].Simplify(context_->assignment);
+        conditions_[v] = conditions_[v].Simplify(assignment, round_);
         closed_[kept++] = v;
         break;
     }
@@ -149,10 +165,13 @@ void PrecedingTransducer::SatisfyClosed(const Formula& formula,
   closed_.resize(kept);
 }
 
-void PrecedingTransducer::ProcessBatch(int port, Message* messages,
-                                       size_t count, BatchEmitter* out) {
-  (void)port;
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+void PrecedingTransducer::ProcessBatch(Message* messages, size_t count,
+                                       BatchEmitter* out) {
+  for (size_t i = 0; i < count; ++i) {
+    const bool document = messages[i].is_document();
+    Process(std::move(messages[i]), out);
+    if (document) ++round_;
+  }
 }
 
 void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
@@ -173,20 +192,21 @@ void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
     case MessageKind::kDetermination: {
       Fire(5);
       // Re-check pending conditions under the new assignment.
+      const Assignment& assignment = context_->assignment;
       size_t kept = 0;
       for (size_t i = 0; i < closed_.size(); ++i) {
         VarId v = closed_[i];
-        if (context_->assignment.Get(v) != Truth::kUnknown) continue;
-        switch (conditions_[v].Evaluate(context_->assignment)) {
+        if (assignment.Get(v, round_) != Truth::kUnknown) continue;
+        switch (conditions_[v].Evaluate(assignment, round_)) {
           case Truth::kTrue:
-            if (context_->assignment.Set(v, true)) {
+            if (context_->assignment.Set(v, true, round_)) {
               EmitTo(out, 0, Message::Determination(v, true));
             }
             context_->retired_variables.push_back(v);
             conditions_.erase(v);
             break;
           default:
-            conditions_[v] = conditions_[v].Simplify(context_->assignment);
+            conditions_[v] = conditions_[v].Simplify(assignment, round_);
             closed_[kept++] = v;
             break;
         }
@@ -240,7 +260,7 @@ void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
     // End of the document: nothing can follow, so every still-pending
     // speculative variable is invalidated.
     for (VarId v : closed_) {
-      if (context_->assignment.Set(v, false)) {
+      if (context_->assignment.Set(v, false, round_)) {
         EmitTo(out, 0, Message::Determination(v, false));
       }
       context_->retired_variables.push_back(v);

@@ -34,18 +34,27 @@ namespace spex {
 
 class FollowingTransducer : public Transducer {
  public:
-  FollowingTransducer(std::string label, bool wildcard, RunContext* context);
+  // `in_qualifier_body` (set by the compiler for steps inside a qualifier
+  // body) keeps the armed formula symbolic: VF and VD attribute a body match
+  // to its qualifier instances by the variables it carries.
+  FollowingTransducer(std::string label, bool wildcard, RunContext* context,
+                      bool in_qualifier_body = false);
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   bool Matches(const Message& m) const;
   void Process(Message&& message, BatchEmitter* out);
+  // Outside qualifier bodies, replaces an armed formula that holds as of
+  // this round by `true`: bindings are monotone, so it can only stay true,
+  // and the disjunction would otherwise grow with every closed context.
+  void CollapseArmed();
 
   std::string label_;
   bool wildcard_;
   Symbol symbol_;  // label_ interned at construction; one compare per event
   RunContext* context_;
+  bool in_qualifier_body_;
   // Depth stack; levels carrying a pending activation hold its formula,
   // which is armed (merged into armed_) when the level closes.
   struct Level {
@@ -78,7 +87,7 @@ class PrecedingTransducer : public Transducer {
   size_t open_speculation_count() const { return speculative_.size(); }
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   bool Matches(const Message& m) const;
   void Process(Message&& message, BatchEmitter* out);

@@ -120,7 +120,7 @@ void OutputTransducer::HandleMessage(Message&& message) {
       Fire(2);
       // Determinations are applied to the global assignment at their origin
       // (VD / VC); set defensively in case OU is driven stand-alone.
-      context_->assignment.Set(message.var, message.value);
+      context_->assignment.Set(message.var, message.value, round_);
       ReevaluateCandidates();
       if (!interleaved()) AdvanceQueue();
       return;
@@ -131,30 +131,33 @@ void OutputTransducer::HandleMessage(Message&& message) {
   }
 }
 
-void OutputTransducer::ProcessBatch(int port, Message* messages, size_t count,
+void OutputTransducer::ProcessBatch(Message* messages, size_t count,
                                     BatchEmitter* out) {
-  (void)port;
   (void)out;
   for (size_t i = 0; i < count; ++i) {
+    if (messages[i].kind != MessageKind::kDocument) {
+      HandleMessage(std::move(messages[i]));
+      continue;
+    }
     // Idle fast path: with no pending activation and no candidates (open_
     // holds iterators into queue_, so queue_ empty implies open_ empty) a
     // document message cannot change OU's state — HandleDocument would only
     // recompute an unchanged buffered peak.  Skip it outright.
-    if (messages[i].kind == MessageKind::kDocument &&
-        !has_pending_activation_ && queue_.empty()) {
+    if (!has_pending_activation_ && queue_.empty()) {
       Fire(3);
-      continue;
+    } else {
+      HandleMessage(std::move(messages[i]));
     }
-    HandleMessage(std::move(messages[i]));
+    ++round_;
   }
 }
 
 void OutputTransducer::StartCandidate(Formula formula) {
   Candidate c;
   c.id = output_stats_.candidates_created;
-  c.formula = formula.Simplify(context_->assignment);
-  c.decided = c.formula.Evaluate(context_->assignment);
-  c.created_at_event = context_->observer.event_index;
+  c.formula = formula.Simplify(context_->assignment, round_);
+  c.decided = c.formula.Evaluate(context_->assignment, round_);
+  c.created_at_round = round_;
   queue_.push_back(std::move(c));
   CandidateIt it = std::prev(queue_.end());
   open_.push_back(it);
@@ -282,8 +285,8 @@ void OutputTransducer::ReevaluateCandidates() {
       ++it;
       continue;
     }
-    c.formula = c.formula.Simplify(context_->assignment);
-    c.decided = c.formula.Evaluate(context_->assignment);
+    c.formula = c.formula.Simplify(context_->assignment, round_);
+    c.decided = c.formula.Evaluate(context_->assignment, round_);
     if (!interleaved()) {
       ++it;
       continue;
@@ -360,11 +363,8 @@ void OutputTransducer::NoteBuffered() {
 }
 
 void OutputTransducer::NoteDecision(const Candidate& candidate) {
-  const obs::RunObserver& observer = context_->observer;
-  if (observer.output_decision_delay != nullptr) {
-    observer.output_decision_delay->Observe(observer.event_index -
-                                            candidate.created_at_event);
-  }
+  obs::Histogram* delay = context_->observer.output_decision_delay;
+  if (delay != nullptr) delay->Observe(round_ - candidate.created_at_round);
 }
 
 }  // namespace spex

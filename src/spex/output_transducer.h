@@ -154,7 +154,7 @@ class OutputTransducer : public Transducer {
 
  private:
   // OU is the network sink: it has no output tape and ignores `out`.
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
 
   struct Candidate {
@@ -166,9 +166,9 @@ class OutputTransducer : public Transducer {
     int open_depth = 0;      // >0 while the fragment's subtree is open
     bool complete = false;
     bool streaming = false;  // Begin sent; events go straight to the sink
-    // Document message index at creation: the decision-delay histogram
-    // measures fragment buffering delay from here.
-    int64_t created_at_event = 0;
+    // OU's round at creation: the decision-delay histogram measures
+    // fragment buffering delay, in rounds (document messages), from here.
+    int64_t created_at_round = 0;
   };
   using CandidateIt = std::list<Candidate>::iterator;
 
@@ -190,7 +190,8 @@ class OutputTransducer : public Transducer {
   void ForgetOpen(const Candidate* candidate);
   void NoteBuffered();
   // Publishes the buffering delay of a just-decided candidate into the
-  // run's decision-delay histogram.
+  // run's decision-delay histogram.  OU's own round counter is the clock,
+  // so the delay does not depend on how rounds were grouped into sweeps.
   void NoteDecision(const Candidate& candidate);
 
   ResultSink* sink_;

@@ -4,18 +4,47 @@
 
 namespace spex {
 
-VariableCreatorTransducer::VariableCreatorTransducer(uint32_t qualifier_id,
-                                                     RunContext* context,
-                                                     bool defer_invalidation)
+VariableCreatorTransducer::VariableCreatorTransducer(
+    uint32_t qualifier_id, RunContext* context, bool defer_invalidation,
+    const LabelSet& scope_exits)
     : Transducer("VC(q" + std::to_string(qualifier_id) + ")"),
       qualifier_id_(qualifier_id),
       context_(context),
-      defer_invalidation_(defer_invalidation) {}
+      defer_invalidation_(defer_invalidation) {
+#ifndef NDEBUG
+  scope_exits_ = scope_exits;
+#else
+  (void)scope_exits;
+#endif
+}
 
-void VariableCreatorTransducer::ProcessBatch(int port, Message* messages,
-                                             size_t count, BatchEmitter* out) {
-  (void)port;
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+void VariableCreatorTransducer::ProcessBatch(Message* messages, size_t count,
+                                             BatchEmitter* out) {
+  for (size_t i = 0; i < count; ++i) {
+    const bool document = messages[i].is_document();
+    Process(std::move(messages[i]), out);
+    if (document) ++round_;
+  }
+}
+
+void VariableCreatorTransducer::Invalidate(VarId c, const Message& end_tag,
+                                           BatchEmitter* out) {
+  // The one assignment read a round stamp cannot order: `c` is bound true
+  // by VD, downstream of VC.  The engine never sweeps a start tag together
+  // with a later end tag in the compiled cut set, so every round that could
+  // have satisfied `c` was swept before this one (DESIGN.md §11).
+  assert(scope_exits_.ContainsEnd(end_tag.event_kind, end_tag.event().name) &&
+         "scope exit at an end tag outside the compiled sweep cuts");
+  (void)end_tag;
+  // First determination wins: if VD already satisfied the instance, the
+  // scope-exit invalidation is suppressed (cf. Fig. 13, where no {co1,
+  // false} is sent at the outer </a> after <b> satisfied the qualifier).
+  if (context_->assignment.Set(c, false, round_)) {
+    EmitTo(out, 0, Message::Determination(c, false));
+  }
+  // The scope is the last structural context that can mention c: schedule
+  // its binding for end-of-round garbage collection.
+  context_->retired_variables.push_back(c);
 }
 
 void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
@@ -79,15 +108,7 @@ void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
       // after the scope closed, so the verdict waits for </$>.
       deferred_.push_back(c);
     } else {
-      // First determination wins: if VD already satisfied the instance, the
-      // scope-exit invalidation is suppressed (cf. Fig. 13, where no {co1,
-      // false} is sent at the outer </a> after <b> satisfied the qualifier).
-      if (context_->assignment.Set(c, false)) {
-        EmitTo(out, 0, Message::Determination(c, false));
-      }
-      // The scope is the last structural context that can mention c:
-      // schedule its binding for end-of-round garbage collection.
-      context_->retired_variables.push_back(c);
+      Invalidate(c, message, out);
     }
   } else {  // (3)
     Fire(3);
@@ -96,12 +117,7 @@ void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
   if (depth_.empty() && !deferred_.empty()) {
     // End of the document: nothing can follow, so deferred instances that
     // were never satisfied are invalidated now.
-    for (VarId c : deferred_) {
-      if (context_->assignment.Set(c, false)) {
-        EmitTo(out, 0, Message::Determination(c, false));
-      }
-      context_->retired_variables.push_back(c);
-    }
+    for (VarId c : deferred_) Invalidate(c, message, out);
     deferred_.clear();
   }
   EmitTo(out, 0, std::move(message));
@@ -116,9 +132,8 @@ VariableFilterTransducer::VariableFilterTransducer(uint32_t qualifier_id,
       positive_(positive),
       context_(context) {}
 
-void VariableFilterTransducer::ProcessBatch(int port, Message* messages,
-                                            size_t count, BatchEmitter* out) {
-  (void)port;
+void VariableFilterTransducer::ProcessBatch(Message* messages, size_t count,
+                                            BatchEmitter* out) {
   for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
 }
 
@@ -177,9 +192,10 @@ VariableDeterminantTransducer::VariableDeterminantTransducer(
 
 void VariableDeterminantTransducer::Determine(VarId var, Formula condition,
                                               BatchEmitter* out) {
-  switch (condition.Evaluate(context_->assignment)) {
+  const Assignment& assignment = context_->assignment;
+  switch (condition.Evaluate(assignment, round_)) {
     case Truth::kTrue:
-      if (context_->assignment.Set(var, true)) {
+      if (context_->assignment.Set(var, true, round_)) {
         EmitTo(out, 0, Message::Determination(var, true));
       }
       break;
@@ -188,29 +204,30 @@ void VariableDeterminantTransducer::Determine(VarId var, Formula condition,
       // creator's scope-exit {var,false} settles the instance.
       break;
     case Truth::kUnknown:
-      pending_.push_back({var, condition.Simplify(context_->assignment)});
+      pending_.push_back({var, condition.Simplify(assignment, round_)});
       NoteConditionStack(pending_.size());
       break;
   }
 }
 
 void VariableDeterminantTransducer::RecheckPending(BatchEmitter* out) {
+  const Assignment& assignment = context_->assignment;
   size_t kept = 0;
   for (size_t i = 0; i < pending_.size(); ++i) {
     PendingInstance& p = pending_[i];
-    if (context_->assignment.Get(p.var) != Truth::kUnknown) {
+    if (assignment.Get(p.var, round_) != Truth::kUnknown) {
       continue;  // already settled elsewhere
     }
-    switch (p.condition.Evaluate(context_->assignment)) {
+    switch (p.condition.Evaluate(assignment, round_)) {
       case Truth::kTrue:
-        if (context_->assignment.Set(p.var, true)) {
+        if (context_->assignment.Set(p.var, true, round_)) {
           EmitTo(out, 0, Message::Determination(p.var, true));
         }
         break;
       case Truth::kFalse:
         break;
       case Truth::kUnknown:
-        p.condition = p.condition.Simplify(context_->assignment);
+        p.condition = p.condition.Simplify(assignment, round_);
         pending_[kept++] = std::move(p);
         break;
     }
@@ -218,11 +235,14 @@ void VariableDeterminantTransducer::RecheckPending(BatchEmitter* out) {
   pending_.resize(kept);
 }
 
-void VariableDeterminantTransducer::ProcessBatch(int port, Message* messages,
+void VariableDeterminantTransducer::ProcessBatch(Message* messages,
                                                  size_t count,
                                                  BatchEmitter* out) {
-  (void)port;
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+  for (size_t i = 0; i < count; ++i) {
+    const bool document = messages[i].is_document();
+    Process(std::move(messages[i]), out);
+    if (document) ++round_;
+  }
 }
 
 void VariableDeterminantTransducer::Process(Message&& message,

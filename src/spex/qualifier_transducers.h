@@ -21,6 +21,7 @@
 
 #include <vector>
 
+#include "spex/network.h"
 #include "spex/transducer.h"
 
 namespace spex {
@@ -30,22 +31,32 @@ class VariableCreatorTransducer : public Transducer {
   // When `defer_invalidation` is set (the compiler sets it for qualifier
   // bodies containing a following axis, whose matches can arrive after the
   // instance's scope closed), the scope-exit {c,false} is postponed to the
-  // end of the document.
+  // end of the document.  `scope_exits` is the compiler's record of the end
+  // tags at which this VC reads its variables (a share of the network's
+  // sweep cuts); debug builds check every invalidation against it.
   VariableCreatorTransducer(uint32_t qualifier_id, RunContext* context,
-                            bool defer_invalidation = false);
+                            bool defer_invalidation = false,
+                            const LabelSet& scope_exits = LabelSet::All());
 
   enum class State : uint8_t { kWorking, kActivate };
   State state() const { return state_; }
   size_t condition_stack_size() const { return vars_.size(); }
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   void Process(Message&& message, BatchEmitter* out);
+
+  // Invalidates `c` unless VD already satisfied it; `end_tag` is the
+  // closing message of the round.
+  void Invalidate(VarId c, const Message& end_tag, BatchEmitter* out);
 
   uint32_t qualifier_id_;
   RunContext* context_;
   bool defer_invalidation_;
+#ifndef NDEBUG
+  LabelSet scope_exits_;
+#endif
   State state_ = State::kWorking;
   std::vector<DepthSymbol> depth_;
   std::vector<VarId> vars_;  // the condition stack holds created variables
@@ -60,7 +71,7 @@ class VariableFilterTransducer : public Transducer {
                            RunContext* context);
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   void Process(Message&& message, BatchEmitter* out);
 
@@ -80,7 +91,7 @@ class VariableDeterminantTransducer : public Transducer {
   size_t pending_count() const { return pending_.size(); }
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
 
   struct PendingInstance {

@@ -30,7 +30,7 @@ RunCore::RunCore(EngineOptions options)
 RunCore::~RunCore() = default;
 
 void RunCore::Start(Network network, int input_node,
-                    std::vector<OutputTransducer*> outputs, bool batchable,
+                    std::vector<OutputTransducer*> outputs,
                     std::string query_text) {
   network_ = std::move(network);
   input_node_ = input_node;
@@ -51,11 +51,19 @@ void RunCore::Start(Network network, int input_node,
     next_progress_bytes_ = options.progress.every_bytes;
   }
   guarded_ = options.limits.enabled() || options.track_open_elements;
-  // Sweep size (DESIGN.md §11).  Networks with condition variables read and
-  // write the assignment mid-round, so they sweep one round at a time; the
-  // byte post-limits sample occupancy after every event.
-  whole_batch_sweeps_ = batchable && options.limits.max_buffered_bytes <= 0 &&
+  // Sweep size (DESIGN.md §11): whole batches, cut at the network's scope
+  // exits; one event per sweep while a byte post-limit samples occupancy
+  // after every event.
+  whole_batch_sweeps_ = options.limits.max_buffered_bytes <= 0 &&
                         options.limits.max_formula_bytes <= 0;
+  const LabelSet& cuts = network_.sweep_cuts();
+  cut_document_ = cuts.document;
+  cut_any_element_ = cuts.any_element;
+  for (const std::string& label : cuts.labels) {
+    const Symbol symbol = context_->symbol_table()->Intern(label);
+    if (symbol >= cut_symbols_.size()) cut_symbols_.resize(symbol + 1);
+    cut_symbols_[symbol] = 1;
+  }
   if (guarded_) open_path_.reserve(64);
   run_start_ = std::chrono::steady_clock::now();
   if (options.limits.deadline_ms > 0) {
@@ -154,10 +162,45 @@ void RunCore::OnEventBatchUnsampled(const StreamEvent* events, size_t count) {
 }
 
 void RunCore::Deliver(const StreamEvent* events, size_t count) {
-  const size_t per_sweep = whole_batch_sweeps_ ? count : 1;
   for (size_t i = 0; i < count;) {
-    i += Sweep(events + i, std::min(per_sweep, count - i));
+    i += Sweep(events + i, SweepLength(events + i, count - i));
   }
+}
+
+size_t RunCore::SweepLength(const StreamEvent* events, size_t count) const {
+  if (!whole_batch_sweeps_) return 1;
+  if (!cut_document_ && !cut_any_element_ && cut_symbols_.empty()) {
+    return count;  // no qualifiers: nothing to cut
+  }
+  // True bindings arise only in rounds of start tags (activations precede
+  // start tags, formulas are monotone), and VC reads its variable at a
+  // scope exit: cut before a scope exit that follows a start tag.
+  bool holds_start = false;
+  for (size_t i = 0; i < count; ++i) {
+    const StreamEvent& e = events[i];
+    switch (e.kind) {
+      case EventKind::kStartElement:
+      case EventKind::kStartDocument:
+        holds_start = true;
+        break;
+      case EventKind::kEndElement:
+      case EventKind::kEndDocument:
+        if (holds_start && IsSweepCut(e)) return i;
+        break;
+      case EventKind::kText:
+        break;
+    }
+  }
+  return count;
+}
+
+bool RunCore::IsSweepCut(const StreamEvent& end_tag) const {
+  if (end_tag.kind == EventKind::kEndDocument) return cut_document_;
+  if (cut_any_element_) return true;
+  const Symbol symbol = end_tag.label != kNoSymbol
+                            ? end_tag.label
+                            : context_->symbol_table()->Lookup(end_tag.name);
+  return symbol < cut_symbols_.size() && cut_symbols_[symbol] != 0;
 }
 
 size_t RunCore::Sweep(const StreamEvent* events, size_t count) {
@@ -184,9 +227,6 @@ size_t RunCore::Sweep(const StreamEvent* events, size_t count) {
     message_batch_.push_back(std::move(m));
   }
   events_processed_ += static_cast<int64_t>(swept);
-  // The decision-delay clock: exact wherever sweeps are one round, quantized
-  // to batch boundaries elsewhere.
-  context_->observer.event_index = events_processed_;
   // A trace recorder and progress cost this one branch when neither is on
   // (DESIGN.md §7).
   obs::TraceRecorder* trace = context_->observer.trace;
@@ -205,10 +245,11 @@ size_t RunCore::Sweep(const StreamEvent* events, size_t count) {
     if (progress_enabled_) MaybeEmitProgress();
   }
   if (end) EndDocument();
-  // End-of-round garbage collection: with eager updates, formulas referring
+  // End-of-sweep garbage collection: with eager updates, formulas referring
   // to a retired variable were rewritten while its determination propagated
-  // this round, so the binding can go.  Lazy mode and order-axis queries
-  // keep every binding, but the list itself is cleared every round.
+  // in its round, and no later round's message mentions it, so the binding
+  // can go.  Lazy mode and order-axis queries keep every binding, but the
+  // list itself is cleared every sweep.
   std::vector<VarId>& retired = context_->retired_variables;
   if (!retired.empty()) {
     if (context_->options.eager_formula_update &&

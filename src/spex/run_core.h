@@ -75,13 +75,13 @@ class RunCore : public EventSink {
   // kEndDocument every output collector is flushed and all remaining
   // candidates decided.  Every event reaches the network through its one
   // delivery path, the topological sweep (Network::DeliverBatch).  A sweep
-  // carries the whole batch when the network creates no condition variables
-  // (CompiledNetwork::batchable) and neither byte limit is set; otherwise
-  // one event — one round, with the end-of-round variable GC between
-  // sweeps.  Attached observation never changes the sweep size.  Results,
-  // statuses and counters are identical at every batch size; the difference
-  // is cost.  The events must outlive the call (zero-copy borrowing at batch
-  // scope).
+  // carries the whole batch, cut only before an end tag in the network's
+  // sweep_cuts() that follows a start tag of the same sweep (a qualifier
+  // scope exit); with a byte limit set it carries one event.  The
+  // end-of-round variable GC runs between sweeps.  Attached observation
+  // never changes the sweep size.  Results, statuses and counters are
+  // identical at every batch size; the difference is cost.  The events must
+  // outlive the call (zero-copy borrowing at batch scope).
   //
   // Resource governance (DESIGN.md §10): when EngineOptions::limits is set,
   // every event passes the governor first; a breached limit poisons the run
@@ -169,9 +169,10 @@ class RunCore : public EventSink {
   // sampled); same shape as Profile().
   obs::ProfileReport SampledProfile() const;
 
-  // Output decision delay (events between a candidate's creation and its
-  // determination), recorded by every run; null only before the network
-  // was handed over (a rejected run).
+  // Output decision delay (rounds — document messages — between a
+  // candidate's creation and its determination, counted by each OU, so it
+  // does not depend on the sweep size), recorded by every run; null only
+  // before the network was handed over (a rejected run).
   const obs::Histogram* decision_delay() const {
     return context_->observer.output_decision_delay;
   }
@@ -230,8 +231,7 @@ class RunCore : public EventSink {
   // per slot (owned by the network); `query_text` names the run in profile
   // reports.
   void Start(Network network, int input_node,
-             std::vector<OutputTransducer*> outputs, bool batchable,
-             std::string query_text);
+             std::vector<OutputTransducer*> outputs, std::string query_text);
 
   // Poisons a run whose network could not be compiled: every event is
   // dropped and status() reports `status`.
@@ -244,6 +244,11 @@ class RunCore : public EventSink {
   void SampleBatch(const StreamEvent* events, size_t count);
   // Ungoverned delivery of `count` events in sweeps of the run's size.
   void Deliver(const StreamEvent* events, size_t count);
+  // Events the next sweep carries out of `count`: all of them, or up to the
+  // first sweep cut that follows a start tag, or one under a byte limit.
+  size_t SweepLength(const StreamEvent* events, size_t count) const;
+  // True if `end_tag` is in the network's sweep cuts.
+  bool IsSweepCut(const StreamEvent& end_tag) const;
   // One sweep over up to `count` events, ending early after an end-document
   // (so the output collectors flush before anything that bogusly follows
   // it); returns the number of events swept.  Runs the end-document flush,
@@ -299,8 +304,13 @@ class RunCore : public EventSink {
   // track_open_elements): the unguarded hot path tests exactly this flag.
   bool guarded_ = false;
   // The sweep size, computed once in Start: true sweeps a whole batch at a
-  // time, false one event (one round) per sweep (see OnEventBatch).
+  // time up to the next cut, false one event (one round) per sweep (see
+  // OnEventBatch).
   bool whole_batch_sweeps_ = false;
+  // The network's sweep cuts: </$>, every element, and by label symbol.
+  bool cut_document_ = false;
+  bool cut_any_element_ = false;
+  std::vector<uint8_t> cut_symbols_;
   // Reusable message buffer of the sweeps; capacity circulates with the
   // network's pending buffers, so steady state allocates nothing.
   std::vector<Message> message_batch_;

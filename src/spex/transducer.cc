@@ -1,25 +1,46 @@
 #include "spex/transducer.h"
 
+#include <cassert>
+
 namespace spex {
 
-void Transducer::OnBatch(int port, Message* messages, size_t count,
-                         BatchEmitter* out) {
-  stats_.messages_in += static_cast<int64_t>(count);
-  for (size_t i = 0; i < count; ++i) {
-    // Activations are rare on hot streams.
-    if (messages[i].is_activation()) NoteFormula(messages[i].formula);
-  }
+void Transducer::OnBatch(Message* messages, size_t count, BatchEmitter* out) {
+  NoteInput(messages, count);
   if (trace_ == nullptr) [[likely]] {
-    ProcessBatch(port, messages, count, out);
+    ProcessBatch(messages, count, out);
     return;
   }
   // Traced: one message at a time, closing a trace group after every
   // document message (the presentation of Figs. 4, 5 and 13).
   for (size_t i = 0; i < count; ++i) {
     const bool document = messages[i].is_document();
-    ProcessBatch(port, &messages[i], 1, out);
+    ProcessBatch(&messages[i], 1, out);
     if (document) trace_->EndGroup();
   }
+}
+
+void Transducer::OnPair(Message* left, size_t left_count, Message* right,
+                        size_t right_count, BatchEmitter* out) {
+  NoteInput(left, left_count);
+  NoteInput(right, right_count);
+  ProcessPair(left, left_count, right, right_count, out);
+}
+
+void Transducer::NoteInput(const Message* messages, size_t count) {
+  stats_.messages_in += static_cast<int64_t>(count);
+  for (size_t i = 0; i < count; ++i) {
+    // Activations are rare on hot streams.
+    if (messages[i].is_activation()) NoteFormula(messages[i].formula);
+  }
+}
+
+void Transducer::ProcessBatch(Message*, size_t, BatchEmitter*) {
+  assert(false && "two-input transducer: the sweep calls OnPair");
+}
+
+void Transducer::ProcessPair(Message*, size_t, Message*, size_t,
+                             BatchEmitter*) {
+  assert(false && "one-input transducer: the sweep calls OnBatch");
 }
 
 std::string TransducerTrace::ToString() const {

@@ -9,9 +9,13 @@
 // Each concrete transducer implements its transition table from the paper
 // verbatim and reports the fired rule numbers through an optional trace,
 // letting tests replay Figs. 4, 5 and 13 exactly.  A transducer has one
-// entry point, OnBatch: the network's topological sweep (network.h) hands
-// it the pending input sequence of one tape and collects its emissions in
-// the consumers' pending buffers through a BatchEmitter.
+// entry point per sweep: the network's topological sweep (network.h) hands
+// it the pending input sequence of its tape (OnBatch) — or of both its
+// tapes, for the two-input JO and IS (OnPair) — and collects its emissions
+// in the consumers' pending buffers through a BatchEmitter.  A sweep may
+// carry several rounds (document messages, each preceded by its control
+// messages); every tape carries every document message, so each transducer
+// can number the rounds itself.
 
 #ifndef SPEX_SPEX_TRANSDUCER_H_
 #define SPEX_SPEX_TRANSDUCER_H_
@@ -46,9 +50,10 @@ namespace spex {
 class BatchEmitter final {
  public:
   // `out0`/`out1` are the pending buffers of the consumers wired to output
-  // ports 0/1 (null for a dangling port); `in` is the node's input buffer,
-  // owning the messages passed to OnBatch.  The network never lets an input
-  // buffer double as an output buffer of the same node.
+  // ports 0/1 (null for a dangling port); `in` is the node's (first) input
+  // buffer, owning the messages passed to OnBatch (the left ones passed to
+  // OnPair).  The network never lets an input buffer double as an output
+  // buffer of the same node.
   BatchEmitter(std::vector<Message>* out0, std::vector<Message>* out1,
                std::vector<Message>* in)
       : out_{out0, out1},
@@ -169,12 +174,20 @@ class Transducer {
   Transducer(const Transducer&) = delete;
   Transducer& operator=(const Transducer&) = delete;
 
-  // Delivery (DESIGN.md §11): processes `count` messages arriving on input
-  // tape `port` (0 unless the transducer is a join or an intersection) in
-  // sequence order, emitting through `out`.  The accounting happens here,
-  // once: a batch add of messages_in, or — with a rule trace attached — one
-  // message at a time, so every document message closes its trace group.
-  void OnBatch(int port, Message* messages, size_t count, BatchEmitter* out);
+  // Delivery (DESIGN.md §11): processes the `count` messages pending on the
+  // input tape in sequence order, emitting through `out`.  The accounting
+  // happens here, once: a batch add of messages_in, or — with a rule trace
+  // attached — one message at a time, so every document message closes its
+  // trace group.
+  void OnBatch(Message* messages, size_t count, BatchEmitter* out);
+
+  // Delivery to a two-input transducer (JO, IS): the pending sequences of
+  // both input tapes in one call.  Both hold the same rounds (every tape
+  // carries every document message), so nothing is left over for the next
+  // sweep.  Accounting as in OnBatch; with a rule trace attached the
+  // transducer closes a group after each round (EndRound).
+  void OnPair(Message* left, size_t left_count, Message* right,
+              size_t right_count, BatchEmitter* out);
 
   const std::string& name() const { return name_; }
   const TransducerStats& stats() const { return stats_; }
@@ -182,15 +195,24 @@ class Transducer {
   void set_trace(TransducerTrace* trace) { trace_ = trace; }
 
  protected:
-  // The transition function over a message sequence.  Implementations must
-  // preserve the per-message semantics exactly: each port's output sequence
-  // must equal what processing the messages one at a time would produce
-  // (OnBatch calls this with count 1 when tracing).
-  virtual void ProcessBatch(int port, Message* messages, size_t count,
-                            BatchEmitter* out) = 0;
+  // The transition function over a message sequence, for one-input
+  // transducers.  Implementations must preserve the per-message semantics
+  // exactly: each port's output sequence must equal what processing the
+  // messages one at a time would produce (OnBatch calls this with count 1
+  // when tracing).
+  virtual void ProcessBatch(Message* messages, size_t count,
+                            BatchEmitter* out);
+  // The transition function of a two-input transducer over both sequences.
+  virtual void ProcessPair(Message* left, size_t left_count, Message* right,
+                           size_t right_count, BatchEmitter* out);
 
   void Fire(int rule) {
     if (trace_ != nullptr) trace_->Fire(rule);
+  }
+  // Closes the trace group of the current round (two-input transducers,
+  // after emitting the round's document message).
+  void EndRound() {
+    if (trace_ != nullptr) trace_->EndGroup();
   }
   // Takes Message&& so an input-buffer element forwarded unchanged reaches
   // BatchEmitter::Emit under its original address (pass-through elision);
@@ -213,8 +235,17 @@ class Transducer {
   }
 
   TransducerStats stats_;
+  // The round of the message being processed: the 1-based index of the
+  // current document message (control messages belong to the round of the
+  // document message they precede).  Maintained by the transducers that
+  // read or write RunContext::assignment, which stamp their bindings with it
+  // and read as of it (see Assignment).
+  int64_t round_ = 1;
 
  private:
+  // The accounting of one delivered input sequence.
+  void NoteInput(const Message* messages, size_t count);
+
   std::string name_;
   TransducerTrace* trace_ = nullptr;
 };
@@ -296,10 +327,10 @@ struct EngineOptions {
   // the engine pool and the one-shot helpers hand events to the engine in
   // groups of up to this many via SpexEngine::OnEventBatch (1 = OnEvent per
   // event).  Batching is a feeding granularity only: every event goes
-  // through the network's one sweep, which carries the whole batch where
-  // that is provably equivalent and one event (one round) otherwise
-  // (queries with condition variables, byte limits), so results, statuses
-  // and counters are identical at every batch size.
+  // through the network's one sweep, which carries the whole batch except
+  // where a qualifier scope may close after a start tag of the same sweep
+  // (the sweep is cut there) or a byte limit is set (one event per sweep),
+  // so results, statuses and counters are identical at every batch size.
   int batch_size = 64;
 };
 
@@ -307,7 +338,8 @@ struct EngineOptions {
 struct RunContext {
   EngineOptions options;
   VariableAllocator allocator;
-  // The global monotone assignment of condition variables seen so far.
+  // The global monotone assignment of condition variables seen so far,
+  // round-stamped (see Assignment).
   Assignment assignment;
   // Variables whose creator scope closed during the current round.  With
   // eager formula updates, nothing can reference them once the round's
@@ -325,8 +357,7 @@ struct RunContext {
   // per-transducer stats on the first RunCore::metrics() call.
   obs::MetricRegistry metrics;
   // Hot-path publication handles (decision delay, the attached trace
-  // recorder) and the index of the document message in the network;
-  // filled in by the run core (see obs/observer.h).
+  // recorder); filled in by the run core (see obs/observer.h).
   obs::RunObserver observer;
   // Interned label symbols for this run.  Label-testing transducers resolve
   // their predicate to a Symbol at construction time through this table, so

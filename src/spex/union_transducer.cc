@@ -36,9 +36,8 @@ void UnionTransducer::Process(Message&& message, BatchEmitter* out) {
   }
 }
 
-void UnionTransducer::ProcessBatch(int port, Message* messages, size_t count,
+void UnionTransducer::ProcessBatch(Message* messages, size_t count,
                                    BatchEmitter* out) {
-  (void)port;
   for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
 }
 

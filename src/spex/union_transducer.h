@@ -22,7 +22,7 @@ class UnionTransducer : public Transducer {
   State state() const { return state_; }
 
  private:
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   void Process(Message&& message, BatchEmitter* out);
 

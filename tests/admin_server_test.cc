@@ -458,15 +458,30 @@ TEST(AdminServerTest, CaptureWindowsArmedMidDocumentAttachLive) {
   EXPECT_EQ(admin.capture().trace_sessions(), 1);
   const std::string trace = admin.capture().TraceJson();
   EXPECT_NE(trace.find("w0/stream"), std::string::npos);
-  // The qualifier query sweeps one event at a time, so the stream track
-  // holds one span per event of the second half, and nothing before it.
+  // The stream track holds one span per sweep of the second half, and
+  // nothing before it.  The second half is one engine batch; its sweeps are
+  // cut before each </book> (the qualifier's scope exit) that follows a
+  // start tag of the same sweep (DESIGN.md §11).
+  ASSERT_LE(events.size() - half,
+            static_cast<size_t>(EngineOptions{}.batch_size));
+  size_t sweeps = 1;
+  bool holds_start = false;
+  for (size_t i = half; i < events.size(); ++i) {
+    const StreamEvent& e = events[i];
+    if (e.kind == EventKind::kEndElement && e.name == "book" && holds_start) {
+      ++sweeps;
+      holds_start = false;
+    }
+    if (e.kind == EventKind::kStartElement) holds_start = true;
+  }
+  EXPECT_EQ(sweeps, 2u);
   const std::string stream_span = "\"ph\": \"X\", \"pid\": 1, \"tid\": 0,";
   size_t spans = 0;
   for (size_t at = trace.find(stream_span); at != std::string::npos;
        at = trace.find(stream_span, at + 1)) {
     ++spans;
   }
-  EXPECT_EQ(spans, events.size() - half);
+  EXPECT_EQ(spans, sweeps);
 
   EXPECT_EQ(admin.capture().profile_sessions(), 1);
   const std::string profile = admin.capture().ProfileJson();

@@ -17,7 +17,7 @@ class ChildTransducerTest : public ::testing::Test {
   // Sends a message; returns what was emitted for it.
   std::string Step(Message m) {
     emitter_.Clear();
-    Feed(&t_, 0, std::move(m), &emitter_);
+    Feed(&t_, std::move(m), &emitter_);
     return emitter_.Summary();
   }
   int LastRule() const { return trace_.pending.empty() && !trace_.groups.empty()
@@ -150,10 +150,10 @@ TEST_F(ChildTransducerTest, WildcardMatchesAnyElementButNotRoot) {
   RunContext context;
   ChildTransducer w("_", true, &context);
   TestEmitter e;
-  Feed(&w, 0, Activate(), &e);
-  Feed(&w, 0, OpenDoc(), &e);  // <$> is the activating message
+  Feed(&w, Activate(), &e);
+  Feed(&w, OpenDoc(), &e);  // <$> is the activating message
   e.Clear();
-  Feed(&w, 0, Open("zzz"), &e);
+  Feed(&w, Open("zzz"), &e);
   EXPECT_EQ(e.Summary(), "[true];<zzz>");
 }
 
@@ -166,9 +166,9 @@ TEST_F(ChildTransducerTest, StartDocumentIsNeverMatchedByLabel) {
   RunContext context;
   ChildTransducer t("a", false, &context);
   TestEmitter e;
-  Feed(&t, 0, Activate(), &e);
+  Feed(&t, Activate(), &e);
   e.Clear();
-  Feed(&t, 0, OpenDoc(), &e);
+  Feed(&t, OpenDoc(), &e);
   EXPECT_EQ(e.Summary(), "<$>");  // rule 5, no self-match
 }
 

@@ -18,7 +18,7 @@ class ClosureTransducerTest : public ::testing::Test {
 
   std::string Step(Message m) {
     emitter_.Clear();
-    Feed(&t_, 0, std::move(m), &emitter_);
+    Feed(&t_, std::move(m), &emitter_);
     return emitter_.Summary();
   }
   int LastRule() const {
@@ -94,26 +94,26 @@ TEST_F(ClosureTransducerTest, Rule12NestedScopeBuildsDisjunction) {
   TestEmitter e;
   VarId f2 = MakeVarId(0, 2);
   VarId f1 = MakeVarId(0, 1);
-  Feed(&t, 0, Activate(Formula::Var(f2)), &e);
-  Feed(&t, 0, Open("r"), &e);
-  Feed(&t, 0, Activate(Formula::Var(f1)), &e);  // rule 6 -> activated2
+  Feed(&t, Activate(Formula::Var(f2)), &e);
+  Feed(&t, Open("r"), &e);
+  Feed(&t, Activate(Formula::Var(f1)), &e);  // rule 6 -> activated2
   EXPECT_EQ(t.state(), ClosureTransducer::State::kActivated2);
   e.Clear();
   // The element matches: emitted with the ENCLOSING formula f2; the nested
   // scope's formula becomes f1 OR f2 (Fig. 3 rule 12).
-  Feed(&t, 0, Open("a"), &e);
+  Feed(&t, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_2];<a>");
   e.Clear();
   // A further a matches under the disjunction.
-  Feed(&t, 0, Open("a"), &e);
+  Feed(&t, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_1|co0_2];<a>");
   // Rule 10: closing the nested scope pops it and stays matching.
   e.Clear();
-  Feed(&t, 0, Close("a"), &e);  // rule 9 (the inner match)
-  Feed(&t, 0, Close("a"), &e);  // rule 10 (the nested scope element)
+  Feed(&t, Close("a"), &e);  // rule 9 (the inner match)
+  Feed(&t, Close("a"), &e);  // rule 10 (the nested scope element)
   EXPECT_EQ(t.state(), ClosureTransducer::State::kMatching);
   e.Clear();
-  Feed(&t, 0, Open("a"), &e);
+  Feed(&t, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_2];<a>");  // back to the outer scope formula
 }
 
@@ -153,13 +153,13 @@ TEST_F(ClosureTransducerTest, WildcardClosureMatchesEverything) {
   RunContext context;
   ClosureTransducer w("_", true, &context);
   TestEmitter e;
-  Feed(&w, 0, Activate(), &e);
-  Feed(&w, 0, OpenDoc(), &e);
+  Feed(&w, Activate(), &e);
+  Feed(&w, OpenDoc(), &e);
   e.Clear();
-  Feed(&w, 0, Open("x"), &e);
+  Feed(&w, Open("x"), &e);
   EXPECT_EQ(e.Summary(), "[true];<x>");
   e.Clear();
-  Feed(&w, 0, Open("y"), &e);
+  Feed(&w, Open("y"), &e);
   EXPECT_EQ(e.Summary(), "[true];<y>");
 }
 

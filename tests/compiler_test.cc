@@ -121,5 +121,40 @@ TEST(CompilerTest, DescribeListsAllNodes) {
   EXPECT_NE(desc.find("OU"), std::string::npos);
 }
 
+// The sweep cuts are the end tags at which a VC reads its variable: those
+// of the elements the qualifier's base selects, every element for a
+// wildcard step, </$> for a root scope (the eps branch of `_*`) and for a
+// body holding `>>` (invalidation deferred to the end of the document).
+TEST(CompilerTest, SweepCutsAreQualifierScopeExits) {
+  struct Case {
+    const char* query;
+    bool any_element;
+    bool document;
+    std::vector<std::string> labels;
+  };
+  const Case cases[] = {
+      {"_*.a.c", false, false, {}},
+      {"_*.a.<<b", false, false, {}},
+      {"_*.a[b].c", false, false, {"a"}},
+      {"_*.a[b].c[d]", false, false, {"a", "c"}},
+      {"(_*.a | _*.c.b)[d]", false, false, {"a", "b"}},
+      {"_*.a?[b]", true, true, {}},
+      {"_*._[b]", true, false, {}},
+      {"_*[b]", true, true, {}},
+      {"_*.a[>>b]", false, true, {}},
+      {"_*.a[b[c]]", false, false, {"a", "b"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    ExprPtr e = MustParseRpeq(c.query);
+    CountingResultSink sink;
+    SpexEngine engine(*e, &sink);
+    const LabelSet& cuts = engine.network().sweep_cuts();
+    EXPECT_EQ(cuts.any_element, c.any_element);
+    EXPECT_EQ(cuts.document, c.document);
+    EXPECT_EQ(cuts.labels, c.labels);
+  }
+}
+
 }  // namespace
 }  // namespace spex

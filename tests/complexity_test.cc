@@ -14,8 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/dom_evaluator.h"
 #include "rpeq/parser.h"
 #include "spex/engine.h"
+#include "xml/dom.h"
 #include "xml/generators.h"
 
 namespace spex {
@@ -162,6 +164,36 @@ TEST(ComplexityTest, EndDocumentLeavesNoResidue) {
             stats.output.candidates_emitted + stats.output.candidates_dropped);
 }
 
+// `>>` outside qualifier bodies: FO collapses its armed disjunction to
+// `true` once it holds, so the formulas stay flat however long the stream
+// runs.  A disjunction over every closed context would grow linearly —
+// and the run time quadratically — with the stream: 2,859 / 5,691 /
+// 11,377 nodes at these three sizes.
+TEST(ComplexityTest, FollowingAxisFormulasFlatInStreamSize) {
+  ExprPtr q = MustParseRpeq("_*.Topic[editor].>>newsGroup");
+  std::vector<int64_t> peaks;
+  for (double scale : {0.004, 0.008, 0.016}) {
+    SCOPED_TRACE(scale);
+    const std::vector<StreamEvent> events = GenerateToVector(
+        [&](EventSink* s) { GenerateDmozLike(42, scale, false, s); });
+    SerializingResultSink sink;
+    SpexEngine engine(*q, &sink);
+    for (size_t i = 0; i < events.size(); i += 64) {
+      engine.OnEventBatch(events.data() + i,
+                          std::min<size_t>(64, events.size() - i));
+    }
+    peaks.push_back(engine.ComputeStats().max_formula_nodes);
+    Document doc;
+    std::string error;
+    ASSERT_TRUE(EventsToDocument(events, &doc, &error)) << error;
+    EXPECT_EQ(sink.results(), DomEvaluateToStrings(*q, doc));
+    EXPECT_FALSE(sink.results().empty());
+  }
+  EXPECT_LE(peaks[0], 2);
+  EXPECT_EQ(peaks[1], peaks[0]);
+  EXPECT_EQ(peaks[2], peaks[0]);
+}
+
 // The end-of-round variable GC is off for order-axis queries and in lazy
 // mode, yet the retired-variable list is cleared every round: only the
 // bindings outlive it.  (It used to grow by one entry per qualifier
@@ -182,15 +214,16 @@ TEST(ComplexityTest, SimplifyMemoWorkIndependentOfEarlierSessions) {
     GenerateDmozLike(42, 0.002, /*content=*/false, s);
   });
   const char kSmall[] = "_*.Topic[editor].newsGroup";
-  // `>>` keeps a disjunction over every closed Topic: formulas of ~1.4k
-  // nodes on this stream.
-  const char kLarge[] = "_*.Topic[editor].>>newsGroup";
+  // A qualifier under a wildcard closure on a 256-deep chain: disjunctions
+  // of ~500 nodes.
+  const char kLarge[] = "_*[a]._*";
+  const std::vector<StreamEvent> deep = Chain(256);
   int64_t fresh = 0;
   int64_t large = 0;
   int64_t after_large = 0;
   std::thread([&] { fresh = MemoSlotsClearedBy(kSmall, events); }).join();
   std::thread([&] {
-    large = MemoSlotsClearedBy(kLarge, events);
+    large = MemoSlotsClearedBy(kLarge, deep);
     after_large = MemoSlotsClearedBy(kSmall, events);
   }).join();
   EXPECT_GT(fresh, 0);

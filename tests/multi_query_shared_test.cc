@@ -210,12 +210,13 @@ TEST(SweepBuffers, Fig12NetworkHoldsOneBufferPerLiveTape) {
 }
 
 // 1000-query populations, condition-free (whole-batch sweeps) and with
-// qualifiers (one round per sweep), fed in 64-event batches: the coloured
-// buffers stay at the live-tape bound, far below the tape count, and every
-// slot's results equal an independent engine's byte for byte.
+// qualifiers (sweeps cut at qualifier-scope exits), fed in 64-event
+// batches: the coloured buffers stay at the live-tape bound, far below the
+// tape count, and every slot's results equal an independent engine's byte
+// for byte.
 TEST(SweepBuffers, PopulationHoldsOneBufferPerLiveTape) {
   // A ~200-event DMOZ-like document (a few 64-event batches) keeps 1000
-  // queries swept one round at a time quick, sanitizer builds included.
+  // independent reference engines quick, sanitizer builds included.
   const DocCase doc{"dmoz",
                     {"RDF", "Topic", "Title", "editor", "newsGroup", "_"},
                     GenerateToVector([](EventSink* s) {

@@ -19,9 +19,8 @@ namespace {
 class ProbeTransducer : public Transducer {
  public:
   ProbeTransducer() : Transducer("PROBE") {}
-  void ProcessBatch(int port, Message* messages, size_t count,
+  void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override {
-    (void)port;
     for (size_t i = 0; i < count; ++i) {
       seen.push_back(messages[i].ToString());
       out->Emit(0, std::move(messages[i]));
@@ -105,7 +104,7 @@ TEST(NetworkTest, ToDotEscapesLabelCharacters) {
   class HostileName : public Transducer {
    public:
     HostileName() : Transducer("CH(a\"b\\c\nd)") {}
-    void ProcessBatch(int, Message*, size_t, BatchEmitter*) override {}
+    void ProcessBatch(Message*, size_t, BatchEmitter*) override {}
   };
   Network net;
   int n1 = net.AddNode(std::make_unique<HostileName>());
@@ -123,71 +122,66 @@ TEST(NetworkTest, ToDotEscapesLabelCharacters) {
 TEST(InputTransducerTest, ActivatesOnceOnStartDocument) {
   InputTransducer in;
   TestEmitter e;
-  Feed(&in, 0, OpenDoc(), &e);
+  Feed(&in, OpenDoc(), &e);
   EXPECT_EQ(e.Summary(), "[true];<$>");
   e.Clear();
-  Feed(&in, 0, Open("a"), &e);
+  Feed(&in, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "<a>");  // no further activation
   e.Clear();
-  Feed(&in, 0, CloseDoc(), &e);
+  Feed(&in, CloseDoc(), &e);
   EXPECT_EQ(e.Summary(), "</$>");
 }
 
 TEST(UnionTransducerTest, MergesTwoActivations) {
   UnionTransducer un;
   TestEmitter e;
-  Feed(&un, 0, Activate(Formula::Var(1)), &e);
+  Feed(&un, Activate(Formula::Var(1)), &e);
   EXPECT_EQ(e.Summary(), "");  // stored (Fig. 10 rule 1)
-  Feed(&un, 0, Activate(Formula::Var(2)), &e);
+  Feed(&un, Activate(Formula::Var(2)), &e);
   EXPECT_EQ(e.Summary(), "[co0_1|co0_2]");  // rule 2
   e.Clear();
-  Feed(&un, 0, Open("a"), &e);
+  Feed(&un, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "<a>");  // no pending activation any more
 }
 
 TEST(UnionTransducerTest, ForwardsSingleActivationBeforeItsMessage) {
   UnionTransducer un;
   TestEmitter e;
-  Feed(&un, 0, Activate(Formula::Var(7)), &e);
-  Feed(&un, 0, Open("a"), &e);
+  Feed(&un, Activate(Formula::Var(7)), &e);
+  Feed(&un, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_7];<a>");  // rule 3
 }
 
 TEST(UnionTransducerTest, ForwardsDeterminations) {
   UnionTransducer un;
   TestEmitter e;
-  Feed(&un, 0, Activate(Formula::Var(7)), &e);
-  Feed(&un, 0, Message::Determination(9, true), &e);
+  Feed(&un, Activate(Formula::Var(7)), &e);
+  Feed(&un, Message::Determination(9, true), &e);
   EXPECT_EQ(e.Summary(), "{co0_9,true}");  // rule 4, store intact
   e.Clear();
-  Feed(&un, 0, Open("a"), &e);
+  Feed(&un, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "[co0_7];<a>");
 }
 
 TEST(IntersectTransducerTest, EmitsConjunctionOnlyWhenBothActivate) {
   IntersectTransducer is;
+  TransducerTrace trace;
+  is.set_trace(&trace);
   TestEmitter e;
-  // Round 1: both sides activate <a>.
-  Feed(&is, 0, Activate(Formula::Var(1)), &e);
-  Feed(&is, 0, Open("a"), &e);
-  EXPECT_EQ(e.Summary(), "");  // waits for the right copy
-  Feed(&is, 1, Activate(Formula::Var(2)), &e);
-  Feed(&is, 1, Open("a"), &e);
-  EXPECT_EQ(e.Summary(), "[co0_1&co0_2];<a>");
-  e.Clear();
-  // Round 2: only the left side activates <b>: plain forward.
-  Feed(&is, 0, Activate(Formula::Var(3)), &e);
-  Feed(&is, 0, Close("a"), &e);
-  Feed(&is, 1, Close("a"), &e);
-  EXPECT_EQ(e.Summary(), "</a>");
+  // Round 1: both sides activate <a>.  Round 2: only the left side
+  // activates: plain forward.
+  FeedPair(&is, {Activate(Formula::Var(1)), Open("a"),
+                 Activate(Formula::Var(3)), Close("a")},
+           {Activate(Formula::Var(2)), Open("a"), Close("a")}, &e);
+  EXPECT_EQ(e.Summary(), "[co0_1&co0_2];<a>;</a>");
+  EXPECT_EQ(trace.ToString(), "1 3");  // one group per round
 }
 
 TEST(IntersectTransducerTest, DeterminationsPassThrough) {
   IntersectTransducer is;
   TestEmitter e;
-  Feed(&is, 0, Message::Determination(5, true), &e);
-  Feed(&is, 0, Open("a"), &e);
-  Feed(&is, 1, Open("a"), &e);
+  FeedPair(&is, {Message::Determination(5, true), Open("a")}, {Open("a")},
+           &e);
   EXPECT_EQ(e.Summary(), "{co0_5,true};<a>");
 }
 

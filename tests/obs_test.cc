@@ -19,6 +19,7 @@
 #include "rpeq/parser.h"
 #include "spex/engine.h"
 #include "spex/multi_query.h"
+#include "xml/generators.h"
 #include "xml/xml_parser.h"
 
 namespace spex {
@@ -454,6 +455,39 @@ TEST(ObsEngineTest, DecisionDelayHistogramCountsEveryCandidate) {
   EXPECT_GT(delay->count, 0);
 }
 
+// OU times each candidate with its own round counter, so the delay
+// histogram does not depend on how rounds are grouped into sweeps: equal at
+// batch sizes 1, 7 and 64 for a condition-free query (whole-batch sweeps)
+// and a qualifier query (sweeps cut at </Topic>).
+TEST(ObsEngineTest, DecisionDelayIndependentOfSweepSize) {
+  const std::vector<StreamEvent> events = GenerateToVector([](EventSink* s) {
+    GenerateDmozLike(42, 0.002, /*content=*/true, s);
+  });
+  for (const char* text : {"_*.Topic.Title", "_*.Topic[link].Title"}) {
+    SCOPED_TRACE(text);
+    ExprPtr query = MustParseRpeq(text);
+    std::vector<std::vector<int64_t>> histograms;
+    for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+      CountingResultSink sink;
+      SpexEngine engine(*query, &sink);
+      for (size_t i = 0; i < events.size(); i += batch) {
+        engine.OnEventBatch(events.data() + i,
+                            std::min(batch, events.size() - i));
+      }
+      const Histogram* delay = engine.decision_delay();
+      ASSERT_NE(delay, nullptr);
+      std::vector<int64_t> h = {delay->count(), delay->sum(), delay->max()};
+      for (int b = 0; b < Histogram::kBuckets; ++b) {
+        h.push_back(delay->bucket(b));
+      }
+      histograms.push_back(std::move(h));
+    }
+    EXPECT_GT(histograms[0][0], 0);
+    EXPECT_EQ(histograms[1], histograms[0]);
+    EXPECT_EQ(histograms[2], histograms[0]);
+  }
+}
+
 // The golden trace round-trip: record a real run with a recorder attached,
 // export Chrome trace JSON, parse it back and check the spans form a proper
 // nesting — node-track spans must sit inside a stream-track (tid 0) span,
@@ -582,7 +616,7 @@ TEST(ObsEngineTest, WatermarkBatchGranularity) {
   // fires at the first batch boundary at or past each threshold, a batch
   // jumping several thresholds fires one collapsed callback, and the run's
   // final totals equal the per-event run's exactly (DESIGN.md §11).
-  ExprPtr query = MustParseRpeq("_*.book.title");  // batchable (no quals)
+  ExprPtr query = MustParseRpeq("_*.book.title");  // no sweep cuts
   std::vector<StreamEvent> events = Events(kDoc);
   const int64_t kEvery = 5;
   const size_t kBatch = 4;  // does not divide kEvery: boundaries drift

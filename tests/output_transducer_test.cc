@@ -23,7 +23,7 @@ class OutputTransducerTest : public ::testing::Test {
  protected:
   OutputTransducerTest() : ou_(&collector_, &context_) {}
 
-  void Send(Message m) { Feed(&ou_, 0, std::move(m), &emitter_); }
+  void Send(Message m) { Feed(&ou_, std::move(m), &emitter_); }
 
   RunContext context_;
   CollectingResultSink collector_;

@@ -157,7 +157,7 @@ TEST(ProfileTest, TimedReportInvariants) {
 }
 
 // Profiled runs time the same sweep as unprofiled ones: a qualifier query
-// fed in 64-event batches (one round per sweep) attributes every message
+// fed in 64-event batches (sweeps cut at </Topic>) attributes every message
 // and partitions its time.
 TEST(ProfileTest, QualifierQueryProfiledInBatches) {
   ExprPtr query = MustParseRpeq("_*.Topic[editor].Title");

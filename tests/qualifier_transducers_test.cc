@@ -15,11 +15,11 @@ TEST(VariableCreatorTest, CreatesInstancePerActivation) {
   RunContext context;
   VariableCreatorTransducer vc(0, &context);
   TestEmitter e;
-  Feed(&vc, 0, Activate(), &e);
+  Feed(&vc, Activate(), &e);
   EXPECT_EQ(e.Summary(), "[co0_0]");  // true AND co0_0 folds to co0_0
-  Feed(&vc, 0, Open("a"), &e);     // rule 5: scope opens
+  Feed(&vc, Open("a"), &e);     // rule 5: scope opens
   e.Clear();
-  Feed(&vc, 0, Activate(Formula::Var(MakeVarId(9, 9))), &e);
+  Feed(&vc, Activate(Formula::Var(MakeVarId(9, 9))), &e);
   EXPECT_EQ(e.Summary(), "[co9_9&co0_1]");  // second instance, conjoined
 }
 
@@ -27,10 +27,10 @@ TEST(VariableCreatorTest, ScopeExitInvalidatesUnsatisfiedInstance) {
   RunContext context;
   VariableCreatorTransducer vc(0, &context);
   TestEmitter e;
-  Feed(&vc, 0, Activate(), &e);
-  Feed(&vc, 0, Open("a"), &e);
+  Feed(&vc, Activate(), &e);
+  Feed(&vc, Open("a"), &e);
   e.Clear();
-  Feed(&vc, 0, Close("a"), &e);  // rule 4
+  Feed(&vc, Close("a"), &e);  // rule 4
   EXPECT_EQ(e.Summary(), "{co0_0,false};</a>");
   EXPECT_EQ(context.assignment.Get(MakeVarId(0, 0)), Truth::kFalse);
 }
@@ -40,11 +40,11 @@ TEST(VariableCreatorTest, ScopeExitSuppressedWhenAlreadySatisfied) {
   RunContext context;
   VariableCreatorTransducer vc(0, &context);
   TestEmitter e;
-  Feed(&vc, 0, Activate(), &e);
-  Feed(&vc, 0, Open("a"), &e);
+  Feed(&vc, Activate(), &e);
+  Feed(&vc, Open("a"), &e);
   context.assignment.Set(MakeVarId(0, 0), true);  // VD satisfied it
   e.Clear();
-  Feed(&vc, 0, Close("a"), &e);
+  Feed(&vc, Close("a"), &e);
   EXPECT_EQ(e.Summary(), "</a>");
 }
 
@@ -52,19 +52,19 @@ TEST(VariableCreatorTest, NestedScopesUseStackDiscipline) {
   RunContext context;
   VariableCreatorTransducer vc(0, &context);
   TestEmitter e;
-  Feed(&vc, 0, Activate(), &e);   // co0_0
-  Feed(&vc, 0, Open("a"), &e);    // scope 0 opens
-  Feed(&vc, 0, Activate(), &e);   // co0_1
-  Feed(&vc, 0, Open("b"), &e);    // scope 1 opens (nested)
-  Feed(&vc, 0, Open("x"), &e);    // plain level
+  Feed(&vc, Activate(), &e);   // co0_0
+  Feed(&vc, Open("a"), &e);    // scope 0 opens
+  Feed(&vc, Activate(), &e);   // co0_1
+  Feed(&vc, Open("b"), &e);    // scope 1 opens (nested)
+  Feed(&vc, Open("x"), &e);    // plain level
   e.Clear();
-  Feed(&vc, 0, Close("x"), &e);   // rule 3
+  Feed(&vc, Close("x"), &e);   // rule 3
   EXPECT_EQ(e.Summary(), "</x>");
   e.Clear();
-  Feed(&vc, 0, Close("b"), &e);   // rule 4: inner instance dies first
+  Feed(&vc, Close("b"), &e);   // rule 4: inner instance dies first
   EXPECT_EQ(e.Summary(), "{co0_1,false};</b>");
   e.Clear();
-  Feed(&vc, 0, Close("a"), &e);
+  Feed(&vc, Close("a"), &e);
   EXPECT_EQ(e.Summary(), "{co0_0,false};</a>");
 }
 
@@ -72,7 +72,7 @@ TEST(VariableCreatorTest, ForwardsDeterminations) {
   RunContext context;
   VariableCreatorTransducer vc(0, &context);
   TestEmitter e;
-  Feed(&vc, 0, Message::Determination(MakeVarId(1, 1), true), &e);
+  Feed(&vc, Message::Determination(MakeVarId(1, 1), true), &e);
   EXPECT_EQ(e.Summary(), "{co1_1,true}");
 }
 
@@ -84,7 +84,7 @@ TEST(VariableFilterTest, PositiveKeepsOwnAndInnerVariables) {
   Formula f = Formula::And(
       Formula::Var(MakeVarId(0, 0)),
       Formula::And(Formula::Var(MakeVarId(1, 0)), Formula::Var(MakeVarId(2, 0))));
-  Feed(&vf, 0, Message::Activation(f), &e);
+  Feed(&vf, Message::Activation(f), &e);
   EXPECT_EQ(e.Summary(), "[co1_0&co2_0]");  // outer erased, inner kept
 }
 
@@ -92,9 +92,9 @@ TEST(VariableFilterTest, PositiveDropsActivationsWithoutOwnVariable) {
   RunContext context;
   VariableFilterTransducer vf(1, true, &context);
   TestEmitter e;
-  Feed(&vf, 0, Message::Activation(Formula::Var(MakeVarId(0, 0))), &e);
+  Feed(&vf, Message::Activation(Formula::Var(MakeVarId(0, 0))), &e);
   EXPECT_EQ(e.Summary(), "");
-  Feed(&vf, 0, Message::Activation(Formula::True()), &e);
+  Feed(&vf, Message::Activation(Formula::True()), &e);
   EXPECT_EQ(e.Summary(), "");
 }
 
@@ -104,7 +104,7 @@ TEST(VariableFilterTest, NegativeErasesOwnVariables) {
   TestEmitter e;
   Formula f = Formula::And(Formula::Var(MakeVarId(0, 0)),
                            Formula::Var(MakeVarId(1, 0)));
-  Feed(&vf, 0, Message::Activation(f), &e);
+  Feed(&vf, Message::Activation(f), &e);
   EXPECT_EQ(e.Summary(), "[co0_0]");
 }
 
@@ -112,8 +112,8 @@ TEST(VariableFilterTest, ForwardsDocumentsAndDeterminations) {
   RunContext context;
   VariableFilterTransducer vf(0, true, &context);
   TestEmitter e;
-  Feed(&vf, 0, Open("a"), &e);
-  Feed(&vf, 0, Message::Determination(MakeVarId(0, 0), false), &e);
+  Feed(&vf, Open("a"), &e);
+  Feed(&vf, Message::Determination(MakeVarId(0, 0), false), &e);
   EXPECT_EQ(e.Summary(), "<a>;{co0_0,false}");
 }
 
@@ -121,7 +121,7 @@ TEST(VariableDeterminantTest, UnconditionalInstanceIsSatisfiedImmediately) {
   RunContext context;
   VariableDeterminantTransducer vd(0, &context);
   TestEmitter e;
-  Feed(&vd, 0, Message::Activation(Formula::Var(MakeVarId(0, 3))), &e);
+  Feed(&vd, Message::Activation(Formula::Var(MakeVarId(0, 3))), &e);
   EXPECT_EQ(e.Summary(), "{co0_3,true}");
   EXPECT_EQ(context.assignment.Get(MakeVarId(0, 3)), Truth::kTrue);
   EXPECT_EQ(vd.pending_count(), 0u);
@@ -131,8 +131,8 @@ TEST(VariableDeterminantTest, DuplicateSatisfactionEmitsOnce) {
   RunContext context;
   VariableDeterminantTransducer vd(0, &context);
   TestEmitter e;
-  Feed(&vd, 0, Message::Activation(Formula::Var(MakeVarId(0, 3))), &e);
-  Feed(&vd, 0, Message::Activation(Formula::Var(MakeVarId(0, 3))), &e);
+  Feed(&vd, Message::Activation(Formula::Var(MakeVarId(0, 3))), &e);
+  Feed(&vd, Message::Activation(Formula::Var(MakeVarId(0, 3))), &e);
   EXPECT_EQ(e.Summary(), "{co0_3,true}");
 }
 
@@ -144,14 +144,14 @@ TEST(VariableDeterminantTest, ConditionalInstanceWaitsForInnerVariable) {
   TestEmitter e;
   Formula f = Formula::And(Formula::Var(MakeVarId(0, 0)),
                            Formula::Var(MakeVarId(1, 0)));
-  Feed(&vd, 0, Message::Activation(f), &e);
+  Feed(&vd, Message::Activation(f), &e);
   EXPECT_EQ(e.Summary(), "");  // pending, not satisfied yet
   EXPECT_EQ(vd.pending_count(), 1u);
   // The inner qualifier is satisfied: the pending instance resolves on the
   // next determination passing through.
   context.assignment.Set(MakeVarId(1, 0), true);
   e.Clear();
-  Feed(&vd, 0, Message::Determination(MakeVarId(1, 0), true), &e);
+  Feed(&vd, Message::Determination(MakeVarId(1, 0), true), &e);
   EXPECT_EQ(e.Summary(), "{co0_0,true}");
   EXPECT_EQ(vd.pending_count(), 0u);
 }
@@ -162,10 +162,10 @@ TEST(VariableDeterminantTest, ConditionalInstanceDroppedWhenInnerFails) {
   TestEmitter e;
   Formula f = Formula::And(Formula::Var(MakeVarId(0, 0)),
                            Formula::Var(MakeVarId(1, 0)));
-  Feed(&vd, 0, Message::Activation(f), &e);
+  Feed(&vd, Message::Activation(f), &e);
   context.assignment.Set(MakeVarId(1, 0), false);
   e.Clear();
-  Feed(&vd, 0, Message::Determination(MakeVarId(1, 0), false), &e);
+  Feed(&vd, Message::Determination(MakeVarId(1, 0), false), &e);
   EXPECT_EQ(e.Summary(), "");  // never satisfied; VC's scope exit decides
   EXPECT_EQ(vd.pending_count(), 0u);
   EXPECT_EQ(context.assignment.Get(MakeVarId(0, 0)), Truth::kUnknown);
@@ -181,7 +181,7 @@ TEST(VariableDeterminantTest, DisjunctionIsolatesInstances) {
       Formula::Or(Formula::And(Formula::Var(MakeVarId(0, 1)),
                                Formula::Var(MakeVarId(1, 0))),
                   Formula::Var(MakeVarId(0, 2)));
-  Feed(&vd, 0, Message::Activation(f), &e);
+  Feed(&vd, Message::Activation(f), &e);
   EXPECT_EQ(e.Summary(), "{co0_2,true}");
   EXPECT_EQ(vd.pending_count(), 1u);
   EXPECT_EQ(context.assignment.Get(MakeVarId(0, 1)), Truth::kUnknown);
@@ -192,9 +192,9 @@ TEST(VariableDeterminantTest, DropsIncomingDeterminations) {
   RunContext context;
   VariableDeterminantTransducer vd(0, &context);
   TestEmitter e;
-  Feed(&vd, 0, Message::Determination(MakeVarId(5, 5), true), &e);
+  Feed(&vd, Message::Determination(MakeVarId(5, 5), true), &e);
   EXPECT_EQ(e.Summary(), "");
-  Feed(&vd, 0, Open("a"), &e);
+  Feed(&vd, Open("a"), &e);
   EXPECT_EQ(e.Summary(), "<a>");  // documents forward
 }
 

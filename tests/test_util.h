@@ -48,20 +48,38 @@ class TestEmitter {
   std::vector<std::pair<int, Message>> messages_;
 };
 
-// Hands `message` to `t` on input `port` as a one-message batch — the
-// transducer's one entry point, exactly as a one-round network sweep calls
-// it — and records the emissions in `out`, port 0's before port 1's (only
+// Records a node call's emissions in `out`, port 0's before port 1's (only
 // SP writes both, one message each).
-inline void Feed(Transducer* t, int port, Message message, TestEmitter* out) {
+inline void RecordEmitted(std::vector<Message> (&emitted)[2],
+                          TestEmitter* out) {
+  for (int p = 0; p < 2; ++p) {
+    for (Message& m : emitted[p]) out->Record(p, std::move(m));
+  }
+}
+
+// Hands `message` to the one-input `t` as a one-message batch — the
+// transducer's entry point, exactly as a one-round network sweep calls it —
+// and records the emissions in `out`.
+inline void Feed(Transducer* t, Message message, TestEmitter* out) {
   std::vector<Message> in;
   in.push_back(std::move(message));
   std::vector<Message> emitted[2];
   BatchEmitter emitter(&emitted[0], &emitted[1], &in);
-  t->OnBatch(port, in.data(), in.size(), &emitter);
+  t->OnBatch(in.data(), in.size(), &emitter);
   emitter.Finish();
-  for (int p = 0; p < 2; ++p) {
-    for (Message& m : emitted[p]) out->Record(p, std::move(m));
-  }
+  RecordEmitted(emitted, out);
+}
+
+// Hands `left` and `right` to the two-input `t` (JO, IS) as one sweep's
+// pending sequences of its two input tapes — which hold the same rounds —
+// and records the emissions in `out`.
+inline void FeedPair(Transducer* t, std::vector<Message> left,
+                     std::vector<Message> right, TestEmitter* out) {
+  std::vector<Message> emitted[2];
+  BatchEmitter emitter(&emitted[0], &emitted[1], &left);
+  t->OnPair(left.data(), left.size(), right.data(), right.size(), &emitter);
+  emitter.Finish();
+  RecordEmitted(emitted, out);
 }
 
 // Injects `message` at `node`'s input `port` as a one-message sweep.
@@ -81,6 +99,11 @@ class NetworkTraces {
     for (int i = 0; i < network->node_count(); ++i) {
       network->node(i)->set_trace(&traces_[static_cast<size_t>(i)]);
     }
+  }
+
+  // Trace of node `node`.
+  const TransducerTrace& at(int node) const {
+    return traces_[static_cast<size_t>(node)];
   }
 
   // Trace of the first transducer named `name` (e.g. "CH(a)"), or nullptr.

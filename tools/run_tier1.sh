@@ -54,21 +54,31 @@ echo "tier1: explain/profile smoke OK"
 
 # Batch-granularity parity smoke (DESIGN.md §11): every batch size feeds the
 # network's one delivery path, so plain, order-axis and qualifier queries
-# give byte-identical results at 1, 7 and 64 events per batch.
+# (nested, on a wildcard base, joined by '&', under '>>') give byte-identical
+# results at 1, 7 and 64 events per batch — and every node reads and writes
+# the same tapes: the per-node message counts of --profile=json agree too.
 parity_dir="$(mktemp -d)"
 for query in '_*.book[author].title' '_*.author.>>title' '_*.title.<<author' \
-    '_*.book[title.<<author].price' '_*.book[author.>>price]'; do
+    '_*.book[title.<<author].price' '_*.book[author.>>price]' \
+    '_*.catalog[book[author]].journal' '_*._[author].title' \
+    '(_*.book[author] & _*._[price]).title' '_*.author.>>book[price]'; do
   for batch in 1 7 64; do
     "$binary_dir/tools/spexquery" --batch-size="$batch" "$query" \
-      examples/data/catalog.xml >"$parity_dir/$batch.out" || {
+      examples/data/catalog.xml >"$parity_dir/$batch.out" &&
+    "$binary_dir/tools/spexquery" --batch-size="$batch" --profile=json \
+      "$query" examples/data/catalog.xml |
+      grep -o '"id": [0-9]*, "name": "[^"]*"\|"messages_[a-z]*": [0-9]*' \
+      >"$parity_dir/$batch.tapes" || {
       echo "tier1: batch parity smoke: spexquery failed on $query" >&2
       rm -rf "$parity_dir"
       exit 1
     }
   done
-  if [ ! -s "$parity_dir/1.out" ] ||
+  if [ ! -s "$parity_dir/1.out" ] || [ ! -s "$parity_dir/1.tapes" ] ||
       ! cmp -s "$parity_dir/1.out" "$parity_dir/7.out" ||
-      ! cmp -s "$parity_dir/1.out" "$parity_dir/64.out"; then
+      ! cmp -s "$parity_dir/1.out" "$parity_dir/64.out" ||
+      ! cmp -s "$parity_dir/1.tapes" "$parity_dir/7.tapes" ||
+      ! cmp -s "$parity_dir/1.tapes" "$parity_dir/64.tapes"; then
     echo "tier1: batch parity smoke failed on $query" >&2
     rm -rf "$parity_dir"
     exit 1
