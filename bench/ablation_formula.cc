@@ -3,7 +3,7 @@
 // shared-DAG ("factored", Remark V.1) representation used by this library
 // stays polynomial.  Sweeps n and d on nested documents and reports the
 // peak DAG node count against the DNF-expanded literal count of the same
-// formulas, plus the run time of eager vs lazy formula updating.
+// formulas.
 
 #include <cstdio>
 #include <string>
@@ -75,26 +75,6 @@ void SweepDepth() {
   }
 }
 
-void EagerVsLazy() {
-  std::printf("\neager vs lazy formula updating (update(c,v,beta) at every "
-              "transducer\nvs evaluation at OU only); query %s, depth 128\n",
-              WorstCaseQuery(2).c_str());
-  std::printf("%8s %12s %16s\n", "mode", "time[ms]", "assignment size");
-  bench::PrintRule(40);
-  std::vector<StreamEvent> doc = NestedDoc(128);
-  ExprPtr q = MustParseRpeq(WorstCaseQuery(2));
-  for (bool eager : {true, false}) {
-    EngineOptions options;
-    options.eager_formula_update = eager;
-    bench::Timer timer;
-    CountingResultSink sink;
-    SpexEngine engine(*q, &sink, options);
-    for (const StreamEvent& e : doc) engine.OnEvent(e);
-    std::printf("%8s %12.2f %16zu\n", eager ? "eager" : "lazy",
-                timer.Seconds() * 1e3, engine.context().assignment.size());
-  }
-}
-
 }  // namespace
 }  // namespace spex
 
@@ -107,6 +87,5 @@ int main() {
               "DNF would grow like d^n.\n");
   SweepQualifierCount();
   SweepDepth();
-  EagerVsLazy();
   return 0;
 }

@@ -377,11 +377,7 @@ class Observation {
 // cut only at qualifier-scope exits.
 void FeedStream(SpexEngine* engine, const std::vector<StreamEvent>& events,
                 int batch_size) {
-  const size_t step = batch_size > 1 ? static_cast<size_t>(batch_size) : 1;
-  if (step <= 1) {
-    for (const StreamEvent& e : events) engine->OnEvent(e);
-    return;
-  }
+  const size_t step = static_cast<size_t>(std::max(1, batch_size));
   for (size_t i = 0; i < events.size(); i += step) {
     engine->OnEventBatch(events.data() + i,
                          std::min(step, events.size() - i));

@@ -184,16 +184,11 @@ void StreamSession::ProcessEvents(const EventBatch& batch,
     // Batch-native delivery: hand the pool batch to the engine in
     // EngineOptions::batch_size chunks (the engine cuts its sweeps where
     // the query requires it).
-    const size_t step =
-        base.batch_size > 1 ? static_cast<size_t>(base.batch_size) : 1;
+    const size_t step = static_cast<size_t>(std::max(1, base.batch_size));
     const StreamEvent* events = batch->data();
     const size_t total = batch->size();
-    if (step <= 1) {
-      for (size_t i = 0; i < total; ++i) engine_->OnEvent(events[i]);
-    } else {
-      for (size_t i = 0; i < total; i += step) {
-        engine_->OnEventBatch(events + i, std::min(step, total - i));
-      }
+    for (size_t i = 0; i < total; i += step) {
+      engine_->OnEventBatch(events + i, std::min(step, total - i));
     }
     return Status::Ok();
   });

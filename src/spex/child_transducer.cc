@@ -54,11 +54,7 @@ void ChildTransducer::Process(Message&& message, BatchEmitter* out) {
 
     case MessageKind::kDetermination:  // (13)
       Fire(13);
-      if (context_->options.eager_formula_update) {
-        for (Formula& f : cond_) {
-          f = f.PruneFalse(context_->assignment, round_);
-        }
-      }
+      for (Formula& f : cond_) f = f.PruneFalse(context_->assignment, round_);
       EmitTo(out, 0, std::move(message));
       return;
 

@@ -49,11 +49,7 @@ void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
 
     case MessageKind::kDetermination:  // (14)
       Fire(14);
-      if (context_->options.eager_formula_update) {
-        for (Formula& f : cond_) {
-          f = f.PruneFalse(context_->assignment, round_);
-        }
-      }
+      for (Formula& f : cond_) f = f.PruneFalse(context_->assignment, round_);
       EmitTo(out, 0, std::move(message));
       return;
 

@@ -182,10 +182,9 @@ int NetworkBuilder::CompileExpr(const Expr& e, int in_tape) {
 
     case ExprKind::kFollowing:
       // >>label : FO(label) — streamed directly (paper §I extension).
-      context_->allow_variable_gc = false;
       return AddUnary(std::make_unique<FollowingTransducer>(
                           e.label, e.is_wildcard, context_,
-                          /*in_qualifier_body=*/qualifier_body_depth_ > 0),
+                          enclosing_qualifiers_),
                       in_tape, ElementSet(e.label, e.is_wildcard), &e);
 
     case ExprKind::kPreceding: {
@@ -193,8 +192,7 @@ int NetworkBuilder::CompileExpr(const Expr& e, int in_tape) {
       // variables (own qualifier-id namespace); evidence mode inside
       // qualifier bodies (see ValidateQuery), where PR re-emits the
       // context's activation instead.
-      context_->allow_variable_gc = false;
-      const bool evidence = qualifier_body_depth_ > 0;
+      const bool evidence = !enclosing_qualifiers_.empty();
       int activates = ElementSet(e.label, e.is_wildcard);
       if (evidence) activates = UnionSet(activates, Activates(in_tape));
       return AddUnary(
@@ -225,9 +223,9 @@ int NetworkBuilder::CompileQualifier(const Expr& q, int in_tape) {
                               qid, context_, defer, scope_exits),
                           in_tape, Activates(in_tape), &q);
   auto [t1, t2] = AddSplit(after_vc, &q);
-  ++qualifier_body_depth_;
+  enclosing_qualifiers_.push_back(qid);
   int body = CompileExpr(q, t2);
-  --qualifier_body_depth_;
+  enclosing_qualifiers_.pop_back();
   int filtered =
       AddUnary(std::make_unique<VariableFilterTransducer>(qid,
                                                           /*positive=*/true,

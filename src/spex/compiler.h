@@ -72,7 +72,8 @@ class NetworkBuilder {
   RunContext* context_;
   int input_node_ = -1;
   uint32_t next_qualifier_id_ = 0;
-  int qualifier_body_depth_ = 0;
+  // Ids of the qualifiers whose body is being compiled, innermost last.
+  std::vector<uint32_t> enclosing_qualifiers_;
   std::vector<LabelSet> sets_;
   std::vector<int> element_sets_;  // by label Symbol, -1 = none yet
   std::vector<int> activates_;     // by tape id

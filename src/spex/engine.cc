@@ -30,8 +30,8 @@ std::unique_ptr<RunCore> QueryTemplate::Instantiate(
 namespace {
 
 // Shared body of the one-shot helpers: evaluates into a `Sink`, feeding at
-// the configured granularity (1 = per event), which also sweeps whole
-// batches in every helper-driven test.
+// the configured granularity, which also sweeps whole batches in every
+// helper-driven test.
 template <typename Sink>
 auto Evaluate(const Expr& query, const std::vector<StreamEvent>& events,
               EngineOptions options) {
@@ -39,11 +39,7 @@ auto Evaluate(const Expr& query, const std::vector<StreamEvent>& events,
   SpexEngine engine(query, &sink, options);
   const size_t step = static_cast<size_t>(std::max(1, options.batch_size));
   for (size_t i = 0; i < events.size(); i += step) {
-    if (step == 1) {
-      engine.OnEvent(events[i]);
-    } else {
-      engine.OnEventBatch(events.data() + i, std::min(step, events.size() - i));
-    }
+    engine.OnEventBatch(events.data() + i, std::min(step, events.size() - i));
   }
   return sink.results();
 }

@@ -318,19 +318,35 @@ Truth EvaluateRec(const FormulaNode* n, const Assignment& assignment,
   return result;
 }
 
-// True if rewriting under `assignment` would change the formula: some
-// reachable variable is bound false (prune_false_only) or bound at all.
-// Marks visited nodes so shared subtrees are checked once.
-bool AnyBoundRec(const FormulaNode* n, const Assignment& assignment,
-                 int64_t as_of, bool prune_false_only, uint64_t epoch) {
+// What a rewrite substitutes for a variable: its binding as of `as_of` —
+// except that PruneFalse keeps variables bound true symbolic, and that the
+// variables of the `kept` qualifiers stay symbolic whatever their binding
+// (they are not even read).
+struct Substitution {
+  const Assignment& assignment;
+  int64_t as_of;
+  bool prune_false_only;
+  const std::vector<uint32_t>* kept;
+
+  Truth Of(VarId var) const {
+    if (kept != nullptr && std::find(kept->begin(), kept->end(),
+                                     VarQualifier(var)) != kept->end()) {
+      return Truth::kUnknown;
+    }
+    const Truth t = assignment.Get(var, as_of);
+    return prune_false_only && t == Truth::kTrue ? Truth::kUnknown : t;
+  }
+};
+
+// True if rewriting under `sub` would change the formula: some reachable
+// variable is substituted.  Marks visited nodes so shared subtrees are
+// checked once.
+bool AnyBoundRec(const FormulaNode* n, const Substitution& sub,
+                 uint64_t epoch) {
   if (n->mark == epoch) return false;
   n->mark = epoch;
-  if (n->op == FormulaNode::Op::kVar) {
-    Truth t = assignment.Get(n->var, as_of);
-    return prune_false_only ? t == Truth::kFalse : t != Truth::kUnknown;
-  }
-  return AnyBoundRec(n->left, assignment, as_of, prune_false_only, epoch) ||
-         AnyBoundRec(n->right, assignment, as_of, prune_false_only, epoch);
+  if (n->op == FormulaNode::Op::kVar) return sub.Of(n->var) != Truth::kUnknown;
+  return AnyBoundRec(n->left, sub, epoch) || AnyBoundRec(n->right, sub, epoch);
 }
 
 // Reusable pointer-keyed memo for SimplifyRec.  A fresh unordered_map per
@@ -411,16 +427,15 @@ SimplifyMemo* ThreadSimplifyMemo() {
   return &memo;
 }
 
-Formula SimplifyRec(const FormulaNode* n, const Assignment& assignment,
-                    int64_t as_of, bool prune_false_only, SimplifyMemo* memo) {
+Formula SimplifyRec(const FormulaNode* n, const Substitution& sub,
+                    SimplifyMemo* memo) {
   if (Formula* hit = memo->Find(n)) return *hit;
   Formula result;
   switch (n->op) {
     case FormulaNode::Op::kVar:
-      switch (assignment.Get(n->var, as_of)) {
+      switch (sub.Of(n->var)) {
         case Truth::kTrue:
-          result =
-              prune_false_only ? Formula::Var(n->var) : Formula::True();
+          result = Formula::True();
           break;
         case Truth::kFalse:
           result = Formula::False();
@@ -431,18 +446,29 @@ Formula SimplifyRec(const FormulaNode* n, const Assignment& assignment,
       }
       break;
     case FormulaNode::Op::kAnd:
-      result = Formula::And(
-          SimplifyRec(n->left, assignment, as_of, prune_false_only, memo),
-          SimplifyRec(n->right, assignment, as_of, prune_false_only, memo));
+      result = Formula::And(SimplifyRec(n->left, sub, memo),
+                            SimplifyRec(n->right, sub, memo));
       break;
     case FormulaNode::Op::kOr:
-      result = Formula::Or(
-          SimplifyRec(n->left, assignment, as_of, prune_false_only, memo),
-          SimplifyRec(n->right, assignment, as_of, prune_false_only, memo));
+      result = Formula::Or(SimplifyRec(n->left, sub, memo),
+                           SimplifyRec(n->right, sub, memo));
       break;
   }
   memo->Insert(n, result);
   return result;
+}
+
+// The body of Simplify and PruneFalse: `f`, whose root is `node`, rewritten
+// under `sub`.
+Formula Rewrite(const Formula& f, const FormulaNode* node,
+                const Substitution& sub) {
+  if (node == nullptr || sub.assignment.empty() ||
+      !AnyBoundRec(node, sub, Pool().NextEpoch())) {
+    return f;  // nothing to substitute: share the existing DAG
+  }
+  SimplifyMemo* memo = ThreadSimplifyMemo();
+  MemoScope scope{memo};
+  return SimplifyRec(node, sub, memo);
 }
 
 void CollectVarsRec(const FormulaNode* n, uint64_t epoch,
@@ -551,31 +577,17 @@ int64_t Formula::SimplifyMemoSlotsCleared() {
   return ThreadSimplifyMemo()->slots_cleared();
 }
 
-Formula Formula::Simplify(const Assignment& assignment, int64_t as_of) const {
-  if (node_ == nullptr) return *this;
-  if (assignment.empty() ||
-      !AnyBoundRec(node_, assignment, as_of, /*prune_false_only=*/false,
-                   Pool().NextEpoch())) {
-    return *this;  // nothing to fold: share the existing DAG
-  }
-  SimplifyMemo* memo = ThreadSimplifyMemo();
-  MemoScope scope{memo};
-  return SimplifyRec(node_, assignment, as_of, /*prune_false_only=*/false,
-                     memo);
+Formula Formula::Simplify(const Assignment& assignment, int64_t as_of,
+                          const std::vector<uint32_t>* kept) const {
+  return Rewrite(*this, node_,
+                 {assignment, as_of, /*prune_false_only=*/false, kept});
 }
 
 Formula Formula::PruneFalse(const Assignment& assignment,
                             int64_t as_of) const {
-  if (node_ == nullptr) return *this;
-  if (assignment.empty() ||
-      !AnyBoundRec(node_, assignment, as_of, /*prune_false_only=*/true,
-                   Pool().NextEpoch())) {
-    return *this;  // no false variable reachable: share the existing DAG
-  }
-  SimplifyMemo* memo = ThreadSimplifyMemo();
-  MemoScope scope{memo};
-  return SimplifyRec(node_, assignment, as_of, /*prune_false_only=*/true,
-                     memo);
+  return Rewrite(*this, node_,
+                 {assignment, as_of, /*prune_false_only=*/true,
+                  /*kept=*/nullptr});
 }
 
 void Formula::AppendVariables(std::vector<VarId>* out) const {

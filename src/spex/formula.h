@@ -200,8 +200,11 @@ class Formula {
 
   // Rewrites the formula under the assignment, folding determined variables
   // away (the paper's update(c, v, beta) applied to the whole stack entry).
+  // The variables of the qualifiers listed in `kept`, if given, stay
+  // symbolic whatever their binding, and are not read.
   Formula Simplify(const Assignment& assignment,
-                   int64_t as_of = Assignment::kLatest) const;
+                   int64_t as_of = Assignment::kLatest,
+                   const std::vector<uint32_t>* kept = nullptr) const;
 
   // Like Simplify, but substitutes only variables determined *false* (prunes
   // dead disjuncts).  Variables determined true are kept symbolic: network

@@ -105,8 +105,9 @@ void RegisterContextCollectors(obs::MetricRegistry* registry,
 std::string PredictCostClass(std::string_view transducer_name) {
   // §V per-message bounds by transducer family: label testers pay O(1) per
   // message with an O(d) depth stack; formula manipulators pay time linear
-  // in the (factored) formula size; the order axes pin condition variables
-  // (no end-of-round GC); OU may buffer undecided candidates.
+  // in the (factored) formula size — FO inside a `>>` qualifier body keeps
+  // every enclosing instance it armed symbolic until `</$>`, so its formula
+  // grows with them; OU may buffer undecided candidates.
   const std::string_view base =
       transducer_name.substr(0, transducer_name.find('('));
   if (base == "IN") return "O(1)/event source";
@@ -116,8 +117,8 @@ std::string PredictCostClass(std::string_view transducer_name) {
   if (base == "IS" || base == "VF") return "formula and-merge O(|f|)";
   if (base == "VC") return "stack O(d), one var per match";
   if (base == "VD") return "O(1)/msg determinations";
-  if (base == "FO") return "formula O(|f|), pins vars";
-  if (base == "PR") return "speculative O(|f|), pins vars";
+  if (base == "FO") return "formula O(|f|)";
+  if (base == "PR") return "speculative O(|f|)";
   if (base == "OU") return "buffers undecided candidates";
   return "unclassified";
 }

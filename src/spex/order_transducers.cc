@@ -4,15 +4,15 @@
 
 namespace spex {
 
-FollowingTransducer::FollowingTransducer(std::string label, bool wildcard,
-                                         RunContext* context,
-                                         bool in_qualifier_body)
+FollowingTransducer::FollowingTransducer(
+    std::string label, bool wildcard, RunContext* context,
+    std::vector<uint32_t> enclosing_qualifiers)
     : Transducer("FO(" + (wildcard ? std::string("_") : label) + ")"),
       label_(std::move(label)),
       wildcard_(wildcard),
       symbol_(wildcard ? kNoSymbol : context->symbol_table()->Intern(label_)),
       context_(context),
-      in_qualifier_body_(in_qualifier_body) {}
+      enclosing_qualifiers_(std::move(enclosing_qualifiers)) {}
 
 bool FollowingTransducer::Matches(const Message& m) const {
   if (!m.is_document() || m.event_kind != EventKind::kStartElement) {
@@ -32,11 +32,8 @@ void FollowingTransducer::ProcessBatch(Message* messages, size_t count,
   }
 }
 
-void FollowingTransducer::CollapseArmed() {
-  if (!in_qualifier_body_ && !armed_.is_constant() &&
-      armed_.Evaluate(context_->assignment, round_) == Truth::kTrue) {
-    armed_ = Formula::True();
-  }
+Formula FollowingTransducer::Update(const Formula& f) const {
+  return f.Simplify(context_->assignment, round_, &enclosing_qualifiers_);
 }
 
 void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
@@ -52,16 +49,10 @@ void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
       return;
     case MessageKind::kDetermination:
       Fire(5);
-      if (context_->options.eager_formula_update) {
-        armed_ = armed_.PruneFalse(context_->assignment, round_);
-        for (Level& level : depth_) {
-          if (level.has_formula) {
-            level.formula =
-                level.formula.PruneFalse(context_->assignment, round_);
-          }
-        }
+      armed_ = Update(armed_);
+      for (Level& level : depth_) {
+        if (level.has_formula) level.formula = Update(level.formula);
       }
-      CollapseArmed();
       EmitTo(out, 0, std::move(message));
       return;
     case MessageKind::kDocument:
@@ -102,9 +93,8 @@ void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
   depth_.pop_back();
   Fire(4);
   if (level.has_formula) {
-    armed_ = Formula::Or(armed_, level.formula);
+    armed_ = Update(Formula::Or(armed_, level.formula));
     NoteFormula(armed_);
-    CollapseArmed();
   }
   if (depth_.empty()) {
     // End of the document: nothing follows </$>.

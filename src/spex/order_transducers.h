@@ -34,27 +34,31 @@ namespace spex {
 
 class FollowingTransducer : public Transducer {
  public:
-  // `in_qualifier_body` (set by the compiler for steps inside a qualifier
-  // body) keeps the armed formula symbolic: VF and VD attribute a body match
-  // to its qualifier instances by the variables it carries.
+  // `enclosing_qualifiers` are the ids of the qualifiers whose bodies hold
+  // this step, innermost last (set by the compiler).  Their variables stay
+  // symbolic in FO's formulas: VF and VD, downstream, attribute a body match
+  // to its qualifier instances by them, and VD binds them — FO reading them
+  // would depend on how far a sweep ran ahead of VD.
   FollowingTransducer(std::string label, bool wildcard, RunContext* context,
-                      bool in_qualifier_body = false);
+                      std::vector<uint32_t> enclosing_qualifiers = {});
 
  private:
   void ProcessBatch(Message* messages, size_t count,
                     BatchEmitter* out) override;
   bool Matches(const Message& m) const;
   void Process(Message&& message, BatchEmitter* out);
-  // Outside qualifier bodies, replaces an armed formula that holds as of
-  // this round by `true`: bindings are monotone, so it can only stay true,
-  // and the disjunction would otherwise grow with every closed context.
-  void CollapseArmed();
+  // The rewrite rule (the paper's update(c,v,beta)): substitutes every
+  // variable bound as of this round except the enclosing qualifiers'.  An
+  // armed disjunct that holds folds the formula to `true`, and no retired
+  // variable survives its round in a formula, so the end-of-sweep GC may
+  // erase its binding.
+  Formula Update(const Formula& f) const;
 
   std::string label_;
   bool wildcard_;
   Symbol symbol_;  // label_ interned at construction; one compare per event
   RunContext* context_;
-  bool in_qualifier_body_;
+  std::vector<uint32_t> enclosing_qualifiers_;
   // Depth stack; levels carrying a pending activation hold its formula,
   // which is armed (merged into armed_) when the level closes.
   struct Level {

@@ -261,6 +261,10 @@ void VariableDeterminantTransducer::Process(Message&& message,
         if (VarQualifier(v) == qualifier_id_) own_scratch_.push_back(v);
       }
       for (VarId v : own_scratch_) {
+        // An instance already decided needs no evidence.  Only VC, upstream,
+        // and VD itself bind own variables, so this read is the same
+        // whatever the sweep size.
+        if (context_->assignment.Get(v, round_) != Truth::kUnknown) continue;
         // Fresh isolation assignment (NOT a copy of the global one — the
         // other instances may already be globally true and must still be
         // forced false here to isolate v's disjunct): v's own disjunct is

@@ -245,19 +245,13 @@ size_t RunCore::Sweep(const StreamEvent* events, size_t count) {
     if (progress_enabled_) MaybeEmitProgress();
   }
   if (end) EndDocument();
-  // End-of-sweep garbage collection: with eager updates, formulas referring
-  // to a retired variable were rewritten while its determination propagated
-  // in its round, and no later round's message mentions it, so the binding
-  // can go.  Lazy mode and order-axis queries keep every binding, but the
-  // list itself is cleared every sweep.
+  // End-of-sweep garbage collection: a retired variable's scope closed, so
+  // no later round's message mentions it, and the formulas kept across
+  // scopes (OU's candidates, FO's armed formula, PR's pending conditions)
+  // were rewritten as its determination passed, so the binding can go.
   std::vector<VarId>& retired = context_->retired_variables;
-  if (!retired.empty()) {
-    if (context_->options.eager_formula_update &&
-        context_->allow_variable_gc) {
-      for (VarId v : retired) context_->assignment.Erase(v);
-    }
-    retired.clear();
-  }
+  for (VarId v : retired) context_->assignment.Erase(v);
+  retired.clear();
   return swept;
 }
 

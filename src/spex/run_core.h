@@ -50,7 +50,7 @@ struct RunStats {
   // the engine's formula-memory high-water mark per message; on streams
   // with bounded depth and qualifier nesting it stays bounded no matter how
   // long the stream runs (the end-of-round variable GC retires bindings, and
-  // eager PruneFalse keeps the stacks' formulas trimmed).
+  // the rewrites on every determination keep the stored formulas trimmed).
   int64_t max_formula_nodes = 0;
   // Sum of per-transducer messages_in: total message deliveries, the
   // paper's O(degree * stream) message bound.

@@ -307,11 +307,6 @@ struct EngineOptions {
   // delivered to the network must carry labels interned by *this* table (or
   // kNoSymbol, which falls back to string comparison).
   SymbolTable* symbols = nullptr;
-  // If true, transducers rewrite the formulas stored on their condition
-  // stacks when a determination message passes (the paper's update(c,v,beta),
-  // e.g. Fig. 2 rule 13); if false they evaluate lazily at the output
-  // transducer only.  Eager updating keeps stack entries small (§V bounds).
-  bool eager_formula_update = true;
   // Output transducer emission policy, see OutputOrder.
   OutputOrder output_order = OutputOrder::kDocumentStart;
   // Progress watermark publication (every front-end; see observe.h).
@@ -325,8 +320,8 @@ struct EngineOptions {
   bool track_open_elements = false;
   // Event-batch granularity of the feeding path (DESIGN.md §11): parsers,
   // the engine pool and the one-shot helpers hand events to the engine in
-  // groups of up to this many via SpexEngine::OnEventBatch (1 = OnEvent per
-  // event).  Batching is a feeding granularity only: every event goes
+  // groups of up to this many via SpexEngine::OnEventBatch (values below 1
+  // mean 1).  Batching is a feeding granularity only: every event goes
   // through the network's one sweep, which carries the whole batch except
   // where a qualifier scope may close after a start tag of the same sweep
   // (the sweep is cut there) or a byte limit is set (one event per sweep),
@@ -341,17 +336,13 @@ struct RunContext {
   // The global monotone assignment of condition variables seen so far,
   // round-stamped (see Assignment).
   Assignment assignment;
-  // Variables whose creator scope closed during the current round.  With
-  // eager formula updates, nothing can reference them once the round's
-  // messages have fully propagated, so the engine erases their bindings —
-  // this is what keeps memory constant on unbounded streams.
+  // Variables whose creator scope closed during the current round.  The
+  // transducers rewrite their stored formulas as each determination passes
+  // (the paper's update(c,v,beta), e.g. Fig. 2 rule 13), so nothing can
+  // reference them once the round's messages have fully propagated, and the
+  // engine erases their bindings after every sweep — this is what keeps
+  // memory constant on unbounded streams.
   std::vector<VarId> retired_variables;
-  // Cleared by the compiler when the query contains order axes (>> / <<):
-  // their transducers keep formulas alive across scopes (the following
-  // transducer's armed disjunction, the preceding transducer's pending
-  // conditions), so retired bindings may still be referenced and must not
-  // be erased.
-  bool allow_variable_gc = true;
   // Live metrics registry of this run (see obs/metrics.h).  The run core
   // registers its counters at Start and the pull collectors over the
   // per-transducer stats on the first RunCore::metrics() call.

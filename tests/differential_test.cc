@@ -53,21 +53,6 @@ TEST_P(DifferentialSeedTest, SpexAgreesWithDomOracle) {
   }
 }
 
-TEST_P(DifferentialSeedTest, LazyAndEagerModesAgree) {
-  const int seed = GetParam();
-  std::vector<StreamEvent> events = RandomDoc(seed + 1000, 4, 40);
-  QueryGen gen(seed * 104729 + 1, /*with_qualifiers=*/true);
-  EngineOptions lazy;
-  lazy.eager_formula_update = false;
-  for (int q = 0; q < 4; ++q) {
-    ExprPtr query = gen.Gen(3 + q);
-    SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " query=" + query->ToString());
-    EXPECT_EQ(EvaluateToStrings(*query, events, lazy),
-              EvaluateToStrings(*query, events));
-  }
-}
-
 TEST_P(DifferentialSeedTest, NfaAgreesOnQualifierFreeQueries) {
   const int seed = GetParam();
   std::vector<StreamEvent> events = RandomDoc(seed + 2000, 5, 80);

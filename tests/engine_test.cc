@@ -184,15 +184,6 @@ TEST(EngineTest, DeterminationsAreMonotone) {
             (std::vector<std::string>{"<c></c>"}));
 }
 
-TEST(EngineTest, LazyUpdateModeGivesSameResults) {
-  EngineOptions lazy;
-  lazy.eager_formula_update = false;
-  ExprPtr q = MustParseRpeq("_*.a[b].c");
-  std::vector<StreamEvent> events = Events(kPaperDoc);
-  EXPECT_EQ(EvaluateToStrings(*q, events, lazy),
-            EvaluateToStrings(*q, events));
-}
-
 
 TEST(EngineTest, DeterminationOrderPolicyGivesSameFragmentSet) {
   // Under OutputOrder::kDetermination, nested fragments interleave and are

@@ -59,7 +59,9 @@ TEST(GeneratorsTest, MondialChildOrderSupportsQueryClasses) {
     if (first_province >= 0) {
       saw_country_with_provinces = true;
       EXPECT_LT(name_pos, first_province);
-      if (first_religion >= 0) EXPECT_LT(first_province, first_religion);
+      if (first_religion >= 0) {
+        EXPECT_LT(first_province, first_religion);
+      }
     }
   }
   EXPECT_TRUE(saw_country_with_provinces);

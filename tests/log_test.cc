@@ -138,9 +138,15 @@ TEST(LogTest, RegisterCollectorsExportsPerLevelCounters) {
     ASSERT_EQ(s.labels.size(), 1u);
     EXPECT_EQ(s.labels[0].first, "level");
     EXPECT_EQ(s.type, MetricType::kCounter);
-    if (s.labels[0].second == "info") EXPECT_EQ(s.value, 2);
-    if (s.labels[0].second == "error") EXPECT_EQ(s.value, 1);
-    if (s.labels[0].second == "debug") EXPECT_EQ(s.value, 0);
+    if (s.labels[0].second == "info") {
+      EXPECT_EQ(s.value, 2);
+    }
+    if (s.labels[0].second == "error") {
+      EXPECT_EQ(s.value, 1);
+    }
+    if (s.labels[0].second == "debug") {
+      EXPECT_EQ(s.value, 0);
+    }
     ++matched;
   }
   EXPECT_EQ(matched, kLogLevelCount);

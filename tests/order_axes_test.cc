@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baseline/dom_evaluator.h"
 #include "rpeq/parser.h"
@@ -169,6 +172,67 @@ TEST(OrderAxesTest, DeferredInvalidationForFollowingBodies) {
   const char doc2[] = "<r><x>hit</x><k><b/></k></r>";
   EXPECT_EQ(Eval("r.x[>>k.b]", doc2), (std::vector<std::string>{"<x>hit</x>"}));
   EXPECT_EQ(Eval("r.x[>>k.b]", doc2), Oracle("r.x[>>k.b]", doc2));
+}
+
+// The end-of-sweep GC erases a binding once its scope closed, so a formula
+// FO or PR keeps across scopes must not hold a retired variable: the
+// qualifiers before and around the order axis bind variables that retire
+// while the armed formula or the pending condition still lives.  Checked
+// against the DOM oracle at batch sizes 1, 7 and 64.
+TEST(OrderAxesTest, GcLeavesNoRetiredVariableInOrderAxisFormulas) {
+  const std::pair<const char*, const char*> literal[] = {
+      {"_*.a[x].b[y].>>c", "<r><a><b><y/></b><x/></a><c/></r>"},
+      {"_*.r[b[c].>>d]", "<r><b><c/></b><d/></r>"},
+  };
+  for (const auto& [query_text, xml] : literal) {
+    ExprPtr query = MustParseRpeq(query_text);
+    const std::vector<StreamEvent> events = MustParseEvents(xml);
+    const std::vector<std::string> oracle = Oracle(query_text, xml);
+    EXPECT_FALSE(oracle.empty()) << query_text;
+    for (int batch : {1, 7, 64}) {
+      EngineOptions options;
+      options.batch_size = batch;
+      EXPECT_EQ(EvaluateToStrings(*query, events, options), oracle)
+          << query_text << " batch=" << batch;
+    }
+  }
+  // Each shape's letters A-E are drawn from the document's labels.
+  const std::string shapes[] = {
+      "_*.A[B].C[D].>>E", "_*.A[B]._*.C[D].>>E", "_*.A[B.C[D].>>E]",
+      "_*.A[B[C].>>D]",   "_*.A[B][C].>>D",      "_*.A[B].C[D].<<E",
+      "_*.A[B]._*.C[D].<<E", "_*.A[B.C[D].<<E]", "_*.A[B[C].<<D]",
+      "_*.A[B][C].<<D",
+  };
+  RandomTreeOptions opts;
+  opts.max_depth = 5;
+  opts.max_children = 3;
+  opts.max_elements = 40;
+  opts.labels = {"a", "b", "c", "d"};
+  int non_empty = 0;
+  for (int seed = 0; seed < 300; ++seed) {
+    const std::vector<StreamEvent> events = GenerateToVector(
+        [&](EventSink* s) { GenerateRandomTree(seed, opts, s); });
+    Document doc;
+    std::string error;
+    ASSERT_TRUE(EventsToDocument(events, &doc, &error)) << error;
+    std::mt19937 rng(static_cast<uint32_t>(seed));
+    for (std::string text : shapes) {
+      for (char& c : text) {
+        if (c >= 'A' && c <= 'E') c = opts.labels[rng() % 4][0];
+      }
+      ExprPtr query = MustParseRpeq(text);
+      const std::vector<std::string> oracle = DomEvaluateToStrings(*query, doc);
+      if (!oracle.empty()) ++non_empty;
+      for (int batch : {1, 7, 64}) {
+        EngineOptions options;
+        options.batch_size = batch;
+        ASSERT_EQ(EvaluateToStrings(*query, events, options), oracle)
+            << "seed=" << seed << " query=" << text << " batch=" << batch;
+      }
+    }
+  }
+  // Enough queries select something for a lost result to show.
+  EXPECT_GE(non_empty, 200);
 }
 
 class OrderAxesDifferentialTest : public ::testing::TestWithParam<int> {};

@@ -148,8 +148,6 @@ TEST(RunCoreTest, FrontEndParity) {
   std::vector<Config> configs = {
       {"progress",
        [](EngineOptions* o, size_t) { o->progress.every_events = 17; }},
-      {"lazy_formulas",
-       [](EngineOptions* o, size_t) { o->eager_formula_update = false; }},
       {"determination_order",
        [](EngineOptions* o, size_t) {
          o->output_order = OutputOrder::kDetermination;

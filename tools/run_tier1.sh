@@ -39,6 +39,22 @@ grep -q '"spex_transducer_messages_in"' <<<"$metrics_out" || {
 }
 echo "tier1: metrics smoke OK"
 
+# Variable GC smoke: once a document is complete no condition-variable
+# binding survives it, order-axis queries included (their FO/PR formulas are
+# rewritten as determinations pass, so the end-of-sweep GC erases every
+# retired binding).
+for query in '_*.book[author].>>title' '_*.title.<<book[author]'; do
+  metrics_out="$("$binary_dir/tools/spexquery" --count --metrics=json \
+    "$query" examples/data/catalog.xml 2>&1 >/dev/null)"
+  grep -q '"name": "spex_assignment_live_vars", "type": "gauge", "value": 0}' \
+    <<<"$metrics_out" || {
+    echo "tier1: variable GC smoke failed on $query:" >&2
+    grep 'spex_assignment_live_vars' <<<"$metrics_out" >&2
+    exit 1
+  }
+done
+echo "tier1: variable GC smoke OK"
+
 # EXPLAIN/PROFILE smoke: the static plan and the timed report must render.
 "$binary_dir/tools/spexquery" --explain '_*.book[author].title' \
   examples/data/catalog.xml | grep -q 'EXPLAIN' || {
