@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <unordered_map>
 
 namespace spex {
 
@@ -86,8 +88,7 @@ class Evaluator {
         std::vector<int32_t> base = Eval(*e.left, context);
         std::vector<int32_t> result;
         for (int32_t n : base) {
-          std::vector<int32_t> single = {n};
-          if (!Eval(*e.right, single).empty()) result.push_back(n);
+          if (NonEmpty(*e.right, {n})) result.push_back(n);
         }
         return result;
       }
@@ -128,7 +129,81 @@ class Evaluator {
     return {};
   }
 
+  // True iff Eval(e, context) is non-empty: a qualifier body needs only
+  // that.  The order axes answer it from a per-label index instead of a
+  // scan of the document's suffix or prefix; concatenation, union and
+  // qualification recurse; every other kind evaluates.
+  bool NonEmpty(const Expr& e, const std::vector<int32_t>& context) {
+    switch (e.kind) {
+      case ExprKind::kConcat:
+        return NonEmpty(*e.right, Eval(*e.left, context));
+      case ExprKind::kUnion:
+        return NonEmpty(*e.left, context) || NonEmpty(*e.right, context);
+      case ExprKind::kQualified: {
+        for (int32_t n : Eval(*e.left, context)) {
+          if (NonEmpty(*e.right, {n})) return true;
+        }
+        return false;
+      }
+      case ExprKind::kFollowing: {
+        // Some matching element starts after the earliest context end.
+        int32_t min_end = doc_.size();
+        for (int32_t id : context) {
+          if (id == kVirtualRoot) continue;
+          min_end = std::min(min_end, subtree_last_[static_cast<size_t>(id)]);
+        }
+        const LabelIndex& index = IndexFor(e);
+        return !index.ids.empty() && index.ids.back() > min_end;
+      }
+      case ExprKind::kPreceding: {
+        // Some matching element before the latest context start also
+        // closes before it: the smallest subtree end among the matching
+        // ids below max_start.
+        int32_t max_start = -1;
+        for (int32_t id : context) {
+          if (id == kVirtualRoot) continue;
+          max_start = std::max(max_start, id);
+        }
+        const LabelIndex& index = IndexFor(e);
+        const size_t below = static_cast<size_t>(
+            std::lower_bound(index.ids.begin(), index.ids.end(), max_start) -
+            index.ids.begin());
+        return below > 0 && index.min_last[below - 1] < max_start;
+      }
+      default:
+        return !Eval(e, context).empty();
+    }
+  }
+
  private:
+  // The elements an order-axis step matches, in document order, with the
+  // prefix minima of their subtree ends.
+  struct LabelIndex {
+    std::vector<int32_t> ids;
+    std::vector<int32_t> min_last;  // min subtree_last_ over ids[0..i]
+  };
+
+  // The index of `e`'s label (every element for a wildcard), built on
+  // first use.
+  const LabelIndex& IndexFor(const Expr& e) {
+    const std::string key = e.is_wildcard ? std::string() : "=" + e.label;
+    auto [it, inserted] = label_index_.try_emplace(key);
+    LabelIndex& index = it->second;
+    if (inserted) {
+      for (int32_t n = 0; n < doc_.size(); ++n) {
+        const DomNode& node = doc_.node(n);
+        if (node.kind != DomNode::Kind::kElement || !LabelMatches(node, e)) {
+          continue;
+        }
+        const int32_t last = subtree_last_[static_cast<size_t>(n)];
+        index.min_last.push_back(
+            index.ids.empty() ? last : std::min(index.min_last.back(), last));
+        index.ids.push_back(n);
+      }
+    }
+    return index;
+  }
+
   // Element children of every context node whose label matches `e`.
   std::vector<int32_t> MatchingChildren(const std::vector<int32_t>& context,
                                         const Expr& e) {
@@ -156,6 +231,8 @@ class Evaluator {
 
   const Document& doc_;
   std::vector<int32_t> subtree_last_;
+  // By label ("=" + label; "" for the wildcard), see IndexFor.
+  std::unordered_map<std::string, LabelIndex> label_index_;
 };
 
 }  // namespace

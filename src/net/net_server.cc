@@ -21,6 +21,10 @@ namespace spex {
 namespace net {
 namespace {
 
+// Pending RESULT bytes at which PumpResults moves a connection's buffer
+// into the socket: one worker input chunk's worth.
+constexpr size_t kPumpFlushBytes = 64 * 1024;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -699,11 +703,22 @@ void NetServer::PumpResults(Conn* conn) {
       rf.slot = static_cast<uint32_t>(fragment.slot);
       rf.certain = fragment.certain ? 1 : 0;
       rf.fragment = fragment.xml;
-      SendFrame(conn, rf.Encode());
+      if (conn->fd >= 0) {  // SendFrame, encoded in place
+        frames_out_->Increment();
+        rf.EncodeTo(&conn->out);
+      }
       if (doc.results_sent++ == 0) {
         ttfr_us_->Observe(NowUs() - doc.first_stream_us);
       }
       doc.certain_sent += rf.certain;
+      // A worker can hand off several input chunks' results at once: move
+      // them into the socket as the buffer fills, so the buffer holds about
+      // one chunk's worth instead of the whole backlog.  A dead peer closes
+      // the connection, which drops every doc: stop here.
+      if (conn->out_bytes() >= kPumpFlushBytes &&
+          !FlushWrites(conn, NowMs())) {
+        return;
+      }
     }
     if (!sealed) {
       ++it;

@@ -220,14 +220,25 @@ Status EndDocFrame::Parse(std::string_view payload) {
   return Status::Ok();
 }
 
+namespace {
+constexpr size_t kResultFixedPayloadBytes = 9;  // doc_id, slot, certain
+}  // namespace
+
+void ResultFrame::EncodeTo(std::string* out) const {
+  PutU32(out, static_cast<uint32_t>(kResultFixedPayloadBytes +
+                                    fragment.size()));
+  out->push_back(static_cast<char>(FrameType::kResult));
+  PutU32(out, doc_id);
+  PutU32(out, slot);
+  out->push_back(static_cast<char>(certain));
+  out->append(fragment);
+}
+
 std::string ResultFrame::Encode() const {
-  std::string payload;
-  payload.reserve(9 + fragment.size());
-  PutU32(&payload, doc_id);
-  PutU32(&payload, slot);
-  payload.push_back(static_cast<char>(certain));
-  payload.append(fragment);
-  return WithHeader(FrameType::kResult, payload);
+  std::string out;
+  out.reserve(kFrameHeaderBytes + kResultFixedPayloadBytes + fragment.size());
+  EncodeTo(&out);
+  return out;
 }
 
 Status ResultFrame::Parse(std::string_view payload) {

@@ -165,6 +165,9 @@ struct ResultFrame {
   uint8_t certain = 1; // 1 = exact under any continuation, 0 = speculative
   std::string_view fragment;
 
+  // Appends the full frame to *out (the connection's write buffer), with no
+  // intermediate payload string; Encode() returns the same bytes.
+  void EncodeTo(std::string* out) const;
   std::string Encode() const;
   Status Parse(std::string_view payload);
 };

@@ -95,7 +95,7 @@ std::string ProfileReport::ToExplainText() const {
   AppendF(&out, "EXPLAIN query=%s transducers=%zu\n", query.c_str(),
           nodes.size());
   AppendF(&out, "%4s %-10s %-34s %s\n", "id", "transducer", "provenance",
-          "predicted cost (per event / space, §V)");
+          "predicted cost (per message / space, §V)");
   for (const ProfileNode& n : nodes) {
     AppendF(&out, "%4d %-10s %-34s %s\n", n.id, n.name.c_str(),
             Provenance(n).c_str(), n.cost_class.c_str());

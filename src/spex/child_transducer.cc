@@ -14,9 +14,7 @@ ChildTransducer::ChildTransducer(std::string label, bool wildcard,
 
 bool ChildTransducer::Matches(const Message& m) const {
   // <$> is never matched by a label: the document root is not an element.
-  if (!m.is_document() || m.event_kind != EventKind::kStartElement) {
-    return false;
-  }
+  if (m.event_kind != EventKind::kStartElement) return false;
   if (wildcard_) return true;
   // Interned events take the integer fast path; hand-built events (symbol 0)
   // fall back to the string compare.
@@ -24,7 +22,7 @@ bool ChildTransducer::Matches(const Message& m) const {
                                : m.event().name == label_;
 }
 
-void ChildTransducer::Process(Message&& message, BatchEmitter* out) {
+void ChildTransducer::OnControl(Message& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       switch (state_) {
@@ -59,35 +57,31 @@ void ChildTransducer::Process(Message&& message, BatchEmitter* out) {
       return;
 
     case MessageKind::kDocument:
-      break;
+      assert(false && "document messages are not on the control tape");
+      return;
   }
+}
 
-  if (message.is_text()) {  // text carries no structure: forward untouched
-    EmitTo(out, 0, std::move(message));
-    return;
-  }
+void ChildTransducer::OnDocument(const Message& message, BatchEmitter* out) {
+  if (message.is_text()) return;  // text carries no structure
 
   if (message.is_open()) {
     switch (state_) {
       case State::kWaiting:  // (2)
         Fire(2);
         depth_.push_back(DepthSymbol::kLevel);
-        EmitTo(out, 0, std::move(message));
         break;
       case State::kActivated1:  // (5)
         Fire(5);
         depth_.push_back(DepthSymbol::kLevel);
         state_ = State::kMatching;
-        EmitTo(out, 0, std::move(message));
         break;
       case State::kMatching:
         if (Matches(message)) {  // (7)
           Fire(7);
           EmitTo(out, 0, Message::Activation(cond_.back()));
-          EmitTo(out, 0, std::move(message));
         } else {  // (8)
           Fire(8);
-          EmitTo(out, 0, std::move(message));
         }
         depth_.push_back(DepthSymbol::kMatch);
         state_ = State::kWaiting;
@@ -99,10 +93,8 @@ void ChildTransducer::Process(Message&& message, BatchEmitter* out) {
         if (Matches(message)) {  // (11): matches the enclosing scope via f2
           Fire(11);
           EmitTo(out, 0, Message::Activation(cond_[cond_.size() - 2]));
-          EmitTo(out, 0, std::move(message));
         } else {  // (12)
           Fire(12);
-          EmitTo(out, 0, std::move(message));
         }
         depth_.push_back(DepthSymbol::kMatch);
         state_ = State::kMatching;
@@ -149,16 +141,13 @@ void ChildTransducer::Process(Message&& message, BatchEmitter* out) {
       assert(false && "close message while awaiting activating message");
       break;
   }
-  EmitTo(out, 0, std::move(message));
 }
 
-void ChildTransducer::ProcessBatch(Message* messages, size_t count,
-                                   BatchEmitter* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const bool document = messages[i].is_document();
-    Process(std::move(messages[i]), out);
-    if (document) ++round_;
-  }
+void ChildTransducer::Sweep(Documents docs, Controls in0, Controls,
+                           BatchEmitter* out) {
+  WalkRounds(
+      docs, in0, out, [&](Message& m) { OnControl(m, out); },
+      [&](const Message& d) { OnDocument(d, out); });
 }
 
 }  // namespace spex

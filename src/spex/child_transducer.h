@@ -27,10 +27,13 @@ class ChildTransducer : public Transducer {
   size_t condition_stack_size() const { return cond_.size(); }
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
+  // The round walk: documents interleaved with the controls.
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
+  // True for a start tag the step selects (`m` is a document message).
   bool Matches(const Message& m) const;
-  void Process(Message&& message, BatchEmitter* out);
+  void OnControl(Message& message, BatchEmitter* out);
+  void OnDocument(const Message& message, BatchEmitter* out);
 
   std::string label_;
   bool wildcard_;

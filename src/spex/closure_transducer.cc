@@ -13,15 +13,13 @@ ClosureTransducer::ClosureTransducer(std::string label, bool wildcard,
       context_(context) {}
 
 bool ClosureTransducer::Matches(const Message& m) const {
-  if (!m.is_document() || m.event_kind != EventKind::kStartElement) {
-    return false;
-  }
+  if (m.event_kind != EventKind::kStartElement) return false;
   if (wildcard_) return true;
   return m.symbol != kNoSymbol ? m.symbol == symbol_
                                : m.event().name == label_;
 }
 
-void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
+void ClosureTransducer::OnControl(Message& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       switch (state_) {
@@ -54,38 +52,34 @@ void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
       return;
 
     case MessageKind::kDocument:
-      break;
+      assert(false && "document messages are not on the control tape");
+      return;
   }
+}
 
-  if (message.is_text()) {
-    EmitTo(out, 0, std::move(message));
-    return;
-  }
+void ClosureTransducer::OnDocument(const Message& message, BatchEmitter* out) {
+  if (message.is_text()) return;  // text carries no structure
 
   if (message.is_open()) {
     switch (state_) {
       case State::kWaiting:  // (2)
         Fire(2);
         depth_.push_back(DepthSymbol::kLevel);
-        EmitTo(out, 0, std::move(message));
         break;
       case State::kActivated1:  // (5)
         Fire(5);
         depth_.push_back(DepthSymbol::kScopeStart);
         state_ = State::kMatching;
-        EmitTo(out, 0, std::move(message));
         break;
       case State::kMatching:
         if (Matches(message)) {  // (7): match, chain continues below
           Fire(7);
           depth_.push_back(DepthSymbol::kLevel);
           EmitTo(out, 0, Message::Activation(cond_.back()));
-          EmitTo(out, 0, std::move(message));
         } else {  // (8): chain interrupted until this element closes
           Fire(8);
           depth_.push_back(DepthSymbol::kScopeEnd);
           state_ = State::kWaiting;
-          EmitTo(out, 0, std::move(message));
         }
         break;
       case State::kActivated2: {
@@ -101,12 +95,10 @@ void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
           depth_.push_back(DepthSymbol::kNestedScope);
           state_ = State::kMatching;
           EmitTo(out, 0, Message::Activation(f2));
-          EmitTo(out, 0, std::move(message));
         } else {  // (13): nested scope only
           Fire(13);
           depth_.push_back(DepthSymbol::kNestedScope);
           state_ = State::kMatching;
-          EmitTo(out, 0, std::move(message));
         }
         break;
       }
@@ -153,16 +145,13 @@ void ClosureTransducer::Process(Message&& message, BatchEmitter* out) {
       assert(false && "close message while awaiting activating message");
       break;
   }
-  EmitTo(out, 0, std::move(message));
 }
 
-void ClosureTransducer::ProcessBatch(Message* messages, size_t count,
-                                     BatchEmitter* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const bool document = messages[i].is_document();
-    Process(std::move(messages[i]), out);
-    if (document) ++round_;
-  }
+void ClosureTransducer::Sweep(Documents docs, Controls in0, Controls,
+                             BatchEmitter* out) {
+  WalkRounds(
+      docs, in0, out, [&](Message& m) { OnControl(m, out); },
+      [&](const Message& d) { OnDocument(d, out); });
 }
 
 }  // namespace spex

@@ -4,26 +4,21 @@ namespace spex {
 
 InputTransducer::InputTransducer() : Transducer("IN") {}
 
-void InputTransducer::Process(Message&& message, BatchEmitter* out) {
-  if (!activated_ && message.is_document() &&
-      message.event_kind == EventKind::kStartDocument) {
-    Fire(1);
-    activated_ = true;
-    EmitTo(out, 0, Message::Activation(Formula::True()));
-  }
-  EmitTo(out, 0, std::move(message));
-}
-
-void InputTransducer::ProcessBatch(Message* messages, size_t count,
-                                   BatchEmitter* out) {
+void InputTransducer::Sweep(Documents docs, Controls in0, Controls,
+                            BatchEmitter* out) {
+  auto forward = [&](Message& m) { EmitTo(out, 0, std::move(m)); };
+  auto activate = [&](const Message& d) {
+    if (!activated_ && d.event_kind == EventKind::kStartDocument) {
+      Fire(1);
+      activated_ = true;
+      EmitTo(out, 0, Message::Activation(Formula::True()));
+    }
+  };
   if (activated_) [[likely]] {
-    // Steady state: IN forwards everything unchanged.  O(1) per batch — the
-    // input range becomes the deferred run (swapped downstream whole).
-    stats_.messages_out += static_cast<int64_t>(count);
-    out->Forward(0, messages, count);
-    return;
+    WalkControls(docs, in0, out, forward, activate);
+  } else {
+    WalkRounds(docs, in0, out, forward, activate);
   }
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
 }
 
 }  // namespace spex

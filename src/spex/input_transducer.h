@@ -1,7 +1,7 @@
 // Input transducer IN (paper §III.2): the source of a SPEX network.
 //
 // Sends an activation message carrying the formula `true` on the start
-// document message, then forwards every document message unchanged.
+// document message, then forwards every message unchanged.
 
 #ifndef SPEX_SPEX_INPUT_TRANSDUCER_H_
 #define SPEX_SPEX_INPUT_TRANSDUCER_H_
@@ -15,9 +15,10 @@ class InputTransducer : public Transducer {
   InputTransducer();
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
-  void Process(Message&& message, BatchEmitter* out);
+  // Walks the documents until <$> activated the network; from then on
+  // only the controls (none, on the engine's tape).
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
 
   bool activated_ = false;
 };

@@ -1,35 +1,20 @@
 #include "spex/intersect_transducer.h"
 
-#include <cassert>
-
 namespace spex {
 
-IntersectTransducer::IntersectTransducer() : Transducer("IS") {}
+IntersectTransducer::IntersectTransducer()
+    : Transducer("IS", /*input_ports=*/2, /*output_ports=*/1) {}
 
-void IntersectTransducer::ProcessPair(Message* left, size_t left_count,
-                                      Message* right, size_t right_count,
-                                      BatchEmitter* out) {
-  Message* const sides[2] = {left, right};
-  const size_t counts[2] = {left_count, right_count};
-  size_t next[2] = {0, 0};
-  while (next[0] < counts[0]) {
-    // Collect the round: per side, at most one (merged) activation plus any
-    // determinations, then the document message.
+void IntersectTransducer::Sweep(Documents docs, Controls in0, Controls in1,
+                                BatchEmitter* out) {
+  WalkPairedRounds(docs, in0, in1, out, [&](Controls left, Controls right) {
+    // Per side, at most one (merged) activation plus any determinations.
     bool has_formula[2] = {false, false};
     Formula formulas[2];
-    Message* document = nullptr;  // side 0's copy
+    const Controls sides[2] = {left, right};
     for (int side = 0; side < 2; ++side) {
-      for (;;) {
-        assert(next[side] < counts[side]);
-        Message& m = sides[side][next[side]++];
-        if (m.is_document()) {
-          if (side == 0) {
-            document = &m;
-          } else {
-            assert(document->SameDocumentAs(m));
-          }
-          break;
-        }
+      for (Control& c : sides[side]) {
+        Message& m = c.message;
         if (m.is_activation()) {
           formulas[side] = has_formula[side]
                                ? Formula::Or(formulas[side], m.formula)
@@ -49,10 +34,7 @@ void IntersectTransducer::ProcessPair(Message* left, size_t left_count,
     } else {
       Fire(3);
     }
-    EmitTo(out, 0, std::move(*document));
-    EndRound();
-  }
-  assert(next[1] == counts[1]);
+  });
 }
 
 }  // namespace spex

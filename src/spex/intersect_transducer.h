@@ -21,13 +21,12 @@ class IntersectTransducer : public Transducer {
   IntersectTransducer();
 
  private:
-  // Walks both pending input sequences of a sweep round by round: per
-  // round, forwards the determinations, then emits [f1 AND f2] if both
-  // sides activated the document message, then the document message once.
-  // Both sequences hold the same rounds, so nothing is kept across sweeps
-  // (DESIGN.md §11).
-  void ProcessPair(Message* left, size_t left_count, Message* right,
-                   size_t right_count, BatchEmitter* out) override;
+  // Merges both input tapes of a sweep round by round (a control walk on
+  // sparse tapes): per round, forwards the determinations, then emits
+  // [f1 AND f2] if both sides activated the document message.  Both tapes
+  // hold the same rounds, so nothing is kept across sweeps (DESIGN.md §11).
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
 };
 
 }  // namespace spex

@@ -13,12 +13,13 @@
 // message carries only the cheap core — kind, the event's kind, and its
 // interned label symbol — plus a borrowed pointer to the StreamEvent for the
 // cold fields (name/text strings, needed only by the output transducer when
-// it materializes results).  The engine delivers each stream event with
-// Message::DocumentRef: the event outlives the synchronous delivery round
-// ("one message in the network at a time", §III), so no copy and no
-// allocation happens anywhere on the routing path, however large the
-// network's fan-out.  Message::Document keeps ownership semantics for
-// hand-built messages in tests (the event is moved into shared storage).
+// it materializes results).  The engine builds one document message per
+// stream event with Message::DocumentRef, and a sweep keeps that one array
+// for every tape (sparse tapes, transducer.h): documents are never copied
+// or moved between tapes, and the event outlives the synchronous sweep, so
+// no copy and no allocation happens anywhere on the routing path, however
+// large the network's fan-out.  Message::Document keeps ownership semantics
+// for hand-built messages in tests (the event is moved into shared storage).
 
 #ifndef SPEX_SPEX_MESSAGE_H_
 #define SPEX_SPEX_MESSAGE_H_
@@ -45,8 +46,7 @@ struct Message {
   // kDocument: the full event.  `payload` is always valid for a document
   // message; `owned` keeps it alive only when the message owns its event
   // (Message::Document) — on the engine's zero-copy path (DocumentRef) the
-  // caller guarantees the event outlives the delivery round and `owned`
-  // stays empty, so copying a Message at a fan-out point copies no string.
+  // caller guarantees the event outlives the sweep and `owned` stays empty.
   const StreamEvent* payload = nullptr;
   std::shared_ptr<const StreamEvent> owned;
   Formula formula;     // kActivation
@@ -64,8 +64,8 @@ struct Message {
     return m;
   }
   // Borrowing document message: the caller keeps `event` alive until the
-  // delivery round completes (true for the engine, which holds the event on
-  // its stack for the whole synchronous Deliver cascade).
+  // sweep completes (true for the engine, whose fed events outlive the
+  // synchronous sweep).
   static Message DocumentRef(const StreamEvent& event) {
     Message m;
     m.kind = MessageKind::kDocument;
@@ -107,13 +107,6 @@ struct Message {
   }
   bool is_text() const {
     return is_document() && event_kind == EventKind::kText;
-  }
-
-  // True when `other` is the same document message (same position in the
-  // round): used by join/intersect to check the two ports stay in lockstep.
-  bool SameDocumentAs(const Message& other) const {
-    return is_document() && other.is_document() &&
-           event_kind == other.event_kind && symbol == other.symbol;
   }
 
   // Paper notation: "[f]", "{co0_1,true}", "<a>".

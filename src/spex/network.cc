@@ -138,47 +138,46 @@ void Network::AssignBuffers() {
   buffers_.resize(static_cast<size_t>(colours));
 }
 
-void Network::DeliverBatch(int node, int in_port, std::vector<Message>* batch) {
+void Network::DeliverBatch(int node, int in_port, Documents docs,
+                           std::vector<Control>* controls) {
   SPEX_DCHECK_THREAD(affinity_, "spex::Network");
   if (buffers_.empty()) AssignBuffers();
-  std::vector<Message>* injected = Buffer(nodes_[node].in_buffers[in_port]);
-  assert(injected != nullptr && injected->empty() &&
-         "DeliverBatch must inject at an injection point");
-  injected->swap(*batch);
+  if (controls != nullptr) {
+    std::vector<Control>* injected = Buffer(nodes_[node].in_buffers[in_port]);
+    assert(injected != nullptr && injected->empty() &&
+           "DeliverBatch must inject at an injection point");
+    injected->swap(*controls);
+  }
   const int n = node_count();
   for (int id = node; id < n; ++id) {
     Node& current = nodes_[id];
-    std::vector<Message>* q = Buffer(current.in_buffers[0]);
-    std::vector<Message>* q1 = Buffer(current.in_buffers[1]);
-    if (q->empty() && (q1 == nullptr || q1->empty())) continue;
-    // Every tape carries every document message, so a two-input node (JO,
-    // IS) finds the same rounds pending on both ports.
-    assert(q1 == nullptr || (!q->empty() && !q1->empty()));
+    std::vector<Control>* q = Buffer(current.in_buffers[0]);
+    std::vector<Control>* q1 = Buffer(current.in_buffers[1]);
+    if (docs.empty() && q->empty() && (q1 == nullptr || q1->empty())) {
+      continue;
+    }
     BatchEmitter emitter(Buffer(current.out_buffers[0]),
-                         Buffer(current.out_buffers[1]), q);
+                         Buffer(current.out_buffers[1]));
+    Transducer* t = current.transducer.get();
     // One clock pair per node call when instrumented, shared by the trace
     // span and the profiler (which only uses differences, so either origin
     // works).
     const int64_t start = instrumented_ ? ClockNs() : 0;
+    const int64_t delivered_before = t->stats().messages_in;
     // Emissions only target higher node ids, through buffers no input of
     // this node uses, so neither input is reallocated while the call runs.
-    if (q1 == nullptr) {
-      current.transducer->OnBatch(q->data(), q->size(), &emitter);
-    } else {
-      current.transducer->OnPair(q->data(), q->size(), q1->data(),
-                                 q1->size(), &emitter);
-    }
+    t->OnSweep(docs, *q, q1 == nullptr ? Controls() : Controls(*q1),
+               &emitter);
     if (instrumented_) [[unlikely]] {
       const int64_t end = ClockNs();
       if (trace_recorder_ != nullptr) {
         trace_recorder_->RecordSpan(id + 1, span_name_id_, start, end);
       }
       if (profiler_ != nullptr) {
-        const size_t messages = q->size() + (q1 == nullptr ? 0 : q1->size());
-        profiler_->Record(id, static_cast<int64_t>(messages), end - start);
+        profiler_->Record(id, t->stats().messages_in - delivered_before,
+                          end - start);
       }
     }
-    emitter.Finish();  // May swap q wholesale into the consumer's queue.
     q->clear();
     if (q1 != nullptr) q1->clear();
   }

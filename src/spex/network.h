@@ -3,14 +3,15 @@
 // transducer).  Tapes are the edges; a tape is written by exactly one
 // transducer output port and read by exactly one input port.
 //
-// Message delivery is one topological sweep (DESIGN.md §11): messages
-// injected at the source are handed to every node in ascending id order, one
-// Transducer::OnBatch call per node (OnPair, with both input sequences, for
-// the two-input JO and IS), and each emission lands in the consumer's
-// pending buffer until the sweep reaches it.  A sweep of one document
-// message is one round of the paper's "only one message in the network at a
-// time"; the engine (run_core.h) chooses how many rounds a sweep carries,
-// cutting sweeps only at the network's scope exits (sweep_cuts()).
+// Message delivery is one topological sweep (DESIGN.md §11): the sweep's
+// document messages are handed to every node in ascending id order, one
+// Transducer::OnSweep call per node, together with the control messages
+// pending on the node's input tape(s) (sparse tapes, transducer.h); each
+// emitted control lands in the consumer's pending buffer until the sweep
+// reaches it.  A sweep of one document message is one round of the paper's
+// "only one message in the network at a time"; the engine (run_core.h)
+// chooses how many rounds a sweep carries, cutting sweeps only at the
+// network's scope exits (sweep_cuts()).
 
 #ifndef SPEX_SPEX_NETWORK_H_
 #define SPEX_SPEX_NETWORK_H_
@@ -80,13 +81,15 @@ class Network {
   // Declares that `node` reads `tape` on input port `in_port`.
   void SetConsumer(int tape, int node, int in_port);
 
-  // The one delivery entry (DESIGN.md §11): injects `batch` at node `node`
-  // input port `in_port` and sweeps the network once in ascending node id
-  // order, handing each node its pending input in one call (OnBatch, or
-  // OnPair for a two-input node).  On return every message has been fully
-  // processed (all pending buffers are drained) and *batch holds an empty
-  // vector whose capacity is recycled.  `in_port` must be an injection
-  // point: an input port no earlier node writes (IN's port 0).
+  // The one delivery entry (DESIGN.md §11): sweeps the network once in
+  // ascending node id order from `node`, handing every node the sweep's
+  // document messages `docs` (every tape carries all of them) with the
+  // control messages pending on its input tapes, in one OnSweep call.
+  // `controls`, if given, are the control messages of node `node` input
+  // port `in_port`, stamped into `docs` (moved from; the vector's capacity
+  // is recycled); `in_port` must then be an injection point: an input port
+  // no earlier node writes (IN's port 0).  On return every message has been
+  // fully processed and all pending buffers are drained.
   //
   // Correctness precondition (the engine enforces it): every node must
   // produce the tape one-round delivery would.  The transducers that share
@@ -96,7 +99,8 @@ class Network {
   // sweep_cuts() together.  Nodes are added in topological order, so a
   // single ascending sweep sees every pending message; document payload
   // borrows (Message::DocumentRef) must stay valid until the call returns.
-  void DeliverBatch(int node, int in_port, std::vector<Message>* batch);
+  void DeliverBatch(int node, int in_port, Documents docs,
+                    std::vector<Control>* controls = nullptr);
 
   // The end tags at which some VC of the network may close an instance
   // scope and read its variable (DESIGN.md §11): the labels the
@@ -193,14 +197,14 @@ class Network {
   // (node id) order, reusing any colour released so far, is optimal for
   // interval graphs: buffer_count() equals the largest number of tapes live
   // at any sweep position.  Two tapes of one node never share a buffer, so
-  // BatchEmitter may swap an input vector into an output buffer.
+  // no emission reallocates an input the node is walking.
   void AssignBuffers();
 
   // The attached recorder's clock, else the profiler's (instrumented_).
   int64_t ClockNs() const;
 
   // Pending buffer `index`, or null for -1 (a dangling output).
-  std::vector<Message>* Buffer(int index) {
+  std::vector<Control>* Buffer(int index) {
     return index == -1 ? nullptr : &buffers_[static_cast<size_t>(index)];
   }
 
@@ -211,9 +215,9 @@ class Network {
   ThreadAffinity affinity_;
   std::vector<Node> nodes_;
   std::vector<Tape> tapes_;
-  // The sweep's pending buffers (see AssignBuffers).  Steady state reuses
-  // the vectors' capacity, so delivery allocates nothing per sweep.
-  std::vector<std::vector<Message>> buffers_;
+  // The sweep's pending control buffers (see AssignBuffers).  Steady state
+  // reuses the vectors' capacity, so delivery allocates nothing per sweep.
+  std::vector<std::vector<Control>> buffers_;
   obs::TraceRecorder* trace_recorder_ = nullptr;
   obs::ProfileAccumulator* profiler_ = nullptr;
   // True iff a trace recorder or profiler is attached — the one predicted

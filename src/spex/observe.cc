@@ -103,23 +103,27 @@ void RegisterContextCollectors(obs::MetricRegistry* registry,
 }
 
 std::string PredictCostClass(std::string_view transducer_name) {
-  // §V per-message bounds by transducer family: label testers pay O(1) per
-  // message with an O(d) depth stack; formula manipulators pay time linear
-  // in the (factored) formula size — FO inside a `>>` qualifier body keeps
-  // every enclosing instance it armed symbolic until `</$>`, so its formula
-  // grows with them; OU may buffer undecided candidates.
+  // §V per-message bounds by transducer family, on sparse tapes (DESIGN.md
+  // §11): the forwarders work per control message and pay nothing for a
+  // document message; the structural transducers walk every document
+  // message at O(1) each with an O(d) depth stack.  Formula manipulators
+  // pay time linear in the (factored) formula size — FO inside a `>>`
+  // qualifier body keeps every enclosing instance it armed symbolic until
+  // `</$>`, so its formula grows with them; OU may buffer undecided
+  // candidates, and skips a sweep whole while it has none.
   const std::string_view base =
       transducer_name.substr(0, transducer_name.find('('));
-  if (base == "IN") return "O(1)/event source";
-  if (base == "CH" || base == "CL") return "O(1)/msg, stack O(d)";
-  if (base == "SP") return "O(1)/msg, duplicates stream";
-  if (base == "JO" || base == "UN") return "formula or-merge O(|f|)";
-  if (base == "IS" || base == "VF") return "formula and-merge O(|f|)";
-  if (base == "VC") return "stack O(d), one var per match";
-  if (base == "VD") return "O(1)/msg determinations";
-  if (base == "FO") return "formula O(|f|)";
-  if (base == "PR") return "speculative O(|f|)";
-  if (base == "OU") return "buffers undecided candidates";
+  if (base == "IN") return "source, O(1)/control, documents free";
+  if (base == "SP" || base == "JO") return "O(1)/control, documents free";
+  if (base == "UN") return "or-merge O(|f|)/control, documents free";
+  if (base == "IS") return "and-merge O(|f|)/control, documents free";
+  if (base == "VF") return "filter O(|f|)/control, documents free";
+  if (base == "VD") return "isolate O(|f|)/control, documents free";
+  if (base == "CH" || base == "CL") return "O(1)/document, stack O(d)";
+  if (base == "VC") return "O(1)/document, stack O(d), one var per match";
+  if (base == "FO") return "O(1)/document, stack O(d), formula O(|f|)";
+  if (base == "PR") return "O(1)/document, stack O(d), speculative O(|f|)";
+  if (base == "OU") return "buffers undecided candidates, idle sweeps skipped";
   return "unclassified";
 }
 

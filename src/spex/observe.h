@@ -91,8 +91,9 @@ void RegisterContextCollectors(obs::MetricRegistry* registry,
                                RunContext* context, int64_t allocs_baseline);
 
 // Predicted §V cost class of a transducer, from its notation name (e.g.
-// "CH(a)" -> per-message constant with an O(d) depth stack).  Static — the
-// EXPLAIN column; actual peaks come from TransducerStats.
+// "CH(a)" -> per-document constant with an O(d) depth stack, "SP" -> per
+// control message, documents free).  Static — the EXPLAIN column; actual
+// peaks come from TransducerStats.
 std::string PredictCostClass(std::string_view transducer_name);
 
 // Builds the EXPLAIN/PROFILE attribution report (see obs/profile.h): one

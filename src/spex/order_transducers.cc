@@ -15,28 +15,24 @@ FollowingTransducer::FollowingTransducer(
       enclosing_qualifiers_(std::move(enclosing_qualifiers)) {}
 
 bool FollowingTransducer::Matches(const Message& m) const {
-  if (!m.is_document() || m.event_kind != EventKind::kStartElement) {
-    return false;
-  }
+  if (m.event_kind != EventKind::kStartElement) return false;
   if (wildcard_) return true;
   return m.symbol != kNoSymbol ? m.symbol == symbol_
                                : m.event().name == label_;
 }
 
-void FollowingTransducer::ProcessBatch(Message* messages, size_t count,
-                                       BatchEmitter* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const bool document = messages[i].is_document();
-    Process(std::move(messages[i]), out);
-    if (document) ++round_;
-  }
+void FollowingTransducer::Sweep(Documents docs, Controls in0, Controls,
+                               BatchEmitter* out) {
+  WalkRounds(
+      docs, in0, out, [&](Message& m) { OnControl(m, out); },
+      [&](const Message& d) { OnDocument(d, out); });
 }
 
 Formula FollowingTransducer::Update(const Formula& f) const {
   return f.Simplify(context_->assignment, round_, &enclosing_qualifiers_);
 }
 
-void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
+void FollowingTransducer::OnControl(Message& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       Fire(1);
@@ -56,13 +52,14 @@ void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
       EmitTo(out, 0, std::move(message));
       return;
     case MessageKind::kDocument:
-      break;
+      assert(false && "document messages are not on the control tape");
+      return;
   }
+}
 
-  if (message.is_text()) {
-    EmitTo(out, 0, std::move(message));
-    return;
-  }
+void FollowingTransducer::OnDocument(const Message& message,
+                                     BatchEmitter* out) {
+  if (message.is_text()) return;
 
   if (message.is_open()) {
     // A matching element that starts after some armed context's end is
@@ -83,7 +80,6 @@ void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
     }
     depth_.push_back(std::move(level));
     NoteDepthStack(depth_.size());
-    EmitTo(out, 0, std::move(message));
     return;
   }
 
@@ -100,7 +96,6 @@ void FollowingTransducer::Process(Message&& message, BatchEmitter* out) {
     // End of the document: nothing follows </$>.
     armed_ = Formula::False();
   }
-  EmitTo(out, 0, std::move(message));
 }
 
 PrecedingTransducer::PrecedingTransducer(std::string label, bool wildcard,
@@ -116,9 +111,7 @@ PrecedingTransducer::PrecedingTransducer(std::string label, bool wildcard,
       evidence_mode_(evidence_mode) {}
 
 bool PrecedingTransducer::Matches(const Message& m) const {
-  if (!m.is_document() || m.event_kind != EventKind::kStartElement) {
-    return false;
-  }
+  if (m.event_kind != EventKind::kStartElement) return false;
   if (wildcard_) return true;
   return m.symbol != kNoSymbol ? m.symbol == symbol_
                                : m.event().name == label_;
@@ -155,16 +148,14 @@ void PrecedingTransducer::SatisfyClosed(const Formula& formula,
   closed_.resize(kept);
 }
 
-void PrecedingTransducer::ProcessBatch(Message* messages, size_t count,
-                                       BatchEmitter* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const bool document = messages[i].is_document();
-    Process(std::move(messages[i]), out);
-    if (document) ++round_;
-  }
+void PrecedingTransducer::Sweep(Documents docs, Controls in0, Controls,
+                               BatchEmitter* out) {
+  WalkRounds(
+      docs, in0, out, [&](Message& m) { OnControl(m, out); },
+      [&](const Message& d) { OnDocument(d, out); });
 }
 
-void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
+void PrecedingTransducer::OnControl(Message& message, BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       Fire(1);
@@ -206,13 +197,14 @@ void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
       return;
     }
     case MessageKind::kDocument:
-      break;
+      assert(false && "document messages are not on the control tape");
+      return;
   }
+}
 
-  if (message.is_text()) {
-    EmitTo(out, 0, std::move(message));
-    return;
-  }
+void PrecedingTransducer::OnDocument(const Message& message,
+                                     BatchEmitter* out) {
+  if (message.is_text()) return;
 
   if (message.is_open()) {
     ++depth_;
@@ -230,7 +222,6 @@ void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
     } else {
       Fire(3);
     }
-    EmitTo(out, 0, std::move(message));
     return;
   }
 
@@ -259,7 +250,6 @@ void PrecedingTransducer::Process(Message&& message, BatchEmitter* out) {
     closed_.clear();
     closed_matches_ = 0;
   }
-  EmitTo(out, 0, std::move(message));
 }
 
 }  // namespace spex

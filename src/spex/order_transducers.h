@@ -43,10 +43,13 @@ class FollowingTransducer : public Transducer {
                       std::vector<uint32_t> enclosing_qualifiers = {});
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
+  // The round walk: documents interleaved with the controls.
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
+  // True for a start tag the step selects (`m` is a document message).
   bool Matches(const Message& m) const;
-  void Process(Message&& message, BatchEmitter* out);
+  void OnControl(Message& message, BatchEmitter* out);
+  void OnDocument(const Message& message, BatchEmitter* out);
   // The rewrite rule (the paper's update(c,v,beta)): substitutes every
   // variable bound as of this round except the enclosing qualifiers'.  An
   // armed disjunct that holds folds the formula to `true`, and no retired
@@ -91,10 +94,13 @@ class PrecedingTransducer : public Transducer {
   size_t open_speculation_count() const { return speculative_.size(); }
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
+  // The round walk: documents interleaved with the controls.
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
+  // True for a start tag the step selects (`m` is a document message).
   bool Matches(const Message& m) const;
-  void Process(Message&& message, BatchEmitter* out);
+  void OnControl(Message& message, BatchEmitter* out);
+  void OnDocument(const Message& message, BatchEmitter* out);
   // Satisfies all fully-closed speculative variables under `formula`.
   void SatisfyClosed(const Formula& formula, BatchEmitter* out);
 

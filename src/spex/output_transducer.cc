@@ -100,9 +100,11 @@ SerializingResultSink::OpenFragment& SerializingResultSink::Find(int64_t id) {
 }
 
 OutputTransducer::OutputTransducer(ResultSink* sink, RunContext* context)
-    : Transducer("OU"), sink_(sink), context_(context) {}
+    : Transducer("OU", /*input_ports=*/1, /*output_ports=*/0),
+      sink_(sink),
+      context_(context) {}
 
-void OutputTransducer::HandleMessage(Message&& message) {
+void OutputTransducer::OnControl(Message& message) {
   switch (message.kind) {
     case MessageKind::kActivation:
       Fire(1);
@@ -125,31 +127,31 @@ void OutputTransducer::HandleMessage(Message&& message) {
       if (!interleaved()) AdvanceQueue();
       return;
     case MessageKind::kDocument:
-      Fire(3);
-      HandleDocument(message.event());
+      assert(false && "document messages are not on the control tape");
       return;
   }
 }
 
-void OutputTransducer::ProcessBatch(Message* messages, size_t count,
-                                    BatchEmitter* out) {
-  (void)out;
-  for (size_t i = 0; i < count; ++i) {
-    if (messages[i].kind != MessageKind::kDocument) {
-      HandleMessage(std::move(messages[i]));
-      continue;
-    }
-    // Idle fast path: with no pending activation and no candidates (open_
-    // holds iterators into queue_, so queue_ empty implies open_ empty) a
-    // document message cannot change OU's state — HandleDocument would only
-    // recompute an unchanged buffered peak.  Skip it outright.
-    if (!has_pending_activation_ && queue_.empty()) {
-      Fire(3);
-    } else {
-      HandleMessage(std::move(messages[i]));
-    }
-    ++round_;
+void OutputTransducer::Sweep(Documents docs, Controls in0, Controls,
+                             BatchEmitter* out) {
+  // Idle: with no controls, no pending activation and no candidates (open_
+  // holds iterators into queue_, so queue_ empty implies open_ empty) no
+  // document message of the sweep can change OU's state — HandleDocument
+  // would only recompute an unchanged buffered peak.  Skip the sweep.
+  if (in0.empty() && !has_pending_activation_ && queue_.empty() &&
+      !traced()) [[likely]] {
+    round_ += static_cast<int64_t>(docs.size());
+    return;
   }
+  WalkRounds(
+      docs, in0, out, [&](Message& m) { OnControl(m); },
+      [&](const Message& d) {
+        Fire(3);
+        // The same idle test per document message.
+        if (has_pending_activation_ || !queue_.empty()) {
+          HandleDocument(d.event());
+        }
+      });
 }
 
 void OutputTransducer::StartCandidate(Formula formula) {

@@ -153,9 +153,10 @@ class OutputTransducer : public Transducer {
   }
 
  private:
-  // OU is the network sink: it has no output tape and ignores `out`.
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
+  // OU is the network sink: it has no output tape and emits nothing.  The
+  // round walk, skipped whole while OU is idle.
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
 
   struct Candidate {
     int64_t id = 0;  // Begin/End bracket identifier handed to the sink
@@ -176,7 +177,7 @@ class OutputTransducer : public Transducer {
     return context_->options.output_order == OutputOrder::kDetermination;
   }
 
-  void HandleMessage(Message&& message);
+  void OnControl(Message& message);
   void StartCandidate(Formula formula);
   void HandleDocument(const StreamEvent& event);
   void ReevaluateCandidates();

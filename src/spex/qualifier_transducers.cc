@@ -18,13 +18,11 @@ VariableCreatorTransducer::VariableCreatorTransducer(
 #endif
 }
 
-void VariableCreatorTransducer::ProcessBatch(Message* messages, size_t count,
-                                             BatchEmitter* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const bool document = messages[i].is_document();
-    Process(std::move(messages[i]), out);
-    if (document) ++round_;
-  }
+void VariableCreatorTransducer::Sweep(Documents docs, Controls in0, Controls,
+                                      BatchEmitter* out) {
+  WalkRounds(
+      docs, in0, out, [&](Message& m) { OnControl(m, out); },
+      [&](const Message& d) { OnDocument(d, out); });
 }
 
 void VariableCreatorTransducer::Invalidate(VarId c, const Message& end_tag,
@@ -47,7 +45,8 @@ void VariableCreatorTransducer::Invalidate(VarId c, const Message& end_tag,
   context_->retired_variables.push_back(c);
 }
 
-void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
+void VariableCreatorTransducer::OnControl(Message& message,
+                                          BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation:
       if (state_ == State::kWorking) {  // (1): create a fresh instance
@@ -72,13 +71,14 @@ void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
       EmitTo(out, 0, std::move(message));
       return;
     case MessageKind::kDocument:
-      break;
+      assert(false && "document messages are not on the control tape");
+      return;
   }
+}
 
-  if (message.is_text()) {
-    EmitTo(out, 0, std::move(message));
-    return;
-  }
+void VariableCreatorTransducer::OnDocument(const Message& message,
+                                           BatchEmitter* out) {
+  if (message.is_text()) return;
 
   if (message.is_open()) {
     if (state_ == State::kActivate) {  // (5): the instance's scope opens
@@ -90,7 +90,6 @@ void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
       depth_.push_back(DepthSymbol::kLevel);
     }
     NoteDepthStack(depth_.size());
-    EmitTo(out, 0, std::move(message));
     return;
   }
 
@@ -120,7 +119,6 @@ void VariableCreatorTransducer::Process(Message&& message, BatchEmitter* out) {
     for (VarId c : deferred_) Invalidate(c, message, out);
     deferred_.clear();
   }
-  EmitTo(out, 0, std::move(message));
 }
 
 VariableFilterTransducer::VariableFilterTransducer(uint32_t qualifier_id,
@@ -132,12 +130,15 @@ VariableFilterTransducer::VariableFilterTransducer(uint32_t qualifier_id,
       positive_(positive),
       context_(context) {}
 
-void VariableFilterTransducer::ProcessBatch(Message* messages, size_t count,
-                                            BatchEmitter* out) {
-  for (size_t i = 0; i < count; ++i) Process(std::move(messages[i]), out);
+void VariableFilterTransducer::Sweep(Documents docs, Controls in0, Controls,
+                                     BatchEmitter* out) {
+  WalkControls(
+      docs, in0, out, [&](Message& m) { OnControl(m, out); },
+      [&](const Message&) { Fire(4); });
 }
 
-void VariableFilterTransducer::Process(Message&& message, BatchEmitter* out) {
+void VariableFilterTransducer::OnControl(Message& message,
+                                         BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation: {
       if (positive_) {
@@ -178,8 +179,7 @@ void VariableFilterTransducer::Process(Message&& message, BatchEmitter* out) {
       EmitTo(out, 0, std::move(message));
       return;
     case MessageKind::kDocument:
-      Fire(4);
-      EmitTo(out, 0, std::move(message));
+      assert(false && "document messages are not on the control tape");
       return;
   }
 }
@@ -235,18 +235,15 @@ void VariableDeterminantTransducer::RecheckPending(BatchEmitter* out) {
   pending_.resize(kept);
 }
 
-void VariableDeterminantTransducer::ProcessBatch(Message* messages,
-                                                 size_t count,
-                                                 BatchEmitter* out) {
-  for (size_t i = 0; i < count; ++i) {
-    const bool document = messages[i].is_document();
-    Process(std::move(messages[i]), out);
-    if (document) ++round_;
-  }
+void VariableDeterminantTransducer::Sweep(Documents docs, Controls in0,
+                                          Controls, BatchEmitter* out) {
+  WalkControls(
+      docs, in0, out, [&](Message& m) { OnControl(m, out); },
+      [](const Message&) {});
 }
 
-void VariableDeterminantTransducer::Process(Message&& message,
-                                            BatchEmitter* out) {
+void VariableDeterminantTransducer::OnControl(Message& message,
+                                              BatchEmitter* out) {
   switch (message.kind) {
     case MessageKind::kActivation: {
       // (1): an instance reaching VD is satisfied as soon as the nested
@@ -284,7 +281,7 @@ void VariableDeterminantTransducer::Process(Message&& message,
       RecheckPending(out);             // but pending instances may resolve
       return;
     case MessageKind::kDocument:
-      EmitTo(out, 0, std::move(message));
+      assert(false && "document messages are not on the control tape");
       return;
   }
 }

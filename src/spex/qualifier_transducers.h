@@ -43,9 +43,11 @@ class VariableCreatorTransducer : public Transducer {
   size_t condition_stack_size() const { return vars_.size(); }
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
-  void Process(Message&& message, BatchEmitter* out);
+  // The round walk: documents interleaved with the controls.
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
+  void OnControl(Message& message, BatchEmitter* out);
+  void OnDocument(const Message& message, BatchEmitter* out);
 
   // Invalidates `c` unless VD already satisfied it; `end_tag` is the
   // closing message of the round.
@@ -71,9 +73,10 @@ class VariableFilterTransducer : public Transducer {
                            RunContext* context);
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
-  void Process(Message&& message, BatchEmitter* out);
+  // The control walk: activations are filtered, determinations forwarded.
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
+  void OnControl(Message& message, BatchEmitter* out);
 
   uint32_t qualifier_id_;
   bool positive_;
@@ -91,15 +94,16 @@ class VariableDeterminantTransducer : public Transducer {
   size_t pending_count() const { return pending_.size(); }
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
+  // The control walk: VD emits only its own determinations.
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
 
   struct PendingInstance {
     VarId var;        // the q-instance to determine
     Formula condition;  // over nested qualifiers' variables
   };
 
-  void Process(Message&& message, BatchEmitter* out);
+  void OnControl(Message& message, BatchEmitter* out);
   // Tries to satisfy instance `var` under `condition`; emits {var,true} if
   // the condition holds, stores a pending entry if it is still unknown.
   void Determine(VarId var, Formula condition, BatchEmitter* out);

@@ -207,40 +207,37 @@ size_t RunCore::Sweep(const StreamEvent* events, size_t count) {
   assert(input_node_ >= 0 &&
          "feed events only after the network is compiled "
          "(MultiQueryEngine::Finalize)");
-  // Zero-copy delivery: the messages borrow `events`, which outlive the
-  // sweep (no transducer keeps a document message queued across sweeps —
-  // see DESIGN.md "Hot path & memory discipline").  Events not stamped by a
-  // parser are interned here so the label transducers always take the
-  // integer fast path.
+  // Zero-copy delivery: the sweep's one array of document messages, which
+  // every node reads (sparse tapes, DESIGN.md §11), borrows `events`, which
+  // outlive the sweep.  Events not stamped by a parser are interned here so
+  // the label transducers always take the integer fast path.
   message_batch_.clear();
-  message_batch_.reserve(count);
   SymbolTable* symbols = context_->symbol_table();
   size_t swept = 0;
   bool end = false;
   while (swept < count && !end) {
     const StreamEvent& e = events[swept++];
-    Message m = Message::DocumentRef(e);
+    Message& m = message_batch_.emplace_back(Message::DocumentRef(e));
     if (m.symbol == kNoSymbol && e.kind == EventKind::kStartElement) {
       m.symbol = symbols->Intern(e.name);
     }
     end = e.kind == EventKind::kEndDocument;
-    message_batch_.push_back(std::move(m));
   }
   events_processed_ += static_cast<int64_t>(swept);
   // A trace recorder and progress cost this one branch when neither is on
   // (DESIGN.md §7).
   obs::TraceRecorder* trace = context_->observer.trace;
   if (trace == nullptr && !progress_enabled_) [[likely]] {
-    network_.DeliverBatch(input_node_, 0, &message_batch_);
+    network_.DeliverBatch(input_node_, 0, message_batch_);
   } else {
     if (trace != nullptr) {
       const int64_t start = trace->NowNs();
-      network_.DeliverBatch(input_node_, 0, &message_batch_);
+      network_.DeliverBatch(input_node_, 0, message_batch_);
       trace->RecordSpan(
           /*tid=*/0, stream_span_names_[static_cast<int>(events[0].kind)],
           start, trace->NowNs());
     } else {
-      network_.DeliverBatch(input_node_, 0, &message_batch_);
+      network_.DeliverBatch(input_node_, 0, message_batch_);
     }
     if (progress_enabled_) MaybeEmitProgress();
   }

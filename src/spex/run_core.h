@@ -311,8 +311,8 @@ class RunCore : public EventSink {
   bool cut_document_ = false;
   bool cut_any_element_ = false;
   std::vector<uint8_t> cut_symbols_;
-  // Reusable message buffer of the sweeps; capacity circulates with the
-  // network's pending buffers, so steady state allocates nothing.
+  // The document messages of the current sweep, read by every node; reused,
+  // so steady state allocates nothing.
   std::vector<Message> message_batch_;
   bool document_ended_ = false;
   bool truncated_ = false;

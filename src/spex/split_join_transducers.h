@@ -5,13 +5,12 @@
 // messages: a document message is emitted exactly once, after it arrived on
 // both inputs; activation and determination messages pass through in arrival
 // order.  This synchronizes parallel network branches and removes the
-// duplicate document messages a split introduced.
+// duplicate document messages a split introduced.  On sparse tapes
+// (transducer.h) both are control walks: SP copies its controls to both
+// ports, and JO merges its two control lists round by round.
 
 #ifndef SPEX_SPEX_SPLIT_JOIN_TRANSDUCERS_H_
 #define SPEX_SPEX_SPLIT_JOIN_TRANSDUCERS_H_
-
-#include <cstddef>
-#include <cstdint>
 
 #include "spex/transducer.h"
 
@@ -22,8 +21,8 @@ class SplitTransducer : public Transducer {
   SplitTransducer();
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
 };
 
 class JoinTransducer : public Transducer {
@@ -31,14 +30,13 @@ class JoinTransducer : public Transducer {
   JoinTransducer();
 
  private:
-  // Fig. 9 over both pending input sequences of a sweep.  They hold the
-  // same rounds, so the walk ends with both consumed and the state back at
-  // kNone: a join keeps nothing across sweeps (DESIGN.md §11).
-  void ProcessPair(Message* left, size_t left_count, Message* right,
-                   size_t right_count, BatchEmitter* out) override;
-
-  // Fig. 9 state: which input's document message has already been consumed.
-  enum class State : uint8_t { kNone, kLeft, kRight };
+  // Fig. 9 over both input tapes of a sweep.  They hold the same rounds, so
+  // a join keeps nothing across sweeps (DESIGN.md §11).
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
+  // Fig. 9 over one round: its controls on each port, then the document
+  // message (which the sparse tape forwards once).
+  void JoinRound(Controls left, Controls right, BatchEmitter* out);
 };
 
 }  // namespace spex

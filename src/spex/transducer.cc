@@ -1,46 +1,19 @@
 #include "spex/transducer.h"
 
-#include <cassert>
-
 namespace spex {
 
-void Transducer::OnBatch(Message* messages, size_t count, BatchEmitter* out) {
-  NoteInput(messages, count);
-  if (trace_ == nullptr) [[likely]] {
-    ProcessBatch(messages, count, out);
-    return;
+void Transducer::OnSweep(Documents docs, Controls in0, Controls in1,
+                         BatchEmitter* out) {
+  const auto documents = static_cast<int64_t>(docs.size());
+  stats_.messages_in += documents * input_ports_ +
+                        static_cast<int64_t>(in0.size() + in1.size());
+  stats_.messages_out += documents * output_ports_;
+  for (Controls in : {in0, in1}) {
+    for (const Control& c : in) {
+      if (c.message.is_activation()) NoteFormula(c.message.formula);
+    }
   }
-  // Traced: one message at a time, closing a trace group after every
-  // document message (the presentation of Figs. 4, 5 and 13).
-  for (size_t i = 0; i < count; ++i) {
-    const bool document = messages[i].is_document();
-    ProcessBatch(&messages[i], 1, out);
-    if (document) trace_->EndGroup();
-  }
-}
-
-void Transducer::OnPair(Message* left, size_t left_count, Message* right,
-                        size_t right_count, BatchEmitter* out) {
-  NoteInput(left, left_count);
-  NoteInput(right, right_count);
-  ProcessPair(left, left_count, right, right_count, out);
-}
-
-void Transducer::NoteInput(const Message* messages, size_t count) {
-  stats_.messages_in += static_cast<int64_t>(count);
-  for (size_t i = 0; i < count; ++i) {
-    // Activations are rare on hot streams.
-    if (messages[i].is_activation()) NoteFormula(messages[i].formula);
-  }
-}
-
-void Transducer::ProcessBatch(Message*, size_t, BatchEmitter*) {
-  assert(false && "two-input transducer: the sweep calls OnPair");
-}
-
-void Transducer::ProcessPair(Message*, size_t, Message*, size_t,
-                             BatchEmitter*) {
-  assert(false && "one-input transducer: the sweep calls OnBatch");
+  Sweep(docs, in0, in1, out);
 }
 
 std::string TransducerTrace::ToString() const {

@@ -3,7 +3,9 @@
 // A connector that merges the activation messages of two branches (already
 // interleaved by a join) into a single activation carrying the disjunction
 // of their formulas.  If only one branch activated a document message, the
-// stored formula is forwarded unchanged.
+// stored formula is forwarded unchanged.  On sparse tapes (transducer.h) UN
+// visits its controls, plus a document message only where a stored
+// activation waits for it (rule 3).
 
 #ifndef SPEX_SPEX_UNION_TRANSDUCER_H_
 #define SPEX_SPEX_UNION_TRANSDUCER_H_
@@ -22,9 +24,11 @@ class UnionTransducer : public Transducer {
   State state() const { return state_; }
 
  private:
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override;
-  void Process(Message&& message, BatchEmitter* out);
+  void Sweep(Documents docs, Controls in0, Controls in1,
+             BatchEmitter* out) override;
+  void OnControl(Message& message, BatchEmitter* out);
+  // The document message of the round: rule 3 if an activation waits.
+  void OnDocument(BatchEmitter* out);
 
   State state_ = State::kWaiting;
   Formula stored_;  // the one condition-stack entry of Fig. 10

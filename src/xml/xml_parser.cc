@@ -63,8 +63,8 @@ XmlParser::XmlParser(EventSink* sink, XmlParserOptions options)
     : sink_(sink), options_(options) {
   if (options_.event_batch_size > 1) {
     batch_cap_ = static_cast<size_t>(options_.event_batch_size);
-    batch_.reserve(batch_cap_);
   }
+  batch_.resize(batch_cap_);
   if (options_.metrics != nullptr) {
     options_.metrics->AddCallbackGauge("spex_parser_bytes_consumed", {},
                                        [this] { return bytes_consumed_; });
@@ -76,20 +76,28 @@ XmlParser::XmlParser(EventSink* sink, XmlParserOptions options)
   }
 }
 
-void XmlParser::Emit(StreamEvent event) {
+void XmlParser::Emit(EventKind kind, std::string_view name,
+                     std::string_view text, Symbol label) {
   ++events_emitted_;
-  if (batch_cap_ <= 1) {
-    sink_->OnEvent(event);
-    return;
-  }
-  batch_.push_back(std::move(event));
-  if (batch_.size() >= batch_cap_) FlushBatch();
+  // Assigning into the batch slot's strings keeps their capacity: a slot
+  // reused for a text no longer than any before costs no allocation.
+  StreamEvent& event = batch_[batch_used_++];
+  event.kind = kind;
+  event.name.assign(name);
+  event.text.assign(text);
+  event.label = label;
+  if (batch_used_ >= batch_cap_) FlushBatch();
 }
 
 void XmlParser::FlushBatch() {
-  if (batch_.empty()) return;
-  sink_->OnEventBatch(batch_.data(), batch_.size());
-  batch_.clear();
+  if (batch_used_ == 0) return;
+  const size_t count = batch_used_;
+  batch_used_ = 0;
+  if (batch_cap_ <= 1) {
+    sink_->OnEvent(batch_[0]);
+  } else {
+    sink_->OnEventBatch(batch_.data(), count);
+  }
 }
 
 bool XmlParser::IsSpace(char c) { return SpaceChar(c); }
@@ -151,7 +159,7 @@ void XmlParser::EmitStartDocumentIfNeeded() {
   if (!document_started_) {
     document_started_ = true;
     if (options_.emit_document_events) {
-      Emit(StreamEvent::StartDocument());
+      Emit(EventKind::kStartDocument, {}, {}, kNoSymbol);
     }
   }
 }
@@ -161,7 +169,7 @@ void XmlParser::FlushText() {
   if (!(options_.skip_whitespace_text && AllWhitespace(text_))) {
     if (!open_elements_.empty()) {  // text outside the root is ignored
       EmitStartDocumentIfNeeded();
-      Emit(StreamEvent::Text(text_));
+      Emit(EventKind::kText, {}, text_, kNoSymbol);
     }
   }
   text_.clear();
@@ -184,14 +192,10 @@ bool XmlParser::EmitStartElement() {
   const Symbol sym = options_.symbols != nullptr
                          ? options_.symbols->Intern(tag_name_)
                          : kNoSymbol;
-  StreamEvent start = StreamEvent::StartElement(tag_name_);
-  start.label = sym;
-  Emit(start);
+  Emit(EventKind::kStartElement, tag_name_, {}, sym);
   if (options_.expose_attributes && !EmitAttributes()) return false;
   if (tag_self_closing_) {
-    StreamEvent end = StreamEvent::EndElement(tag_name_);
-    end.label = sym;
-    Emit(end);
+    Emit(EventKind::kEndElement, tag_name_, {}, sym);
   } else {
     open_elements_.push_back(tag_name_);
     open_symbols_.push_back(sym);
@@ -264,13 +268,9 @@ bool XmlParser::EmitAttributes() {
     const Symbol sym = options_.symbols != nullptr
                            ? options_.symbols->Intern(attr_label)
                            : kNoSymbol;
-    StreamEvent start = StreamEvent::StartElement(attr_label);
-    start.label = sym;
-    Emit(start);
-    if (!decoded.empty()) Emit(StreamEvent::Text(decoded));
-    StreamEvent end = StreamEvent::EndElement(std::move(attr_label));
-    end.label = sym;
-    Emit(end);
+    Emit(EventKind::kStartElement, attr_label, {}, sym);
+    if (!decoded.empty()) Emit(EventKind::kText, {}, decoded, kNoSymbol);
+    Emit(EventKind::kEndElement, attr_label, {}, sym);
   }
 }
 
@@ -282,11 +282,10 @@ bool XmlParser::EmitEndElement(const std::string& name) {
     return Fail("mismatched </" + name + ">, expected </" +
                 open_elements_.back() + ">");
   }
+  // The label was resolved at the matching start tag.
+  Emit(EventKind::kEndElement, name, {}, open_symbols_.back());
   open_elements_.pop_back();
-  StreamEvent end = StreamEvent::EndElement(name);
-  end.label = open_symbols_.back();  // resolved at the matching start tag
   open_symbols_.pop_back();
-  Emit(end);
   return true;
 }
 
@@ -651,7 +650,7 @@ bool XmlParser::Finish() {
   }
   EmitStartDocumentIfNeeded();
   if (options_.emit_document_events) {
-    Emit(StreamEvent::EndDocument());
+    Emit(EventKind::kEndDocument, {}, {}, kNoSymbol);
   }
   FlushBatch();
   return true;

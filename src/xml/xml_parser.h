@@ -146,10 +146,14 @@ class XmlParser {
   bool BulkAppend(std::string* token, const char* data, size_t count,
                   const char* what);
   // Counting funnel in front of the sink: every document message passes
-  // through here so events_emitted() stays exact.  Buffers into batch_ when
-  // event batching is on (XmlParserOptions::event_batch_size > 1).
-  void Emit(StreamEvent event);
-  // Delivers the buffered batch (if any) through EventSink::OnEventBatch.
+  // through here so events_emitted() stays exact.  Fills the next slot of
+  // batch_, whose events (and their strings' capacity) are kept across
+  // batches, so steady-state parsing allocates nothing per event.
+  void Emit(EventKind kind, std::string_view name, std::string_view text,
+            Symbol label);
+  // Delivers the buffered events (if any): through EventSink::OnEventBatch,
+  // or OnEvent when event batching is off.  The sink borrows them for the
+  // call only.
   void FlushBatch();
   void EmitStartDocumentIfNeeded();
   void FlushText();
@@ -191,7 +195,8 @@ class XmlParser {
   int doctype_depth_ = 0;
   std::vector<std::string> open_elements_;
   std::vector<Symbol> open_symbols_;  // parallel to open_elements_
-  std::vector<StreamEvent> batch_;    // pending events (event batching)
+  std::vector<StreamEvent> batch_;    // batch_cap_ reusable event slots
+  size_t batch_used_ = 0;             // slots filled since the last flush
   size_t batch_cap_ = 1;              // flush threshold; 1 = per-event
   int64_t bytes_consumed_ = 0;
   int64_t events_emitted_ = 0;

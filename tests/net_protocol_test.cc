@@ -132,6 +132,48 @@ TEST(NetProtocol, ResultRoundTrip) {
   EXPECT_EQ(std::string(out.fragment), "<title>found</title>");
 }
 
+TEST(NetProtocol, ResultEncodeToAppendsTheEncodedFrame) {
+  // The server encodes RESULT frames straight into a connection's write
+  // buffer: EncodeTo must append exactly Encode()'s bytes, which keep the
+  // v1 layout (length, type, doc_id, slot, certain, fragment).
+  const std::string big(70000, 'x');
+  struct Case {
+    uint32_t doc_id;
+    uint32_t slot;
+    uint8_t certain;
+    std::string_view fragment;
+  };
+  const Case cases[] = {{8, 2, 0, "<title>found</title>"},
+                        {1, 0, 1, ""},
+                        {0xfffffffe, 0x01020304, 1, "<a/>"},
+                        {77, 5, 0, big}};
+  for (const Case& c : cases) {
+    ResultFrame in;
+    in.doc_id = c.doc_id;
+    in.slot = c.slot;
+    in.certain = c.certain;
+    in.fragment = c.fragment;
+    std::string expected;
+    auto put_u32 = [&expected](uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        expected.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+      }
+    };
+    put_u32(9 + static_cast<uint32_t>(c.fragment.size()));
+    expected.push_back(static_cast<char>(FrameType::kResult));
+    put_u32(c.doc_id);
+    put_u32(c.slot);
+    expected.push_back(static_cast<char>(c.certain));
+    expected.append(c.fragment);
+    EXPECT_EQ(in.Encode(), expected);
+    std::string buffer = "pending bytes";
+    in.EncodeTo(&buffer);
+    EXPECT_EQ(buffer, "pending bytes" + in.Encode());
+    in.EncodeTo(&buffer);  // back to back, as PumpResults appends them
+    EXPECT_EQ(buffer, "pending bytes" + in.Encode() + in.Encode());
+  }
+}
+
 TEST(NetProtocol, DocDoneRoundTrip) {
   DocDoneFrame in;
   in.doc_id = 8;

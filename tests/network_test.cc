@@ -19,12 +19,15 @@ namespace {
 class ProbeTransducer : public Transducer {
  public:
   ProbeTransducer() : Transducer("PROBE") {}
-  void ProcessBatch(Message* messages, size_t count,
-                    BatchEmitter* out) override {
-    for (size_t i = 0; i < count; ++i) {
-      seen.push_back(messages[i].ToString());
-      out->Emit(0, std::move(messages[i]));
-    }
+  void Sweep(Documents docs, Controls in0, Controls,
+             BatchEmitter* out) override {
+    WalkRounds(
+        docs, in0, out,
+        [&](Message& m) {
+          seen.push_back(m.ToString());
+          EmitTo(out, 0, std::move(m));
+        },
+        [&](const Message& d) { seen.push_back(d.ToString()); });
   }
   std::vector<std::string> seen;
 };
@@ -43,6 +46,11 @@ TEST(NetworkTest, DeliveryFollowsTapes) {
   DeliverOne(&net, n1, 0, Open("a"));
   EXPECT_EQ(p1->seen, (std::vector<std::string>{"<a>"}));
   EXPECT_EQ(p2->seen, (std::vector<std::string>{"<a>"}));
+  // A control message travels on the tape p1 writes.
+  DeliverOne(&net, n1, 0, Activate());
+  DeliverOne(&net, n1, 0, Close("a"));
+  EXPECT_EQ(p2->seen,
+            (std::vector<std::string>{"<a>", "[true]", "</a>"}));
 }
 
 TEST(NetworkTest, DanglingOutputIsDropped) {
@@ -104,7 +112,7 @@ TEST(NetworkTest, ToDotEscapesLabelCharacters) {
   class HostileName : public Transducer {
    public:
     HostileName() : Transducer("CH(a\"b\\c\nd)") {}
-    void ProcessBatch(Message*, size_t, BatchEmitter*) override {}
+    void Sweep(Documents, Controls, Controls, BatchEmitter*) override {}
   };
   Network net;
   int n1 = net.AddNode(std::make_unique<HostileName>());

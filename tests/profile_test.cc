@@ -235,6 +235,41 @@ TEST(ProfileTest, StaticExplainWithoutRun) {
   EXPECT_NE(text.find("province"), std::string::npos);
 }
 
+// EXPLAIN's cost classes follow sparse tapes (DESIGN.md §11): the
+// forwarders work per control message and documents cost them nothing;
+// the structural transducers walk every document message.
+TEST(ProfileTest, CostClassPerTransducerFamily) {
+  const std::pair<const char*, const char*> pins[] = {
+      {"IN", "source, O(1)/control, documents free"},
+      {"SP", "O(1)/control, documents free"},
+      {"JO", "O(1)/control, documents free"},
+      {"UN", "or-merge O(|f|)/control, documents free"},
+      {"IS", "and-merge O(|f|)/control, documents free"},
+      {"VF", "filter O(|f|)/control, documents free"},
+      {"VD", "isolate O(|f|)/control, documents free"},
+      {"CH", "O(1)/document, stack O(d)"},
+      {"CL", "O(1)/document, stack O(d)"},
+      {"VC", "O(1)/document, stack O(d), one var per match"},
+      {"FO", "O(1)/document, stack O(d), formula O(|f|)"},
+      {"PR", "O(1)/document, stack O(d), speculative O(|f|)"},
+      {"OU", "buffers undecided candidates, idle sweeps skipped"},
+  };
+  // One query whose plan holds every family.
+  ExprPtr query = MustParseRpeq("(_*.a[b.>>c] | _*.d.<<e) & _*.f+");
+  CountingResultSink sink;
+  SpexEngine engine(*query, &sink);
+  const obs::ProfileReport report = engine.Profile();
+  for (const auto& [family, cost_class] : pins) {
+    bool seen = false;
+    for (const obs::ProfileNode& n : report.nodes) {
+      if (n.name.substr(0, n.name.find('(')) != family) continue;
+      seen = true;
+      EXPECT_EQ(n.cost_class, cost_class) << n.name;
+    }
+    EXPECT_TRUE(seen) << family;
+  }
+}
+
 // The engine must never report inf/garbage rates, no matter how quickly
 // watermarks are polled (regression: the first tick could divide by a
 // zero-length window).

@@ -5,10 +5,13 @@
 // 7 and 64, every run must agree on every node's rule trace and message
 // counts, on ComputeStats(), on the results, status and certain counts
 // (also under a governor breach sealed by FinalizeTruncated), and on the
-// decision-delay histogram.  The corpus covers nested qualifiers, `>>` and
-// `<<` inside and outside qualifier bodies, `&`, wildcard and root
-// qualifier bases, the QueryGen mixes and a 1000-query population, over
-// random trees and the §VI generators.
+// decision-delay histogram.  A rule trace makes every transducer walk
+// every document message, so each batch size also runs untraced — the
+// control-only walk that serving runs — and must agree with the traced
+// batch-1 run on everything but the rules.  The corpus covers nested
+// qualifiers, `>>` and `<<` inside and outside qualifier bodies, `&`,
+// wildcard and root qualifier bases, the QueryGen mixes and a 1000-query
+// population, over random trees and the §VI generators.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +34,8 @@ constexpr size_t kBatchSizes[] = {1, 7, 64};
 
 // Everything a run exposes that one-round delivery determines.
 struct Tapes {
-  std::vector<std::string> nodes;  // per node: name, rules, message counts
+  std::vector<std::string> rules;   // per node: name, rule trace (if traced)
+  std::vector<std::string> counts;  // per node: name, message counts
   std::string stats;
   std::string status;
   std::vector<std::vector<std::string>> results;  // per slot
@@ -70,15 +74,19 @@ void FeedRun(RunCore* run, const std::vector<StreamEvent>& events,
 
 using Sinks = std::vector<std::unique_ptr<SerializingResultSink>>;
 
-Tapes Capture(RunCore* run, const NetworkTraces& traces, const Sinks& sinks) {
+// `traces` is null for an untraced run.
+Tapes Capture(RunCore* run, const NetworkTraces* traces, const Sinks& sinks) {
   Tapes tapes;
   const Network& network = run->network();
   for (int i = 0; i < network.node_count(); ++i) {
     const Transducer* node = network.node(i);
-    tapes.nodes.push_back(node->name() + " " +
-                          traces.at(i).ToString() + " in=" +
-                          std::to_string(node->stats().messages_in) +
-                          " out=" + std::to_string(node->stats().messages_out));
+    if (traces != nullptr) {
+      tapes.rules.push_back(node->name() + " " + traces->at(i).ToString());
+    }
+    tapes.counts.push_back(node->name() + " in=" +
+                           std::to_string(node->stats().messages_in) +
+                           " out=" +
+                           std::to_string(node->stats().messages_out));
   }
   tapes.stats = RenderStats(run->ComputeStats());
   tapes.status = run->status().ToString();
@@ -107,48 +115,68 @@ EngineOptions LegOptions(const Leg& leg, size_t events, OutputOrder order) {
   return options;
 }
 
-// Runs `queries` as one run (a SpexEngine for one query, a population
-// otherwise) at every batch size and expects identical tapes.
+// One run of `queries` (a SpexEngine for one query, a population
+// otherwise) fed in `batch`-event slices, with every node's rule trace
+// attached when `traced`.
+Tapes RunOnce(const std::vector<const Expr*>& queries,
+              const std::vector<StreamEvent>& events, const Leg& leg,
+              OutputOrder order, size_t batch, bool traced) {
+  EngineOptions options = LegOptions(leg, events.size(), order);
+  options.batch_size = static_cast<int>(batch);
+  Sinks sinks;
+  std::unique_ptr<RunCore> run;
+  if (queries.size() == 1) {
+    sinks.push_back(std::make_unique<SerializingResultSink>());
+    run = std::make_unique<SpexEngine>(*queries[0], sinks[0].get(), options);
+  } else {
+    auto mq = std::make_unique<MultiQueryEngine>(options);
+    for (const Expr* q : queries) {
+      sinks.push_back(std::make_unique<SerializingResultSink>());
+      EXPECT_TRUE(mq->AddQuery(*q, sinks.back().get()).ok());
+    }
+    mq->Finalize();
+    run = std::move(mq);
+  }
+  std::unique_ptr<NetworkTraces> traces;
+  if (traced) traces = std::make_unique<NetworkTraces>(&run->network());
+  FeedRun(run.get(), events, batch);
+  return Capture(run.get(), traces.get(), sinks);
+}
+
+// Runs `queries` at every batch size, traced and untraced, and expects
+// identical tapes: the traced runs agree on every node's rules, and every
+// run agrees with the traced batch-1 run on the rest.
 void ExpectParity(const std::vector<const Expr*>& queries,
                   const std::vector<StreamEvent>& events, const Leg& leg,
                   OutputOrder order = OutputOrder::kDocumentStart) {
-  std::vector<Tapes> runs;
-  for (size_t batch : kBatchSizes) {
-    EngineOptions options = LegOptions(leg, events.size(), order);
-    options.batch_size = static_cast<int>(batch);
-    Sinks sinks;
-    std::unique_ptr<RunCore> run;
-    if (queries.size() == 1) {
-      sinks.push_back(std::make_unique<SerializingResultSink>());
-      run = std::make_unique<SpexEngine>(*queries[0], sinks[0].get(), options);
-    } else {
-      auto mq = std::make_unique<MultiQueryEngine>(options);
-      for (const Expr* q : queries) {
-        sinks.push_back(std::make_unique<SerializingResultSink>());
-        ASSERT_TRUE(mq->AddQuery(*q, sinks.back().get()).ok());
+  const Tapes reference =
+      RunOnce(queries, events, leg, order, kBatchSizes[0], /*traced=*/true);
+  for (bool traced : {true, false}) {
+    for (size_t batch : kBatchSizes) {
+      if (traced && batch == kBatchSizes[0]) continue;  // the reference
+      const Tapes run = RunOnce(queries, events, leg, order, batch, traced);
+      SCOPED_TRACE(std::string(traced ? "traced" : "untraced") + " batch " +
+                   std::to_string(batch) + " vs traced batch 1, leg " +
+                   leg.name);
+      if (traced) {
+        ASSERT_EQ(run.rules.size(), reference.rules.size());
+        for (size_t n = 0; n < reference.rules.size(); ++n) {
+          ASSERT_EQ(run.rules[n], reference.rules[n]) << "node " << n;
+        }
       }
-      mq->Finalize();
-      run = std::move(mq);
+      ASSERT_EQ(run.counts.size(), reference.counts.size());
+      for (size_t n = 0; n < reference.counts.size(); ++n) {
+        ASSERT_EQ(run.counts[n], reference.counts[n]) << "node " << n;
+      }
+      EXPECT_EQ(run.stats, reference.stats);
+      EXPECT_EQ(run.status, reference.status);
+      EXPECT_EQ(run.results, reference.results);
+      EXPECT_EQ(run.certain, reference.certain);
+      EXPECT_EQ(run.delay, reference.delay);
     }
-    NetworkTraces traces(&run->network());
-    FeedRun(run.get(), events, batch);
-    runs.push_back(Capture(run.get(), traces, sinks));
-  }
-  for (size_t r = 1; r < runs.size(); ++r) {
-    SCOPED_TRACE("batch " + std::to_string(kBatchSizes[r]) + " vs 1, leg " +
-                 leg.name);
-    ASSERT_EQ(runs[r].nodes.size(), runs[0].nodes.size());
-    for (size_t n = 0; n < runs[0].nodes.size(); ++n) {
-      ASSERT_EQ(runs[r].nodes[n], runs[0].nodes[n]) << "node " << n;
-    }
-    EXPECT_EQ(runs[r].stats, runs[0].stats);
-    EXPECT_EQ(runs[r].status, runs[0].status);
-    EXPECT_EQ(runs[r].results, runs[0].results);
-    EXPECT_EQ(runs[r].certain, runs[0].certain);
-    EXPECT_EQ(runs[r].delay, runs[0].delay);
   }
   if (leg.breach) {
-    EXPECT_FALSE(runs[0].status == Status::Ok().ToString());
+    EXPECT_FALSE(reference.status == Status::Ok().ToString());
   }
 }
 

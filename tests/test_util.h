@@ -48,45 +48,86 @@ class TestEmitter {
   std::vector<std::pair<int, Message>> messages_;
 };
 
-// Records a node call's emissions in `out`, port 0's before port 1's (only
-// SP writes both, one message each).
-inline void RecordEmitted(std::vector<Message> (&emitted)[2],
-                          TestEmitter* out) {
-  for (int p = 0; p < 2; ++p) {
-    for (Message& m : emitted[p]) out->Record(p, std::move(m));
+// Splits a message sequence into what a sparse tape holds (DESIGN.md §11):
+// the document messages, and the control messages, each stamped with the
+// offset of the document message it precedes.
+inline void SplitTape(std::vector<Message> messages,
+                      std::vector<Message>* docs,
+                      std::vector<Control>* controls) {
+  for (Message& m : messages) {
+    if (m.is_document()) {
+      docs->push_back(std::move(m));
+    } else {
+      controls->push_back({docs->size(), std::move(m)});
+    }
   }
 }
 
-// Hands `message` to the one-input `t` as a one-message batch — the
+// Records a node call's emissions in `out`: for each output port of `t`
+// (port 0's before port 1's), the port's control messages re-interleaved
+// with the sweep's document messages by round — the tape one-message
+// processing writes.
+inline void RecordEmitted(const Transducer& t, const std::vector<Message>& docs,
+                          std::vector<Control> (&emitted)[2],
+                          TestEmitter* out) {
+  for (int p = 0; p < t.output_ports(); ++p) {
+    size_t c = 0;
+    for (size_t k = 0; k <= docs.size(); ++k) {
+      for (; c < emitted[p].size() && emitted[p][c].at == k; ++c) {
+        out->Record(p, std::move(emitted[p][c].message));
+      }
+      if (k < docs.size()) out->Record(p, docs[k]);
+    }
+    if (c != emitted[p].size()) {
+      ADD_FAILURE() << t.name() << " port " << p
+                    << ": control stamps out of tape order";
+    }
+  }
+}
+
+// Hands `message` to the one-input `t` as a one-message sweep — the
 // transducer's entry point, exactly as a one-round network sweep calls it —
 // and records the emissions in `out`.
 inline void Feed(Transducer* t, Message message, TestEmitter* out) {
   std::vector<Message> in;
   in.push_back(std::move(message));
-  std::vector<Message> emitted[2];
-  BatchEmitter emitter(&emitted[0], &emitted[1], &in);
-  t->OnBatch(in.data(), in.size(), &emitter);
-  emitter.Finish();
-  RecordEmitted(emitted, out);
+  std::vector<Message> docs;
+  std::vector<Control> controls;
+  SplitTape(std::move(in), &docs, &controls);
+  std::vector<Control> emitted[2];
+  BatchEmitter emitter(&emitted[0], &emitted[1]);
+  t->OnSweep(docs, controls, {}, &emitter);
+  RecordEmitted(*t, docs, emitted, out);
 }
 
 // Hands `left` and `right` to the two-input `t` (JO, IS) as one sweep's
-// pending sequences of its two input tapes — which hold the same rounds —
-// and records the emissions in `out`.
+// pending sequences of its two input tapes — which hold the same document
+// messages — and records the emissions in `out`.
 inline void FeedPair(Transducer* t, std::vector<Message> left,
                      std::vector<Message> right, TestEmitter* out) {
-  std::vector<Message> emitted[2];
-  BatchEmitter emitter(&emitted[0], &emitted[1], &left);
-  t->OnPair(left.data(), left.size(), right.data(), right.size(), &emitter);
-  emitter.Finish();
-  RecordEmitted(emitted, out);
+  std::vector<Message> docs;
+  std::vector<Message> right_docs;
+  std::vector<Control> controls[2];
+  SplitTape(std::move(left), &docs, &controls[0]);
+  SplitTape(std::move(right), &right_docs, &controls[1]);
+  EXPECT_EQ(docs.size(), right_docs.size());
+  for (size_t k = 0; k < docs.size() && k < right_docs.size(); ++k) {
+    EXPECT_EQ(docs[k].ToString(), right_docs[k].ToString()) << "round " << k;
+  }
+  std::vector<Control> emitted[2];
+  BatchEmitter emitter(&emitted[0], &emitted[1]);
+  t->OnSweep(docs, controls[0], controls[1], &emitter);
+  RecordEmitted(*t, docs, emitted, out);
 }
 
 // Injects `message` at `node`'s input `port` as a one-message sweep.
 inline void DeliverOne(Network* network, int node, int port, Message message) {
-  std::vector<Message> batch;
-  batch.push_back(std::move(message));
-  network->DeliverBatch(node, port, &batch);
+  std::vector<Message> docs;
+  std::vector<Control> controls;
+  std::vector<Message> in;
+  in.push_back(std::move(message));
+  SplitTape(std::move(in), &docs, &controls);
+  network->DeliverBatch(node, port, docs, &controls);
 }
 
 // Rule traces of every node of `network`, attached before the first event:
